@@ -1,9 +1,13 @@
 """Offline edge-coloring engines.
 
 exact_color is the ground-truth engine: complete backtracking with a
-saturation-first edge order and first-use color symmetry breaking, capped
-by a node budget.  vizing_plus_one and konig_color are the polynomial
-constructions for max_degree+1 colors and for bipartite graphs.
+saturation-first (DSATUR) edge order and first-use color symmetry breaking,
+capped by a node budget.  It runs on an explicit stack and keeps each
+edge's saturation up to date incrementally, so a search node costs
+O(max_degree) and there is no recursion limit on the graph size.
+vizing_plus_one and konig_color are the polynomial constructions for
+max_degree+1 colors and for bipartite graphs; color_degenerate is a
+max_degree-coloring witness built on exact_color.
 """
 from __future__ import annotations
 
@@ -60,33 +64,43 @@ def exact_color(
     interchangeable, so branching is capped at max_used+1, which keeps the
     search complete while pruning palette permutations.
 
-    Raises ResourceLimit when the node budget is exhausted.
+    Each node colors the uncolored edge whose endpoints already see the most
+    distinct colors, ties going to the larger degree sum and then the
+    earliest arrival.  That saturation is kept per edge and updated only at
+    the edges next to the one being (un)colored, and the search runs on an
+    explicit stack, so a node costs O(max_degree) and depth is unbounded.
+
+    Raises PreconditionViolated when a `fixed` or `forbidden` pair is not an
+    edge of g, and ResourceLimit when the node budget is exhausted.
     """
     if k < 0:
         raise PreconditionViolated("k must be nonnegative")
     fixed = dict(fixed or {})
     forbidden = {p: frozenset(cs) for p, cs in (forbidden or {}).items()}
+    for what, pairs in (("fixed", fixed), ("forbidden", forbidden)):
+        for pair in pairs:
+            if pair not in g.pairs:
+                raise PreconditionViolated(f"{what} pair {pair} not in graph")
     limit = node_budget(budget)
 
     if g.m == 0:
         return Coloring({})
     if k < g.max_degree:
         return None
-
     for pair, c in fixed.items():
-        if pair not in g.pairs:
-            raise PreconditionViolated(f"fixed pair {pair} not in graph")
         if not 1 <= c <= k or c in forbidden.get(pair, frozenset()):
             return None
 
-    used: dict[int, set[int]] = {v: set() for v in g.vertices}
+    # Per-vertex color sets are bitmasks: bit c set when color c is present.
+    index = {v: i for i, v in enumerate(g.vertices)}
+    used = [0] * len(index)
     assignment: dict[Pair, int] = {}
     for pair, c in fixed.items():
-        u, v = pair
-        if c in used[u] or c in used[v]:
+        u, v = index[pair[0]], index[pair[1]]
+        if (used[u] | used[v]) >> c & 1:
             return None
-        used[u].add(c)
-        used[v].add(c)
+        used[u] |= 1 << c
+        used[v] |= 1 << c
         assignment[pair] = c
 
     # Colors referenced by constraints are pinned and excluded from the
@@ -95,53 +109,96 @@ def exact_color(
         [c for c in fixed.values()] + [c for cs in forbidden.values() for c in cs],
         default=0,
     )
-    remaining = [e for e in g.edges if e.pair not in assignment]
+
+    # Rank the free edges best first by the static tie-break (the sort is
+    # stable, so exact ties keep g.edges order).  Rank r is bit r of the
+    # saturation buckets, so the lowest bit of a bucket is its preferred edge.
+    free = sorted(
+        (e for e in g.edges if e.pair not in assignment),
+        key=lambda e: (g.degree[e.u] + g.degree[e.v], -e.arrival),
+        reverse=True,
+    )
+    ends = [(index[e.u], index[e.v]) for e in free]
+    banned = [
+        sum(1 << c for c in forbidden.get(e.pair, ()) if 1 <= c <= k) for e in free
+    ]
+    incident: list[list[tuple[int, int]]] = [[] for _ in used]  # (rank, far end)
+    for r, (u, v) in enumerate(ends):
+        incident[u].append((r, v))
+        incident[v].append((r, u))
+    color = [0] * len(free)
+    sat = [(used[u] | used[v]).bit_count() for u, v in ends]
+    # bucket[s]: ranks of uncolored edges with saturation s <= 2*max_degree - 2
+    bucket = [0] * (2 * g.max_degree)
+    for r, s in enumerate(sat):
+        bucket[s] |= 1 << r
+    top = max(sat, default=0)  # no bucket above top is occupied
+
+    def recount(r: int, c: int, step: int) -> None:
+        """Move the uncolored edges next to r as color c comes or goes there."""
+        nonlocal top
+        for x in ends[r]:
+            for f, w in incident[x]:
+                if color[f] or used[w] >> c & 1:
+                    continue
+                s = sat[f]
+                sat[f] = s + step
+                bit = 1 << f
+                bucket[s] ^= bit
+                bucket[s + step] |= bit
+                if s + step > top:
+                    top = s + step
+
+    # Frames are [rank, next color to try, max_used on entry, color held].
+    stack: list[list[int]] = []
+    max_used = max(assignment.values(), default=0)
     nodes = 0
-
-    def pick() -> int:
-        best = -1
-        best_key = None
-        for idx, e in enumerate(remaining):
-            if e is None:
-                continue
-            sat = len(used[e.u] | used[e.v])
-            key = (sat, g.degree[e.u] + g.degree[e.v], -e.arrival)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = idx
-        return best
-
-    def solve(max_used: int) -> bool:
-        nonlocal nodes
-        idx = pick()
-        if idx < 0:
-            return True
+    while True:
+        while top and not bucket[top]:
+            top -= 1
+        pool = bucket[top]
+        if not pool:
+            break
+        r = (pool & -pool).bit_length() - 1
         nodes += 1
         if nodes > limit:
             raise ResourceLimit(f"exact search exceeded {limit} nodes")
-        e = remaining[idx]
-        remaining[idx] = None
-        bad = forbidden.get(e.pair, frozenset())
-        cap = min(k, max(max_used, reserved) + 1)
-        for c in range(1, cap + 1):
-            if c in bad or c in used[e.u] or c in used[e.v]:
-                continue
-            used[e.u].add(c)
-            used[e.v].add(c)
-            assignment[e.pair] = c
-            if solve(max(max_used, c)):
-                remaining[idx] = e
-                return True
-            used[e.u].remove(c)
-            used[e.v].remove(c)
-            del assignment[e.pair]
-        remaining[idx] = e
-        return False
+        bucket[top] = pool ^ (1 << r)
+        frame = [r, 1, max_used, 0]
+        stack.append(frame)
+        while True:
+            r, nxt, entry, held = frame
+            u, v = ends[r]
+            if held:
+                used[u] ^= 1 << held
+                used[v] ^= 1 << held
+                recount(r, held, -1)
+                color[r] = 0
+            cap = min(k, max(entry, reserved) + 1)
+            # colors nxt..cap that are free at both ends and not banned here
+            options = ~(used[u] | used[v] | banned[r]) & ((2 << cap) - (1 << nxt))
+            if options:
+                c = (options & -options).bit_length() - 1
+                used[u] |= 1 << c
+                used[v] |= 1 << c
+                color[r] = c
+                recount(r, c, 1)
+                frame[1] = c + 1
+                frame[3] = c
+                max_used = max(entry, c)
+                break
+            s = sat[r]
+            bucket[s] |= 1 << r
+            if s > top:
+                top = s
+            stack.pop()
+            if not stack:
+                return None
+            frame = stack[-1]
 
-    start_max = max(assignment.values(), default=0)
-    if solve(start_max):
-        return Coloring(dict(assignment))
-    return None
+    for r, _, _, c in stack:
+        assignment[free[r].pair] = c
+    return Coloring(assignment)
 
 
 def brute_force_colorable(g: Graph, k: int) -> bool:

@@ -1,0 +1,71 @@
+"""Scale tier: the full pipeline on thousands of edges.
+
+Both instances are far deeper than the interpreter's recursion limit, so
+they pin that the exact search (whole-graph and per-bundle) is iterative.
+Both have max degree >= 2d, so they are class 1 and the optimum is the max
+degree itself.
+"""
+
+import pytest
+
+from ecadvice import Graph, gen_d_degenerate, gen_forest, header_bits, is_proper, run_advice, serialize_stream
+from ecadvice.advice import bits_per_edge
+from ecadvice.cli import main
+
+pytestmark = pytest.mark.scale
+
+INSTANCES = {
+    "forest-n5000": (lambda: gen_forest(5000, 1), 1, 4497),
+    "deg5-n500": (lambda: gen_d_degenerate(500, 5, 1), 5, 2485),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(INSTANCES))
+def scaled(request):
+    make, d, m = INSTANCES[request.param]
+    stream = make()
+    assert stream.m == m
+    return stream, d, run_advice(stream, d, mode="robust", model="tape")
+
+
+def test_scale_coloring_is_optimal(scaled):
+    stream, d, run = scaled
+    g = Graph.from_stream(stream)
+    report = run.report
+    assert g.max_degree >= 2 * run.oracle.d
+    assert is_proper(Graph.from_stream(run.oracle.stream), report.coloring)
+    assert len(report.coloring) == g.m
+    assert report.colors_used == report.chromatic_index == g.max_degree
+    assert report.optimal
+
+
+def test_scale_bit_count_is_exact(scaled):
+    _, _, run = scaled
+    report = run.report
+    per = bits_per_edge(run.oracle.d, "robust")
+    assert report.per_edge_bits == per
+    assert report.advice_bits_read == report.m * per + header_bits(run.oracle.d)
+
+
+def test_scale_bundles_and_decoder_agree(scaled):
+    _, _, run = scaled
+    oracle = run.oracle
+    dd = oracle.d
+    assert oracle.partition
+    for members in oracle.partition.values():
+        assert Graph(members).max_degree <= 2 * dd
+    decoded = {s.arrival: (s.subset, s.rank) for s in run.algorithm.decoded if s.mode == 1}
+    planned = {
+        e.arrival: (adv.subset, adv.rank)
+        for e, adv in zip(oracle.stream.edges, oracle.per_edge)
+        if adv.mode == 1
+    }
+    assert all(rank <= dd for _, rank in planned.values())
+    assert decoded == planned
+
+
+def test_scale_cli_run_exits_zero(tmp_path, capsys):
+    path = tmp_path / "deg5-n500.stream"
+    path.write_text(serialize_stream(gen_d_degenerate(500, 5, 1)))
+    assert main(["run", str(path), "--alg", "advice", "--d", "5"]) == 0
+    assert '"optimal": true' in capsys.readouterr().out
