@@ -47,7 +47,6 @@ from .coloring import (
     Coloring,
     brute_force_chromatic_index,
     brute_force_colorable,
-    chromatic_index,
     color_degenerate,
     exact_color,
     konig_color,
@@ -67,7 +66,6 @@ from .graphs import (
     EdgeClassification,
     EdgeStream,
     Graph,
-    back_degrees,
     bipartition,
     classify,
     colors_used,
@@ -86,6 +84,7 @@ from .oracle import (
     PartitionTrace,
     build_advice,
     build_partition,
+    chromatic_index,
     optimal_coloring,
 )
 from .runtime import (

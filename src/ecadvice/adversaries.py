@@ -9,19 +9,15 @@ colored, forcing delta + 1 colors out of anyone who committed too early.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Optional, Sequence
 
 from .coloring import exact_color, konig_color
-from .errors import (
-    ImproperColoring,
-    NoMonochromeFamily,
-    PreconditionViolated,
-)
+from .errors import NoMonochromeFamily, PreconditionViolated
 from .generators import build_coupled_pair, coupler_edges
 from .graphs import Edge, EdgeStream, Graph, Pair, edge_pair, stream_from_pairs
-from .runtime import GreedyVariant, OnlineAlgorithm, RunReport, simulate
+from .runtime import GreedyVariant, OnlineAlgorithm, Referee, RunReport, simulate
 
 
 def pigeonhole_thresholds(delta: int) -> tuple[int, int]:
@@ -57,22 +53,14 @@ def select_same_colored_stars(
 @dataclass
 class _Member:
     alg: OnlineAlgorithm
-    assignment: dict[Pair, int]
-    used: dict[int, set[int]]
+    referee: Referee = field(default_factory=Referee)
     alive: bool = True
 
     def observe(self, edge: Edge) -> None:
-        color = self.alg.step(edge, None)
-        au = self.used.setdefault(edge.u, set())
-        av = self.used.setdefault(edge.v, set())
-        if not isinstance(color, int) or color < 1 or color in au or color in av:
-            raise ImproperColoring(f"member broke properness at {edge.pair}")
-        self.assignment[edge.pair] = color
-        au.add(color)
-        av.add(color)
+        self.referee.record(edge, self.alg.step(edge, None))
 
     def palette_size(self) -> int:
-        return len(set(self.assignment.values()))
+        return len(set(self.referee.assignment.values()))
 
 
 @dataclass(frozen=True)
@@ -112,7 +100,7 @@ def elimination_game(
     graph stays a forest with max degree delta.
     """
     alpha, beta = pigeonhole_thresholds(delta)
-    members = [_Member(alg, {}, {}) for alg in family]
+    members = [_Member(alg) for alg in family]
     threshold = 2 * delta - 2
 
     edges: list[Edge] = []
@@ -157,7 +145,7 @@ def elimination_game(
             if not member.alive:
                 continue
             sets = [
-                frozenset(member.assignment[p] for p in pairs)
+                frozenset(member.referee.assignment[p] for p in pairs)
                 for pairs in star_pairs[row]
             ]
             choice = select_same_colored_stars(sets, delta)
@@ -316,6 +304,8 @@ def rigidity_check(n: int, *, budget: Optional[int] = None) -> bool:
 
 def variant_family(bit_length: int, *, cycle: bool = True) -> list[GreedyVariant]:
     """All 2**bit_length greedy variants driven by distinct bit strings."""
+    if bit_length < 0:
+        raise PreconditionViolated(f"bit length {bit_length} is negative")
     if bit_length == 0:
         return [GreedyVariant("", cycle=cycle)]
     return [

@@ -15,8 +15,8 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .errors import NotBipartite, PreconditionViolated, ResourceLimit
-from .graphs import Graph, Pair, bipartition, degeneracy, edge_pair, is_bipartite
+from .errors import PreconditionViolated, ResourceLimit
+from .graphs import Graph, Pair, bipartition, degeneracy, edge_pair, is_proper
 
 DEFAULT_NODE_BUDGET = 10_000_000
 _BUDGET_ENV = "ECADVICE_NODE_BUDGET"
@@ -240,55 +240,38 @@ def brute_force_chromatic_index(g: Graph) -> int:
         k += 1
 
 
-def chromatic_index(g: Graph, *, budget: Optional[int] = None) -> int:
-    """max_degree or max_degree+1; bipartite graphs settle without search."""
-    if g.m == 0:
-        return 0
-    delta = g.max_degree
-    if is_bipartite(g):
-        return delta
-    # any proper coloring uses >= delta distinct colors, so a fan-recoloring
-    # run that lands on exactly delta is already a class-1 witness
-    if len(set(vizing_plus_one(g).assignment.values())) == delta:
-        return delta
-    if exact_color(g, delta, budget=budget) is not None:
-        return delta
-    return delta + 1
+class _Ledger:
+    """Recoloring state of the fan and König constructions: each edge's
+    color, and at[v][c] the edge holding color c at v."""
 
+    def __init__(self, g: Graph, k: int):
+        self.k = k
+        self.color: dict[Pair, int] = {}
+        self.at: dict[int, dict[int, Pair]] = {v: {} for v in g.vertices}
 
-def vizing_plus_one(g: Graph, *, check: bool = False) -> Coloring:
-    """Proper coloring with at most max_degree+1 colors in polynomial time.
-
-    Fan recoloring: each uncolored edge grows a maximal fan around one
-    endpoint, a two-color alternating path is flipped, and a prefix of the
-    fan is rotated.  `check` re-verifies properness after every edge (used
-    by tests).
-    """
-    k = g.max_degree + 1
-    color: dict[Pair, int] = {}
-    at: dict[int, dict[int, Pair]] = {v: {} for v in g.vertices}
-
-    def free(v: int) -> int:
-        for c in range(1, k + 1):
-            if c not in at[v]:
+    def free(self, v: int) -> int:
+        """Smallest color in 1..k absent at v."""
+        at = self.at[v]
+        for c in range(1, self.k + 1):
+            if c not in at:
                 return c
-        raise AssertionError("palette exhausted at a vertex of degree <= k-1")
+        raise AssertionError(f"palette 1..{self.k} exhausted at vertex {v}")
 
-    def set_color(u: int, v: int, c: int) -> None:
-        pair = edge_pair(u, v)
-        color[pair] = c
-        at[u][c] = pair
-        at[v][c] = pair
+    def set(self, pair: Pair, c: int) -> None:
+        self.color[pair] = c
+        self.at[pair[0]][c] = pair
+        self.at[pair[1]][c] = pair
 
-    def unset_color(u: int, v: int) -> int:
-        pair = edge_pair(u, v)
-        c = color.pop(pair)
-        del at[u][c]
-        del at[v][c]
+    def unset(self, pair: Pair) -> int:
+        c = self.color.pop(pair)
+        del self.at[pair[0]][c]
+        del self.at[pair[1]][c]
         return c
 
-    def flip_path(start: int, first: int, second: int) -> None:
-        """Swap colors first/second along the alternating path from start."""
+    def flip(self, start: int, first: int, second: int) -> int:
+        """Swap colors first/second along the alternating path that leaves
+        start on first; returns the path's far end."""
+        at = self.at
         cur, want = start, first
         path: list[tuple[Pair, int]] = []
         seen = {start}
@@ -300,16 +283,26 @@ def vizing_plus_one(g: Graph, *, check: bool = False) -> Coloring:
                 raise AssertionError("alternating path revisited a vertex")
             seen.add(cur)
             want = second if want == first else first
-        for pair, old in path:
-            u, v = pair
+        # clear the path's slots first; color keeps its keys, and its order
+        for (u, v), old in path:
             del at[u][old]
             del at[v][old]
         for pair, old in path:
-            new = second if old == first else first
-            u, v = pair
-            color[pair] = new
-            at[u][new] = pair
-            at[v][new] = pair
+            self.set(pair, second if old == first else first)
+        return cur
+
+
+def vizing_plus_one(g: Graph, *, check: bool = False) -> Coloring:
+    """Proper coloring with at most max_degree+1 colors in polynomial time.
+
+    Fan recoloring: each uncolored edge grows a maximal fan around one
+    endpoint, a two-color alternating path is flipped, and a prefix of the
+    fan is rotated.  `check` re-verifies properness after every edge (used
+    by tests).
+    """
+    k = g.max_degree + 1
+    ledger = _Ledger(g, k)
+    color, at = ledger.color, ledger.at
 
     for e in g.edges:
         anchor, tip = (e.u, e.v) if e.u < e.v else (e.v, e.u)
@@ -332,10 +325,10 @@ def vizing_plus_one(g: Graph, *, check: bool = False) -> Coloring:
                 break
             fan.append(candidate)
             in_fan.add(candidate)
-        a = free(anchor)
-        b = free(fan[-1])
+        a = ledger.free(anchor)
+        b = ledger.free(fan[-1])
         if b in at[anchor]:
-            flip_path(anchor, b, a)
+            ledger.flip(anchor, b, a)
         # Some prefix of the fan now ends at a vertex missing b and is still
         # a valid fan; rotate it and finish with b.
         chosen = -1
@@ -353,17 +346,12 @@ def vizing_plus_one(g: Graph, *, check: bool = False) -> Coloring:
                 break
         if chosen < 0:
             raise AssertionError("fan rotation target missing")
-        shifted = [color[edge_pair(anchor, fan[t + 1])] for t in range(chosen)]
+        shifted = [ledger.unset(edge_pair(anchor, fan[t + 1])) for t in range(chosen)]
         for t in range(chosen):
-            unset_color(anchor, fan[t + 1])
-        for t in range(chosen):
-            set_color(anchor, fan[t], shifted[t])
-        set_color(anchor, fan[chosen], b)
-        if check:
-            from .graphs import is_proper
-
-            if not is_proper(g, color):
-                raise AssertionError("fan step broke properness")
+            ledger.set(edge_pair(anchor, fan[t]), shifted[t])
+        ledger.set(edge_pair(anchor, fan[chosen]), b)
+        if check and not is_proper(g, color):
+            raise AssertionError("fan step broke properness")
     return Coloring(dict(color))
 
 
@@ -374,20 +362,13 @@ def konig_color(g: Graph) -> Coloring:
     two-colored alternating path to make one free.  Raises NotBipartite.
     """
     bipartition(g)  # raises on odd cycles
-    delta = g.max_degree
-    color: dict[Pair, int] = {}
-    at: dict[int, dict[int, Pair]] = {v: {} for v in g.vertices}
-
-    def free(v: int) -> int:
-        for c in range(1, delta + 1):
-            if c not in at[v]:
-                return c
-        raise AssertionError("no free color at a vertex of degree < delta")
+    ledger = _Ledger(g, g.max_degree)
+    at = ledger.at
 
     for e in g.edges:
         u, v = e.u, e.v
-        a = free(u)
-        b = free(v)
+        a = ledger.free(u)
+        b = ledger.free(v)
         if a == b:
             c = a
         elif a not in at[v]:
@@ -397,32 +378,11 @@ def konig_color(g: Graph) -> Coloring:
         else:
             # a used at v, b used at u: flip the b/a path from u; in a
             # bipartite graph it cannot reach v, so b becomes free at both.
-            cur, want = u, b
-            path: list[Pair] = []
-            while want in at[cur]:
-                pair = at[cur][want]
-                path.append(pair)
-                cur = pair[0] if pair[1] == cur else pair[1]
-                want = a if want == b else b
-            if cur == v:
+            if ledger.flip(u, b, a) == v:
                 raise AssertionError("alternating path reached the far endpoint")
-            for pair in path:
-                old = color[pair]
-                x, y = pair
-                del at[x][old]
-                del at[y][old]
-            for pair in path:
-                old = color[pair]
-                new = a if old == b else b
-                x, y = pair
-                color[pair] = new
-                at[x][new] = pair
-                at[y][new] = pair
             c = b
-        color[e.pair] = c
-        at[u][c] = e.pair
-        at[v][c] = e.pair
-    return Coloring(dict(color))
+        ledger.set(e.pair, c)
+    return Coloring(dict(ledger.color))
 
 
 def color_degenerate(g: Graph, d: int, *, budget: Optional[int] = None) -> Coloring:

@@ -178,15 +178,6 @@ def degeneracy(g: Graph) -> tuple[int, DegeneracyOrder]:
     return d, DegeneracyOrder(order, rank, d)
 
 
-def back_degrees(g: Graph, order: DegeneracyOrder) -> dict[int, int]:
-    """Number of earlier neighbors per vertex under `order`."""
-    counts = {v: 0 for v in g.vertices}
-    for e in g.edges:
-        hi = e.u if order.rank[e.u] > order.rank[e.v] else e.v
-        counts[hi] += 1
-    return counts
-
-
 @dataclass(frozen=True)
 class EdgeClassification:
     """front[pair] is the endpoint whose rank is lower; back the other."""

@@ -26,7 +26,7 @@ from .graphs import (
     EdgeStream,
     Graph,
     Pair,
-    back_degrees,
+    classify,
     degeneracy,
     is_bipartite,
 )
@@ -77,10 +77,8 @@ def build_partition(
         edges = edges.edges
     edges = tuple(edges)
     g = Graph(edges)
-    for v in g.vertices:
-        if v not in order.rank:
-            raise PreconditionViolated(f"vertex {v} missing from the order")
-    if max(back_degrees(g, order).values(), default=0) > d:
+    sides = classify(g, order)  # raises when a vertex is missing from the order
+    if max(sides.back_degree.values(), default=0) > d:
         raise PreconditionViolated(f"order has back-degree above {d}")
     delta = g.max_degree
     if delta == 0 or delta % (2 * d) != 0:
@@ -89,8 +87,7 @@ def build_partition(
     cap = 2 * d - 1
     front_edges: dict[int, list[Edge]] = {}
     for e in edges:
-        front = e.u if order.rank[e.u] < order.rank[e.v] else e.v
-        front_edges.setdefault(front, []).append(e)
+        front_edges.setdefault(sides.front[e.pair], []).append(e)
     for group in front_edges.values():
         group.sort(key=lambda e: e.arrival)
 
@@ -146,15 +143,18 @@ class OracleResult:
     chromatic_index: int
     records: list[AdviceRecord]
     per_edge: list[EdgeAdvice]  # arrival-indexed
-    partition: dict[int, list[Edge]]
-    precolored: list[Edge]      # edges shipped with a literal color
     stream: EdgeStream          # what the consumer should replay
     optimal: Coloring
     partition_trace: Optional[PartitionTrace]
 
+    @property
+    def partition(self) -> dict[int, list[Edge]]:
+        """Bundle index -> member edges; empty when every record is literal."""
+        return self.partition_trace.partition if self.partition_trace else {}
+
 
 def _contiguous(col: Coloring) -> Coloring:
-    """Rename colors to 1..k preserving first-seen order of distinct values."""
+    """Rename colors to 1..k in ascending order of their values."""
     rename: dict[int, int] = {}
     for c in sorted(set(col.assignment.values())):
         rename[c] = len(rename) + 1
@@ -179,6 +179,11 @@ def optimal_coloring(g: Graph, *, budget: Optional[int] = None) -> tuple[int, Co
     return delta + 1, _contiguous(fan)
 
 
+def chromatic_index(g: Graph, *, budget: Optional[int] = None) -> int:
+    """max_degree or max_degree+1; bipartite graphs settle without search."""
+    return optimal_coloring(g, budget=budget)[0]
+
+
 def build_advice(
     stream: EdgeStream,
     d: Optional[int] = None,
@@ -200,7 +205,7 @@ def build_advice(
     if not edges:
         dd = pad_degeneracy(d if d is not None else 1)
         return OracleResult(
-            dd, d if d is not None else 1, mode, 0, 0, [], [], {}, [], stream, Coloring({}), None
+            dd, d if d is not None else 1, mode, 0, 0, [], [], stream, Coloring({}), None
         )
     g = Graph.from_stream(stream)
     dgn, _ = degeneracy(g)
@@ -211,7 +216,6 @@ def build_advice(
     delta = g.max_degree
     chi, opt = optimal_coloring(g, budget=budget)
 
-    partition: dict[int, list[Edge]] = {}
     trace: Optional[PartitionTrace] = None
     if delta >= 2 * dd:
         a, b = divmod(delta, 2 * dd)
@@ -223,7 +227,6 @@ def build_advice(
             raise AssertionError("residual subgraph lost the expected max degree")
         _, sub_order = degeneracy(sub)
         trace = build_partition(rest, dd, sub_order, budget=budget)
-        partition = trace.partition
         per_edge = []
         for e in edges:
             c = opt[e.pair]
@@ -255,7 +258,6 @@ def build_advice(
                 oriented.append(e)
         out_stream = EdgeStream(tuple(oriented), "strict")
 
-    precolored = [e for e, adv in zip(edges, per_edge) if adv.mode == 0]
     return OracleResult(
         dd,
         requested,
@@ -264,8 +266,6 @@ def build_advice(
         chi,
         records,
         per_edge,
-        partition,
-        precolored,
         out_stream,
         opt,
         trace,

@@ -20,7 +20,7 @@ from .advice import (
 )
 from .coloring import Coloring
 from .errors import AdviceExhausted, ImproperColoring, RecoloringAttempt
-from .graphs import Edge, EdgeStream, Graph, Pair
+from .graphs import Edge, EdgeStream, Pair
 
 
 class RequestSource:
@@ -74,23 +74,6 @@ class OnlineAlgorithm:
         raise NotImplementedError
 
 
-class Greedy(OnlineAlgorithm):
-    """Smallest color absent at both endpoints; never exceeds 2*delta - 1."""
-
-    def __init__(self) -> None:
-        self._used: dict[int, set[int]] = {}
-
-    def step(self, edge: Edge, advice=None) -> int:
-        au = self._used.setdefault(edge.u, set())
-        av = self._used.setdefault(edge.v, set())
-        c = 1
-        while c in au or c in av:
-            c += 1
-        au.add(c)
-        av.add(c)
-        return c
-
-
 class GreedyVariant(OnlineAlgorithm):
     """Greedy nudged by a bit string: bit 1 takes the second-smallest legal
     color instead of the smallest.
@@ -109,33 +92,29 @@ class GreedyVariant(OnlineAlgorithm):
         self._step = 0
         self._used: dict[int, set[int]] = {}
 
-    def _skip(self) -> int:
-        if not self.bits:
-            return 0
-        i = self._step
-        if i < len(self.bits):
-            return int(self.bits[i])
-        if self.cycle:
-            return int(self.bits[i % len(self.bits)])
-        return 0
-
     def step(self, edge: Edge, advice=None) -> int:
-        skip = self._skip()
-        self._step += 1
+        i = self._step
+        self._step = i + 1
+        bits = self.bits
         au = self._used.setdefault(edge.u, set())
         av = self._used.setdefault(edge.v, set())
-        c = 0
-        remaining = skip
-        while True:
+        c = 1
+        while c in au or c in av:
             c += 1
-            if c in au or c in av:
-                continue
-            if remaining == 0:
-                break
-            remaining -= 1
+        if bits and (self.cycle or i < len(bits)) and bits[i % len(bits)] == "1":
+            c += 1
+            while c in au or c in av:
+                c += 1
         au.add(c)
         av.add(c)
         return c
+
+
+class Greedy(GreedyVariant):
+    """Smallest color absent at both endpoints; never exceeds 2*delta - 1."""
+
+    def __init__(self) -> None:
+        super().__init__("")
 
 
 @dataclass(frozen=True)
@@ -255,36 +234,50 @@ class RunReport:
         }
 
 
-def simulate(stream: EdgeStream, alg: OnlineAlgorithm, advice=None) -> RunReport:
-    """Reveal edges in arrival order, enforcing properness at every step."""
-    assignment: dict[Pair, int] = {}
-    used: dict[int, set[int]] = {}
-    for edge in stream.edges:
-        color = alg.step(edge, advice)
+class Referee:
+    """The run ledger: each edge's color and the colors present at each
+    vertex, checked on every step an online algorithm takes."""
+
+    def __init__(self) -> None:
+        self.assignment: dict[Pair, int] = {}
+        self.used: dict[int, set[int]] = {}
+
+    def record(self, edge: Edge, color) -> None:
+        """Accept a positive int color that is new at both endpoints for an
+        edge not colored before; raise otherwise."""
+        pair = edge.pair
         if not isinstance(color, int) or color < 1:
-            raise ImproperColoring(f"edge {edge.pair}: color {color!r} is not a positive int")
-        if edge.pair in assignment:
-            raise RecoloringAttempt(f"edge {edge.pair} colored twice")
-        au = used.setdefault(edge.u, set())
-        av = used.setdefault(edge.v, set())
+            raise ImproperColoring(f"edge {pair}: color {color!r} is not a positive int")
+        if pair in self.assignment:
+            raise RecoloringAttempt(f"edge {pair} colored twice")
+        au = self.used.setdefault(edge.u, set())
+        av = self.used.setdefault(edge.v, set())
         if color in au or color in av:
-            raise ImproperColoring(f"edge {edge.pair}: color {color} already present")
-        assignment[edge.pair] = color
+            raise ImproperColoring(f"edge {pair}: color {color} already present")
+        self.assignment[pair] = color
         au.add(color)
         av.add(color)
-    g = Graph.from_stream(stream)
+
+
+def simulate(stream: EdgeStream, alg: OnlineAlgorithm, advice=None) -> RunReport:
+    """Reveal edges in arrival order, enforcing properness at every step."""
+    referee = Referee()
+    for edge in stream.edges:
+        referee.record(edge, alg.step(edge, advice))
+    used = referee.used
     return RunReport(
         algorithm=type(alg).__name__,
         model=getattr(advice, "model", None),
         mode=getattr(alg, "mode", None),
-        n=g.n,
-        m=g.m,
-        delta=g.max_degree,
+        n=len(used),
+        m=stream.m,
+        # a proper coloring puts deg(v) distinct colors at v
+        delta=max((len(colors) for colors in used.values()), default=0),
         d=getattr(alg, "d", None),
-        colors_used=len(set(assignment.values())),
+        colors_used=len(set(referee.assignment.values())),
         advice_bits_read=getattr(advice, "bits_read", 0),
         per_edge_bits=getattr(alg, "record_length", None) or 0,
-        coloring=Coloring(assignment),
+        coloring=Coloring(referee.assignment),
     )
 
 

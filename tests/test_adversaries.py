@@ -4,6 +4,7 @@ from ecadvice import (
     Graph,
     Greedy,
     GreedyVariant,
+    ImproperColoring,
     NoMonochromeFamily,
     PreconditionViolated,
     build_permutation_instance,
@@ -23,6 +24,7 @@ from ecadvice import (
     select_same_colored_stars,
     variant_family,
 )
+from ecadvice.runtime import OnlineAlgorithm
 
 
 @pytest.mark.parametrize(
@@ -145,6 +147,27 @@ def test_variant_family_sizes():
     assert len(variant_family(3)) == 8
     assert len(prefix_family(3)) == 7  # lengths 0, 1, 2
     assert len({m.bits for m in prefix_family(3)}) == 7
+
+
+def test_variant_family_rejects_negative_length():
+    with pytest.raises(PreconditionViolated):
+        variant_family(-1)
+
+
+class _Constant(OnlineAlgorithm):
+    def __init__(self, color):
+        self.color = color
+
+    def step(self, edge, advice=None):
+        return self.color
+
+
+@pytest.mark.parametrize("color", [0, "2", 1])
+def test_elimination_rejects_misbehaving_member(color):
+    # 0 and "2" fail on the first star edge; a constant 1 is fine on the
+    # disjoint delta=2 stars and clashes on the first joining edge
+    with pytest.raises(ImproperColoring):
+        elimination_game(2, [Greedy(), _Constant(color)], 1)
 
 
 def test_permutation_forced_verdict_consistency():

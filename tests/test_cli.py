@@ -155,6 +155,15 @@ def test_adversary_elimination_zero_rounds_fails(capsys):
     assert summary["all_dead"] is False
 
 
+def test_adversary_elimination_negative_variant_length_is_usage_error(capsys):
+    code, stdout, stderr = run_cli(
+        capsys, "adversary", "elimination", "--delta", "2", "--family", "variants:-1"
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "PreconditionViolated" in stderr
+
+
 def test_adversary_permutation_forces_greedy(capsys):
     code, stdout, _ = run_cli(
         capsys, "adversary", "permutation", "--delta", "3", "--alg", "greedy"

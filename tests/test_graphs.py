@@ -12,7 +12,6 @@ from ecadvice import (
     ParseError,
     PreconditionViolated,
     SelfLoop,
-    back_degrees,
     bipartition,
     classify,
     colors_used,
@@ -108,7 +107,7 @@ def test_degeneracy_order_certifies_bound(pairs):
         return
     g = graph(pairs)
     d, order = degeneracy(g)
-    backs = back_degrees(g, order)
+    backs = classify(g, order).back_degree
     assert max(backs.values()) == d == order.d
     assert d <= g.max_degree
     assert sorted(order.order) == list(g.vertices)

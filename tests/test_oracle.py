@@ -76,14 +76,14 @@ def test_build_advice_literal_regime():
     assert all(adv.mode == 0 for adv in res.per_edge)
     assert sorted(adv.color for adv in res.per_edge) == [1, 2, 3]
     assert res.partition == {} and res.partition_trace is None
-    assert len(res.precolored) == 3
+    assert sum(adv.mode == 0 for adv in res.per_edge) == 3
 
 
 def test_build_advice_subset_regime_no_remainder():
     # K_{1,4} with d=1: delta = 4 = 2*2d, nothing precolored
     res = build_advice(gen_star(4), 1)
     assert res.d == 1 and res.delta == 4
-    assert res.precolored == []
+    assert not any(adv.mode == 0 for adv in res.per_edge)
     assert all(adv.mode == 1 for adv in res.per_edge)
     assert sorted(res.partition) == [1, 2]
 
@@ -92,7 +92,7 @@ def test_build_advice_subset_regime_with_remainder():
     # K_{1,5} with d=1: delta = 5 = 2*2 + 1, one color class precolored
     res = build_advice(gen_star(5), 1)
     assert res.chromatic_index == 5
-    assert len(res.precolored) == 1
+    assert sum(adv.mode == 0 for adv in res.per_edge) == 1
     modes = [adv.mode for adv in res.per_edge]
     assert modes.count(0) == 1 and modes.count(1) == 4
     lit = next(adv for adv in res.per_edge if adv.mode == 0)
@@ -168,7 +168,8 @@ def test_partition_invariants_on_generated_streams(n, d, seed):
         assert res.delta < 2 * dd
         return
     a, b = divmod(res.delta, 2 * dd)
-    assert len(res.precolored) == sum(1 for e in s.edges if res.optimal[e.pair] <= b)
+    literal = sum(adv.mode == 0 for adv in res.per_edge)
+    assert literal == sum(1 for e in s.edges if res.optimal[e.pair] <= b)
     covered = 0
     for j, members in res.partition.items():
         sub = Graph(members)
@@ -177,7 +178,7 @@ def test_partition_invariants_on_generated_streams(n, d, seed):
         assert is_proper(sub, col)
         assert col.palette <= frozenset(range(1, 2 * dd + 1))
         covered += len(members)
-    assert covered + len(res.precolored) == s.m
+    assert covered + literal == s.m
     for subset, rank in res.partition_trace.assignments.values():
         assert 1 <= subset
         assert 0 <= rank <= dd

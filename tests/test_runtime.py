@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecadvice import (
@@ -64,9 +64,14 @@ def test_variant_cycling_ones_skips_every_step():
     assert report.coloring.assignment == {(0, 1): 2, (1, 2): 3}
 
 
-def test_variant_prefix_reverts_to_greedy():
-    report = simulate(stream(path_pairs(2)), GreedyVariant("1", cycle=False))
-    assert report.coloring.assignment == {(0, 1): 2, (1, 2): 1}
+@pytest.mark.parametrize(
+    "bits, cycle, colors",
+    [("1", False, "2121"), ("01", True, "1313"), ("10", False, "2121"), ("110", False, "2312")],
+)
+def test_variant_prefix_reverts_to_greedy(bits, cycle, colors):
+    pairs = path_pairs(4)
+    report = simulate(stream(pairs), GreedyVariant(bits, cycle=cycle))
+    assert [report.coloring[p] for p in pairs] == [int(c) for c in colors]
 
 
 def test_variant_rejects_junk():
@@ -92,6 +97,18 @@ def test_simulate_rejects_improper_step():
 def test_simulate_rejects_non_positive_color():
     with pytest.raises(ImproperColoring):
         simulate(gen_star(1), _Broken())
+
+
+@given(random_pair_lists(max_vertices=12, max_edges=24), st.text("01", max_size=4))
+@example([], "")
+@settings(max_examples=60)
+def test_simulate_shape_matches_graph(pairs, bits):
+    # simulate derives n, m and delta from its run ledger, not from a Graph
+    s = stream(pairs)
+    g = Graph.from_stream(s)
+    for alg in (Greedy(), GreedyVariant(bits)):
+        r = simulate(s, alg)
+        assert (r.n, r.m, r.delta) == (g.n, g.m, g.max_degree)
 
 
 def test_simulate_rejects_recoloring():
