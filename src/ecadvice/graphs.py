@@ -6,6 +6,7 @@ time the online algorithms ever see.
 """
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -157,22 +158,36 @@ def degeneracy(g: Graph) -> tuple[int, DegeneracyOrder]:
 
     The returned order is the reverse peeling sequence, so each vertex sees
     at most d neighbors before itself.  d is the largest residual minimum
-    degree observed while peeling.
+    degree observed while peeling.  A heap on (residual, label) finds each
+    minimum, so the peel costs O(m log n).
+
+    >>> g = Graph.from_stream(stream_from_pairs([(2, 0), (2, 1), (3, 4)]))
+    >>> d, order = degeneracy(g)
+    >>> d, order.order  # 0, 1, 3 and 4 tie at residual 1: 0 is peeled first
+    (1, (4, 3, 2, 1, 0))
     """
     if g.n == 0:
         raise PreconditionViolated("degeneracy of an empty graph is undefined")
     residual = dict(g.degree)
+    heap = [(r, v) for v, r in residual.items()]
+    heapq.heapify(heap)
     alive = set(g.vertices)
     peeled: list[int] = []
     d = 0
-    while alive:
-        v = min(alive, key=lambda x: (residual[x], x))
-        d = max(d, residual[v])
+    while heap:
+        r, v = heapq.heappop(heap)
+        # residuals only fall, so v's newest entry pops before its older
+        # ones: the first pop of v carries its current residual and any
+        # later pop finds v already peeled
+        if v not in alive:
+            continue
+        d = max(d, r)
         peeled.append(v)
         alive.remove(v)
         for w in g.neighbors(v):
             if w in alive:
                 residual[w] -= 1
+                heapq.heappush(heap, (residual[w], w))
     order = tuple(reversed(peeled))
     rank = {v: i for i, v in enumerate(order)}
     return d, DegeneracyOrder(order, rank, d)

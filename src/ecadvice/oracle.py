@@ -15,11 +15,11 @@ Two regimes, split on the (padded) degeneracy bound d:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .advice import AdviceRecord, pack_record, pad_degeneracy
 from .coloring import Coloring, exact_color, konig_color, vizing_plus_one
-from .errors import PreconditionViolated
+from .errors import NotBipartite, PreconditionViolated
 from .graphs import (
     DegeneracyOrder,
     Edge,
@@ -28,7 +28,6 @@ from .graphs import (
     Pair,
     classify,
     degeneracy,
-    is_bipartite,
 )
 
 
@@ -56,7 +55,7 @@ class PartitionTrace:
 
 
 def build_partition(
-    edges: EdgeStream | Sequence[Edge],
+    g: Graph,
     d: int,
     order: DegeneracyOrder,
     *,
@@ -73,10 +72,6 @@ def build_partition(
 
     Requires max degree to be a positive multiple of 2d.
     """
-    if isinstance(edges, EdgeStream):
-        edges = edges.edges
-    edges = tuple(edges)
-    g = Graph(edges)
     sides = classify(g, order)  # raises when a vertex is missing from the order
     if max(sides.back_degree.values(), default=0) > d:
         raise PreconditionViolated(f"order has back-degree above {d}")
@@ -86,37 +81,45 @@ def build_partition(
 
     cap = 2 * d - 1
     front_edges: dict[int, list[Edge]] = {}
-    for e in edges:
+    for e in g.edges:
         front_edges.setdefault(sides.front[e.pair], []).append(e)
     for group in front_edges.values():
         group.sort(key=lambda e: e.arrival)
 
-    incident: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
+    # placed[v][j]: edges at v already in subset j.  back[v]: (arrival, j)
+    # of v's back edges, all placed before v itself is visited.
+    placed: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
+    back: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
     assignments: dict[Pair, tuple[int, int]] = {}
     fronts: dict[Pair, int] = {}
     partition: dict[int, list[Edge]] = {}
 
     for v in order.order:
+        total = placed.get(v, {})
+        target = 1
         for e in front_edges.get(v, ()):
-            total: dict[int, int] = {}
-            prev: dict[int, int] = {}
-            for arrival, j in incident[v]:
-                total[j] = total.get(j, 0) + 1
-                if arrival < e.arrival:
-                    prev[j] = prev.get(j, 0) + 1
-            target = 1
+            # subsets only fill up, so the lowest open index never falls
             while total.get(target, 0) > cap:
                 target += 1
-            if prev.get(target, 0) > cap:
+            # the placed edges at v that arrive after e are back edges
+            late: dict[int, int] = {}
+            for arrival, j in back[v]:
+                if arrival > e.arrival:
+                    late[j] = late.get(j, 0) + 1
+            if total.get(target, 0) - late.get(target, 0) > cap:
                 raise AssertionError("chosen subset not open among earlier arrivals")
-            rank = sum(1 for j in range(1, target) if prev.get(j, 0) <= cap)
+            # every subset below target is full, so it looks open among
+            # earlier arrivals only when late back edges hide enough of it
+            rank = sum(1 for j, k in late.items() if j < target and total[j] - k <= cap)
             if rank > d:
                 raise AssertionError(f"rank {rank} exceeds back-degree bound {d}")
             assignments[e.pair] = (target, rank)
             fronts[e.pair] = v
             partition.setdefault(target, []).append(e)
-            incident[v].append((e.arrival, target))
-            incident[e.other(v)].append((e.arrival, target))
+            w = e.other(v)
+            total[target] = total.get(target, 0) + 1
+            placed[w][target] = placed[w].get(target, 0) + 1
+            back[w].append((e.arrival, target))
 
     for j, members in partition.items():
         members.sort(key=lambda e: e.arrival)
@@ -166,8 +169,10 @@ def optimal_coloring(g: Graph, *, budget: Optional[int] = None) -> tuple[int, Co
     if g.m == 0:
         return 0, Coloring({})
     delta = g.max_degree
-    if is_bipartite(g):
+    try:
         return delta, konig_color(g)
+    except NotBipartite:
+        pass
     # fan recoloring sometimes lands on delta distinct colors, which settles
     # the class-1 question without touching the exact search
     fan = vizing_plus_one(g)
@@ -226,7 +231,7 @@ def build_advice(
         if sub.max_degree != a * 2 * dd:
             raise AssertionError("residual subgraph lost the expected max degree")
         _, sub_order = degeneracy(sub)
-        trace = build_partition(rest, dd, sub_order, budget=budget)
+        trace = build_partition(sub, dd, sub_order, budget=budget)
         per_edge = []
         for e in edges:
             c = opt[e.pair]

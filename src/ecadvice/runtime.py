@@ -19,7 +19,7 @@ from .advice import (
     unpack_record,
 )
 from .coloring import Coloring
-from .errors import AdviceExhausted, ImproperColoring, RecoloringAttempt
+from .errors import AdviceExhausted, ImproperColoring, RecoloringAttempt, SelfLoop
 from .graphs import Edge, EdgeStream, Pair
 
 
@@ -244,12 +244,15 @@ class Referee:
 
     def record(self, edge: Edge, color) -> None:
         """Accept a positive int color that is new at both endpoints for an
-        edge not colored before; raise otherwise."""
+        edge not colored before that joins two distinct vertices; raise
+        otherwise."""
         pair = edge.pair
         if not isinstance(color, int) or color < 1:
             raise ImproperColoring(f"edge {pair}: color {color!r} is not a positive int")
         if pair in self.assignment:
             raise RecoloringAttempt(f"edge {pair} colored twice")
+        if edge.u == edge.v:
+            raise SelfLoop(f"edge {edge.arrival} joins {edge.u} to itself")
         au = self.used.setdefault(edge.u, set())
         av = self.used.setdefault(edge.v, set())
         if color in au or color in av:

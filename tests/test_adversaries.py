@@ -1,12 +1,14 @@
 import pytest
 
 from ecadvice import (
+    Edge,
     Graph,
     Greedy,
     GreedyVariant,
     ImproperColoring,
     NoMonochromeFamily,
     PreconditionViolated,
+    SelfLoop,
     build_permutation_instance,
     chromatic_index,
     elimination_game,
@@ -24,6 +26,7 @@ from ecadvice import (
     select_same_colored_stars,
     variant_family,
 )
+from ecadvice.adversaries import _Member
 from ecadvice.runtime import OnlineAlgorithm
 
 
@@ -168,6 +171,14 @@ def test_elimination_rejects_misbehaving_member(color):
     # disjoint delta=2 stars and clashes on the first joining edge
     with pytest.raises(ImproperColoring):
         elimination_game(2, [Greedy(), _Constant(color)], 1)
+
+
+def test_elimination_member_rejects_self_loop():
+    # the game never reveals a loop; a member's run ledger still refuses one
+    member = _Member(Greedy())
+    member.observe(Edge(0, 1, 0))
+    with pytest.raises(SelfLoop):
+        member.observe(Edge(2, 2, 1))
 
 
 def test_permutation_forced_verdict_consistency():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecadvice import (
@@ -26,6 +26,7 @@ from ecadvice import (
 )
 
 from .conftest import (
+    biclique_pairs,
     complete_pairs,
     cycle_pairs,
     graph,
@@ -111,6 +112,56 @@ def test_degeneracy_order_certifies_bound(pairs):
     assert max(backs.values()) == d == order.d
     assert d <= g.max_degree
     assert sorted(order.order) == list(g.vertices)
+
+
+def _quadratic_peel(g):
+    """Reference peel: scan every alive vertex for the smallest
+    (residual, label) at each step, O(n^2) in all."""
+    residual = dict(g.degree)
+    alive = set(g.vertices)
+    peeled = []
+    d = 0
+    while alive:
+        v = min(alive, key=lambda x: (residual[x], x))
+        d = max(d, residual[v])
+        peeled.append(v)
+        alive.remove(v)
+        for w in g.neighbors(v):
+            if w in alive:
+                residual[w] -= 1
+    order = tuple(reversed(peeled))
+    return d, order, {v: i for i, v in enumerate(order)}
+
+
+@st.composite
+def tied_pair_lists(draw):
+    """Stars, complete bipartite graphs and disjoint paths: many vertices
+    share each residual, so the label tie-break decides the order."""
+    kind = draw(st.sampled_from(["star", "biclique", "paths"]))
+    if kind == "star":
+        pairs = star_pairs(draw(st.integers(min_value=1, max_value=14)))
+    elif kind == "biclique":
+        a = draw(st.integers(min_value=1, max_value=5))
+        pairs = biclique_pairs(a, draw(st.integers(min_value=1, max_value=5)))
+    else:
+        pairs, base = [], 0
+        for length in draw(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=5)):
+            pairs += [(base + i, base + i + 1) for i in range(length)]
+            base += length + 1
+    n = 1 + max(max(p) for p in pairs)
+    label = draw(st.permutations(range(n)))
+    return draw(st.permutations([(label[u], label[v]) for u, v in pairs]))
+
+
+@given(st.one_of(random_pair_lists(max_vertices=16, max_edges=40), tied_pair_lists()))
+@settings(max_examples=200)
+def test_degeneracy_matches_quadratic_peel(pairs):
+    if not pairs:
+        return
+    g = graph(pairs)
+    d, order = degeneracy(g)
+    assert (d, order.order, dict(order.rank)) == _quadratic_peel(g)
+    assert order.d == d
 
 
 def test_classify_star_center_first():

@@ -9,8 +9,11 @@ from ecadvice import (
     bits_per_edge,
     build_advice,
     build_partition,
+    classify,
     colors_used,
+    degeneracy,
     gen_d_degenerate,
+    gen_forest,
     gen_star,
     is_proper,
     optimal_coloring,
@@ -28,7 +31,7 @@ def test_partition_star_frozen():
     # K_{1,4}, d=1, center first: arrivals fill subset 1 then subset 2,
     # and every rank is 0 because the center is the front of every edge
     s = gen_star(4)
-    trace = build_partition(s, 1, CENTER_FIRST)
+    trace = build_partition(Graph.from_stream(s), 1, CENTER_FIRST)
     assert trace.assignments == {
         (0, 1): (1, 0),
         (0, 2): (1, 0),
@@ -47,18 +50,110 @@ def test_partition_rejects_bad_order():
     s = gen_star(4)
     center_last = DegeneracyOrder((1, 2, 3, 4, 0), {1: 0, 2: 1, 3: 2, 4: 3, 0: 4}, 1)
     with pytest.raises(PreconditionViolated):
-        build_partition(s, 1, center_last)  # back-degree 4 at the center
+        build_partition(Graph.from_stream(s), 1, center_last)  # back-degree 4 at the center
 
 
 def test_partition_rejects_non_multiple_degree():
     with pytest.raises(PreconditionViolated):
-        build_partition(gen_star(3), 1, CENTER_FIRST)
+        build_partition(Graph.from_stream(gen_star(3)), 1, CENTER_FIRST)
 
 
 def test_partition_rejects_missing_vertex():
     order = DegeneracyOrder((0, 1), {0: 0, 1: 1}, 1)
     with pytest.raises(PreconditionViolated):
-        build_partition(gen_star(2), 1, order)
+        build_partition(Graph.from_stream(gen_star(2)), 1, order)
+
+
+def _rescan_partition(g, d, order):
+    """build_partition's subset choice as a rescan of every placed edge at
+    the front endpoint for each front edge: O(deg^2) per vertex."""
+    sides = classify(g, order)
+    cap = 2 * d - 1
+    front_edges = {}
+    for e in g.edges:
+        front_edges.setdefault(sides.front[e.pair], []).append(e)
+    for group in front_edges.values():
+        group.sort(key=lambda e: e.arrival)
+    incident = {v: [] for v in g.vertices}
+    assignments, fronts, partition = {}, {}, {}
+    for v in order.order:
+        for e in front_edges.get(v, ()):
+            total, prev = {}, {}
+            for arrival, j in incident[v]:
+                total[j] = total.get(j, 0) + 1
+                if arrival < e.arrival:
+                    prev[j] = prev.get(j, 0) + 1
+            target = 1
+            while total.get(target, 0) > cap:
+                target += 1
+            rank = sum(1 for j in range(1, target) if prev.get(j, 0) <= cap)
+            assignments[e.pair] = (target, rank)
+            fronts[e.pair] = v
+            partition.setdefault(target, []).append(e)
+            incident[v].append((e.arrival, target))
+            incident[e.other(v)].append((e.arrival, target))
+    for members in partition.values():
+        members.sort(key=lambda e: e.arrival)
+    return assignments, fronts, partition
+
+
+def _order(vertices, d):
+    return DegeneracyOrder(tuple(vertices), {v: i for i, v in enumerate(vertices)}, d)
+
+
+def _assert_partition_matches_rescan(g, d, order):
+    trace = build_partition(g, d, order)
+    assert (trace.assignments, trace.fronts, trace.partition) == _rescan_partition(g, d, order)
+    assert all(rank <= d for _, rank in trace.assignments.values())
+    return trace
+
+
+@given(st.sampled_from(["forest", "2", "3"]), st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=40, deadline=None)
+def test_partition_matches_rescan_on_residual_subgraphs(kind, seed):
+    # build_advice's own residual subgraph and order, partitioned again
+    if kind == "forest":
+        s = gen_forest(40 + seed % 120, seed)
+    else:
+        s = gen_d_degenerate(20 + seed % 50, int(kind), seed)
+    trace = build_advice(s).partition_trace
+    if trace is None:
+        return
+    members = sorted((e for part in trace.partition.values() for e in part), key=lambda e: e.arrival)
+    again = _assert_partition_matches_rescan(Graph(members), trace.d, trace.order)
+    assert again.assignments == trace.assignments
+
+
+@given(
+    st.sampled_from([1, 2]),
+    st.integers(min_value=1, max_value=6),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_partition_matches_rescan_on_stars(d, blocks, data):
+    # the center sits at position <= d, so up to d leaves are back edges
+    # at it; when they arrive late, earlier subsets look open and ranks rise
+    g = Graph.from_stream(gen_star(2 * d * blocks))
+    leaves = data.draw(st.permutations(range(1, g.n)))
+    at = data.draw(st.integers(min_value=0, max_value=d))
+    _assert_partition_matches_rescan(g, d, _order((*leaves[:at], 0, *leaves[at:]), d))
+    _assert_partition_matches_rescan(g, d, degeneracy(g)[1])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_partition_matches_rescan_at_rank_d(d):
+    # hub i (1..d) has 2d*i leaves first, so its edge to vertex 0 lands in
+    # subset i+1 at the hub; those d back edges at 0 arrive last, so each of
+    # subsets 2..d+1 looks open to 0's later front edges and ranks reach d
+    pairs, leaf = [], d + 1
+    for hub in range(1, d + 1):
+        pairs += [(hub, x) for x in range(leaf, leaf + 2 * d * hub)]
+        leaf += 2 * d * hub
+    pairs += [(0, x) for x in range(leaf, leaf + 2 * d * (d + 2) - d)]
+    pairs += [(hub, 0) for hub in range(1, d + 1)]
+    g = graph(pairs)
+    trace = _assert_partition_matches_rescan(g, d, _order((*range(1, d + 1), 0, *range(d + 1, g.n)), d))
+    assert max(rank for _, rank in trace.assignments.values()) == d
 
 
 def test_optimal_coloring_contiguous_palette():

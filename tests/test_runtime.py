@@ -14,6 +14,7 @@ from ecadvice import (
     MalformedAdvice,
     RecoloringAttempt,
     RequestSource,
+    SelfLoop,
     TapeSource,
     bits_per_edge,
     build_advice,
@@ -115,6 +116,13 @@ def test_simulate_rejects_recoloring():
     # EdgeStream does not deduplicate; the simulator must catch the repeat
     s = EdgeStream((Edge(0, 1, 0), Edge(1, 0, 1)))
     with pytest.raises(RecoloringAttempt):
+        simulate(s, Greedy())
+
+
+def test_simulate_rejects_self_loop():
+    # EdgeStream does not reject loops either; the simulator must
+    s = EdgeStream((Edge(0, 0, 0), Edge(0, 1, 1)))
+    with pytest.raises(SelfLoop):
         simulate(s, Greedy())
 
 

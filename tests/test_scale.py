@@ -1,14 +1,26 @@
 """Scale tier: the full pipeline on thousands of edges.
 
-Both instances are far deeper than the interpreter's recursion limit, so
-they pin that the exact search (whole-graph and per-bundle) is iterative.
-Both have max degree >= 2d, so they are class 1 and the optimum is the max
-degree itself.
+Every instance has max degree >= 2d, so it is class 1 and the optimum is
+the max degree itself.  The two smaller forest and 5-degenerate instances
+are far deeper than the interpreter's recursion limit, so they pin that
+the exact search (whole-graph and per-bundle) is iterative.  The
+20000-vertex forest pins that the degeneracy peel is not quadratic in n,
+and the 3000-leaf star that the subset partition is not quadratic in the
+degree of the center.
 """
 
 import pytest
 
-from ecadvice import Graph, gen_d_degenerate, gen_forest, header_bits, is_proper, run_advice, serialize_stream
+from ecadvice import (
+    Graph,
+    gen_d_degenerate,
+    gen_forest,
+    gen_star,
+    header_bits,
+    is_proper,
+    run_advice,
+    serialize_stream,
+)
 from ecadvice.advice import bits_per_edge
 from ecadvice.cli import main
 
@@ -16,6 +28,8 @@ pytestmark = pytest.mark.scale
 
 INSTANCES = {
     "forest-n5000": (lambda: gen_forest(5000, 1), 1, 4497),
+    "forest-n20000": (lambda: gen_forest(20000, 1), 1, 17963),
+    "star-3000": (lambda: gen_star(3000), 1, 3000),
     "deg5-n500": (lambda: gen_d_degenerate(500, 5, 1), 5, 2485),
 }
 
