@@ -4,6 +4,11 @@ A record carries, per edge: a mode flag, optionally a front flag (robust
 layout only), a color field of ceil(log2(2d)) bits storing color-1, and a
 rank field of ceil(log2(d+1)) bits.  Fields are big-endian, filler bits
 zero.  Records are strings of '0'/'1' so dumps stay greppable.
+
+A record is an immutable value, and a record length admits at most
+2**bits_per_edge distinct records however many edges there are, so the
+oracle packs, and the consumer parses, each distinct record once per run
+and reuses the result for every edge that carries it.
 """
 from __future__ import annotations
 
@@ -103,6 +108,13 @@ class AdviceRecord:
         return len(self.bits)
 
 
+def _flag(name: str, value: int) -> str:
+    # bool is an int subclass, but str(True) would write "True" into the record
+    if type(value) is not int or value not in (0, 1):
+        raise PreconditionViolated(f"{name} must be 0 or 1, got {value!r}")
+    return "1" if value else "0"
+
+
 def pack_record(
     d: int,
     mode: str,
@@ -111,16 +123,24 @@ def pack_record(
     rank: int,
     front_flag: int = 0,
 ) -> AdviceRecord:
-    """Serialize one record; color is stored as color-1."""
-    cw = ceil_log2(2 * d)
-    rw = ceil_log2(d + 1)
-    bits = str(mode_flag)
+    """Serialize one record; color is stored as color-1.
+
+    Raises PreconditionViolated for anything unpack_record would reject:
+    a flag other than the int 0 or 1, a color outside 1..2d, or a subset
+    record's rank above d.
+    """
+    bits = _flag("mode_flag", mode_flag)
+    front = _flag("front_flag", front_flag)
     if mode == "robust":
-        bits += str(front_flag)
+        bits += front
     elif mode != "strict":
         raise PreconditionViolated(f"unknown mode {mode!r}")
-    bits += encode_int(color - 1, cw)
-    bits += encode_int(rank, rw)
+    if not 1 <= color <= 2 * d:
+        raise PreconditionViolated(f"color {color} is outside 1..{2 * d}")
+    if mode_flag == 1 and rank > d:
+        raise PreconditionViolated(f"rank {rank} exceeds d = {d}")
+    bits += encode_int(color - 1, ceil_log2(2 * d))
+    bits += encode_int(rank, ceil_log2(d + 1))
     return AdviceRecord(bits)
 
 

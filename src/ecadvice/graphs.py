@@ -51,7 +51,7 @@ class EdgeStream:
     def __post_init__(self) -> None:
         for i, e in enumerate(self.edges):
             if e.arrival != i:
-                raise ValueError(f"arrival index {e.arrival} at position {i}")
+                raise PreconditionViolated(f"arrival index {e.arrival} at position {i}")
 
     @property
     def m(self) -> int:

@@ -245,13 +245,18 @@ def build_advice(
     else:
         per_edge = [EdgeAdvice(0, opt[e.pair]) for e in edges]
 
+    # few distinct records exist, so each is packed once and shared
+    packed: dict[tuple[int, int, int, int], AdviceRecord] = {}
     records = []
     for e, adv in zip(edges, per_edge):
         if adv.mode == 0:
-            records.append(pack_record(dd, mode, 0, adv.color, 0, 0))
+            key = (0, adv.color, 0, 0)
         else:
-            front_flag = 0 if adv.front == min(e.u, e.v) else 1
-            records.append(pack_record(dd, mode, 1, adv.color, adv.rank, front_flag))
+            key = (1, adv.color, adv.rank, 0 if adv.front == min(e.u, e.v) else 1)
+        record = packed.get(key)
+        if record is None:
+            record = packed[key] = pack_record(dd, mode, *key)
+        records.append(record)
 
     out_stream = stream
     if mode == "strict":

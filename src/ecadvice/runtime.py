@@ -12,6 +12,7 @@ from typing import Iterable, Optional
 from .advice import (
     AdviceRecord,
     AdviceTape,
+    RecordFields,
     bits_per_edge,
     degeneracy_from_length,
     encode_tape,
@@ -19,7 +20,15 @@ from .advice import (
     unpack_record,
 )
 from .coloring import Coloring
-from .errors import AdviceExhausted, ImproperColoring, RecoloringAttempt, SelfLoop
+from .errors import (
+    AdviceExhausted,
+    ImproperColoring,
+    MalformedAdvice,
+    MalformedTape,
+    PreconditionViolated,
+    RecoloringAttempt,
+    SelfLoop,
+)
 from .graphs import Edge, EdgeStream, Pair
 
 
@@ -40,6 +49,12 @@ class RequestSource:
         self._next += 1
         self.bits_read += len(bits)
         return bits
+
+    def finish(self) -> None:
+        """Raise when records are left over after the last edge."""
+        left = len(self._records) - self._next
+        if left:
+            raise MalformedAdvice(f"{left} records left unread after the last edge")
 
 
 class TapeSource:
@@ -68,6 +83,13 @@ class TapeSource:
         self._pos = pos
         return d
 
+    def finish(self) -> None:
+        """Raise when bits are left over after the last edge: a tape one bit
+        too long otherwise decodes, shifted, into some other coloring."""
+        left = len(self._bits) - self._pos
+        if left:
+            raise MalformedTape(f"{left} bits left unread after the last edge")
+
 
 class OnlineAlgorithm:
     def step(self, edge: Edge, advice) -> int:
@@ -86,7 +108,7 @@ class GreedyVariant(OnlineAlgorithm):
 
     def __init__(self, bits: str = "", cycle: bool = True):
         if any(b not in "01" for b in bits):
-            raise ValueError("bits must be a 0/1 string")
+            raise PreconditionViolated("bits must be a 0/1 string")
         self.bits = bits
         self.cycle = cycle
         self._step = 0
@@ -141,13 +163,16 @@ class AdviceAlgorithm(OnlineAlgorithm):
 
     def __init__(self, mode: str = "robust"):
         if mode not in ("strict", "robust"):
-            raise ValueError(f"unknown mode {mode!r}")
+            raise PreconditionViolated(f"unknown mode {mode!r}")
         self.mode = mode
         self.d: Optional[int] = None
         self.record_length: Optional[int] = None
         self._counts: dict[int, dict[int, int]] = {}
         self._rename: dict[tuple[int, int], int] = {}
         self._next_color = 1
+        # record bits -> parsed fields; d and mode are fixed once the first
+        # record is read, and a record that fails to parse is never stored
+        self._fields: dict[str, RecordFields] = {}
         self.decoded: list[DecodedStep] = []
 
     def _fetch(self, advice) -> str:
@@ -177,7 +202,9 @@ class AdviceAlgorithm(OnlineAlgorithm):
 
     def step(self, edge: Edge, advice) -> int:
         bits = self._fetch(advice)
-        fields = unpack_record(bits, self.d, self.mode)
+        fields = self._fields.get(bits)
+        if fields is None:
+            fields = self._fields[bits] = unpack_record(bits, self.d, self.mode)
         if fields.mode_flag == 0:
             provisional = (0, fields.color)
             self.decoded.append(DecodedStep(edge.arrival, 0, None, None, fields.color))
@@ -263,10 +290,15 @@ class Referee:
 
 
 def simulate(stream: EdgeStream, alg: OnlineAlgorithm, advice=None) -> RunReport:
-    """Reveal edges in arrival order, enforcing properness at every step."""
+    """Reveal edges in arrival order, enforcing properness at every step.
+
+    Advice must be used up by the last edge; an empty stream reads none.
+    """
     referee = Referee()
     for edge in stream.edges:
         referee.record(edge, alg.step(edge, advice))
+    if advice is not None and stream.m:
+        advice.finish()
     used = referee.used
     return RunReport(
         algorithm=type(alg).__name__,
@@ -309,13 +341,13 @@ def run_advice(
     """Oracle, then decoder, on the stream the oracle says to replay."""
     from .oracle import build_advice
 
+    if model not in ("request", "tape"):
+        raise PreconditionViolated(f"unknown advice model {model!r}")
     oracle = build_advice(stream, d, mode=mode, budget=budget)
     if model == "request":
         source: RequestSource | TapeSource = RequestSource(oracle.records)
-    elif model == "tape":
-        source = TapeSource(encode_tape(oracle.records, oracle.d))
     else:
-        raise ValueError(f"unknown advice model {model!r}")
+        source = TapeSource(encode_tape(oracle.records, oracle.d))
     alg = AdviceAlgorithm(mode)
     report = simulate(oracle.stream, alg, source)
     report.chromatic_index = oracle.chromatic_index

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from ecadvice import (
     MalformedAdvice,
     MalformedTape,
+    PreconditionViolated,
     bits_per_edge,
     ceil_log2,
     degeneracy_from_length,
@@ -85,6 +86,34 @@ def test_record_round_trip(d, mode, mode_flag, data):
         assert fields.front_flag == front
     else:
         assert fields.front_flag is None
+
+
+@pytest.mark.parametrize(
+    "mode, mode_flag, front_flag",
+    [
+        ("strict", 2, 0),
+        ("strict", -1, 0),
+        ("strict", True, 0),
+        ("robust", 1, 5),
+        ("robust", 1, True),
+        ("robust", 0, "1"),
+        ("strict", 0, 2),
+    ],
+)
+def test_pack_rejects_non_bit_flags(mode, mode_flag, front_flag):
+    # str() of these once landed in the record: "200", "1500", "1True00"
+    with pytest.raises(PreconditionViolated):
+        pack_record(1, mode, mode_flag, 1, 0, front_flag=front_flag)
+
+
+@pytest.mark.parametrize(
+    "d, mode_flag, color, rank",
+    [(3, 0, 7, 0), (3, 1, 8, 0), (3, 0, 0, 0), (2, 1, 1, 3), (4, 1, 1, 7)],
+)
+def test_pack_rejects_fields_unpack_rejects(d, mode_flag, color, rank):
+    # each of these fits its field's width, so only the range check stops it
+    with pytest.raises(PreconditionViolated):
+        pack_record(d, "strict", mode_flag, color, rank)
 
 
 def test_unpack_rejects_bad_length():

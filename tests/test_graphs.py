@@ -63,6 +63,12 @@ def test_stream_arrival_indices_must_match_position():
         EdgeStream((Edge(0, 1, 1),))
 
 
+def test_stream_arrival_error_is_precondition():
+    with pytest.raises(PreconditionViolated) as info:
+        EdgeStream((Edge(0, 1, 0), Edge(1, 2, 2)))
+    assert info.type is PreconditionViolated
+
+
 def test_parse_basic():
     text = "# a square\n0 1\n1 2\n\n2 3\n3 0\n"
     s = parse_stream(text)

@@ -12,6 +12,8 @@ from ecadvice import (
     GreedyVariant,
     ImproperColoring,
     MalformedAdvice,
+    MalformedTape,
+    PreconditionViolated,
     RecoloringAttempt,
     RequestSource,
     SelfLoop,
@@ -23,14 +25,17 @@ from ecadvice import (
     gen_star,
     header_bits,
     is_proper,
+    pack_record,
     pad_degeneracy,
     run_advice,
     run_greedy,
     simulate,
+    unpack_record,
 )
+from ecadvice.advice import ceil_log2, encode_int
 from ecadvice.runtime import OnlineAlgorithm
 
-from .conftest import path_pairs, random_pair_lists, stream
+from .conftest import degenerate_streams, path_pairs, random_pair_lists, stream
 
 
 def test_greedy_path_colors():
@@ -78,6 +83,22 @@ def test_variant_prefix_reverts_to_greedy(bits, cycle, colors):
 def test_variant_rejects_junk():
     with pytest.raises(ValueError):
         GreedyVariant("10x")
+
+
+def test_bad_arguments_raise_precondition(monkeypatch):
+    def oracle_must_not_run(*args, **kwargs):
+        raise AssertionError("build_advice ran before the model was checked")
+
+    monkeypatch.setattr("ecadvice.oracle.build_advice", oracle_must_not_run)
+    calls = [
+        lambda: GreedyVariant("10x"),
+        lambda: AdviceAlgorithm("loose"),
+        lambda: run_advice(gen_star(2), 1, model="telepathy"),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionViolated) as info:
+            call()
+        assert info.type is PreconditionViolated
 
 
 class _Constant(OnlineAlgorithm):
@@ -206,6 +227,25 @@ def test_truncated_tape_exhausts():
         simulate(oracle.stream, AdviceAlgorithm("robust"), src)
 
 
+def test_leftover_advice_raises():
+    oracle = build_advice(gen_d_degenerate(12, 2, 2), 2)
+    records = [r.bits for r in oracle.records]
+    # one bit slipped in before the last record: every record still reads
+    # in full and the shifted last one yields another proper coloring, so
+    # only the bit left over shows the fault
+    shifted = records[:-1] + ["0" + records[-1]]
+    tape = encode_tape([], oracle.d).bits + "".join(shifted)
+    with pytest.raises(MalformedTape):
+        simulate(oracle.stream, AdviceAlgorithm("robust"), TapeSource(tape))
+    with pytest.raises(MalformedAdvice):
+        simulate(oracle.stream, AdviceAlgorithm("robust"), RequestSource(records + records[:1]))
+
+
+def test_empty_stream_reads_no_advice():
+    for model in ("request", "tape"):
+        assert run_advice(EdgeStream(()), 1, model=model).report.advice_bits_read == 0
+
+
 def test_corrupt_record_raises_malformed():
     # six strict bits imply d=3; color field 111 decodes to 8 > 2d
     src = RequestSource(["0" + "111" + "00"])
@@ -252,3 +292,140 @@ def test_pipeline_random_instances(n, d, seed, mode, model):
     per = bits_per_edge(pad_degeneracy(d), mode)
     header = header_bits(run.oracle.d) if model == "tape" else 0
     assert r.advice_bits_read == s.m * per + header
+
+
+def _corrupt(bits, d, mode, kind, data):
+    """A corrupted copy of `bits`, or None when `kind` cannot apply at this d."""
+    start = 2 if mode == "robust" else 1  # where the color field begins
+    cw, rw = ceil_log2(2 * d), ceil_log2(d + 1)
+    if kind == "color":
+        if 2 * d >= 1 << cw:
+            return None
+        raw = data.draw(st.integers(min_value=2 * d, max_value=(1 << cw) - 1))
+        return bits[:start] + encode_int(raw, cw) + bits[start + cw :]
+    if kind == "rank":
+        if d + 1 >= 1 << rw:
+            return None
+        rank = data.draw(st.integers(min_value=d + 1, max_value=(1 << rw) - 1))
+        return "1" + bits[1 : start + cw] + encode_int(rank, rw)
+    if kind == "length":
+        if data.draw(st.booleans()):
+            return bits[:-1]
+        at = data.draw(st.integers(min_value=0, max_value=len(bits)))
+        return bits[:at] + data.draw(st.sampled_from("01")) + bits[at:]
+    at = data.draw(st.integers(min_value=0, max_value=len(bits) - 1))
+    return bits[:at] + data.draw(st.sampled_from("2x ")) + bits[at + 1 :]
+
+
+_CONSUMER_ERRORS = (
+    MalformedAdvice,
+    MalformedTape,
+    AdviceExhausted,
+    ImproperColoring,
+    RecoloringAttempt,
+)
+
+
+@given(
+    st.integers(min_value=2, max_value=16),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=1000),
+    st.sampled_from(["robust", "strict"]),
+    st.sampled_from(["request", "tape"]),
+    st.sampled_from(["color", "rank", "length", "char"]),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_consumer_fuzz_corrupt_records(n, k, extra, seed, mode, model, kind, data):
+    s = gen_d_degenerate(n, k, seed)
+    if s.m == 0:
+        return
+    run = run_advice(s, k + extra - 1, mode=mode, model=model)
+    oracle, expected = run.oracle, run.report.coloring
+    records = [r.bits for r in oracle.records]
+    at = data.draw(st.integers(min_value=0, max_value=len(records) - 1), label="at")
+    bad = _corrupt(records[at], oracle.d, mode, kind, data)
+    if bad is None:
+        return
+    records[at] = bad
+    repeats = data.draw(
+        st.lists(st.integers(min_value=at + 1, max_value=len(records) - 1), max_size=3)
+        if at + 1 < len(records)
+        else st.just([]),
+        label="repeats",
+    )
+    for j in repeats:
+        records[j] = bad
+
+    def source():
+        if model == "request":
+            return RequestSource(records)
+        return TapeSource(encode_tape([], oracle.d).bits + "".join(records))
+
+    # a whole run reproduces the oracle's coloring or fails in a defined way
+    try:
+        report = simulate(oracle.stream, AdviceAlgorithm(mode), source())
+    except _CONSUMER_ERRORS:
+        pass
+    else:
+        assert report.coloring.assignment == expected.assignment
+
+    # a corrupted record fails on every appearance, not just the first; a
+    # wrong length realigns the whole tape, so only the request model is
+    # stepped record by record for it, and only after d is known
+    if kind == "length" and (model == "tape" or at == 0):
+        return
+    alg, src = AdviceAlgorithm(mode), source()
+    for i, edge in enumerate(oracle.stream.edges):
+        if records[i] == bad:
+            with pytest.raises(MalformedAdvice):
+                alg.step(edge, src)
+        else:
+            alg.step(edge, src)
+
+
+@given(
+    degenerate_streams(max_n=22, max_d=3),
+    st.sampled_from(["robust", "strict"]),
+    st.sampled_from(["request", "tape"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_codec_runs_once_per_distinct_record(case, mode, model):
+    s, d = case
+    packed, parsed = [], []
+
+    def counted_pack(dd, mode_, mode_flag, color, rank, front_flag=0):
+        packed.append((mode_flag, color, rank, front_flag))
+        return pack_record(dd, mode_, mode_flag, color, rank, front_flag)
+
+    def counted_unpack(bits, dd, mode_):
+        parsed.append(bits)
+        return unpack_record(bits, dd, mode_)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("ecadvice.oracle.pack_record", counted_pack)
+        mp.setattr("ecadvice.runtime.unpack_record", counted_unpack)
+        run = run_advice(s, d, mode=mode, model=model)
+    oracle = run.oracle
+
+    # reference: pack every edge afresh from the oracle's plan
+    keys = []
+    for e, adv in zip(s.edges, oracle.per_edge):
+        if adv.mode == 0:
+            keys.append((0, adv.color, 0, 0))
+        else:
+            keys.append((1, adv.color, adv.rank, 0 if adv.front == min(e.u, e.v) else 1))
+    assert oracle.records == [pack_record(oracle.d, mode, *key) for key in keys]
+    assert sorted(packed) == sorted(set(keys))
+    # edges with equal keys share one record value
+    shared = {key: oracle.records[i] for i, key in enumerate(keys)}
+    assert all(oracle.records[i] is shared[key] for i, key in enumerate(keys))
+
+    bits = [r.bits for r in oracle.records]
+    assert sorted(parsed) == sorted(set(bits))
+    decoded = []
+    for i, b in enumerate(bits):
+        f = unpack_record(b, oracle.d, mode)
+        decoded.append((i, f.mode_flag, f.rank if f.mode_flag else None, f.color))
+    assert [(x.arrival, x.mode, x.rank, x.color) for x in run.algorithm.decoded] == decoded
