@@ -45,8 +45,6 @@ from .adversaries import (
 )
 from .coloring import (
     Coloring,
-    brute_force_chromatic_index,
-    brute_force_colorable,
     color_degenerate,
     exact_color,
     konig_color,

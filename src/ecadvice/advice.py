@@ -70,25 +70,42 @@ def pad_degeneracy(d: int) -> int:
     an injective function of the padded d, so the consumer can recover d
     from the length alone.
 
+    Both field widths only grow with d, so d' is the last d before either
+    grows: the color width once d passes the first power of two at or
+    above it, the rank width once d+1 does.
+
     >>> [pad_degeneracy(d) for d in (1, 2, 3, 5)]
     [1, 2, 3, 7]
+    >>> pad_degeneracy(10**9)
+    1073741823
     """
-    target = bits_per_edge(d)
-    while bits_per_edge(d + 1) == target:
-        d += 1
-    return d
+    if d < 1:
+        raise PreconditionViolated("d must be >= 1")
+    return min(2 ** ceil_log2(2 * d) // 2, 2 ** ceil_log2(d + 1) - 1)
 
 
 def degeneracy_from_length(length: int, mode: str = "strict") -> int:
     """Invert bits_per_edge, returning the padded representative.
 
-    Raises MalformedAdvice when no d maps to `length`.
+    bits_per_edge is monotone in d, and constant between consecutive powers
+    of two, where neither field width changes.  A binary search finds the
+    smallest j with bits_per_edge(2**j) >= length; then only 2**j, or the
+    d below it, can match.  The search takes O(log length) steps on numbers
+    of O(length) bits.  Raises MalformedAdvice when no d maps to `length`.
+
+    >>> degeneracy_from_length(60, "strict")
+    536870911
     """
-    d = 1
-    while bits_per_edge(d, mode) <= length:
-        if bits_per_edge(d, mode) == length:
+    lo, hi = 0, max(length, 1)  # bits_per_edge(2**j) > j
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if bits_per_edge(1 << mid, mode) < length:
+            lo = mid + 1
+        else:
+            hi = mid
+    for d in (1 << lo, (1 << lo) - 1):
+        if d >= 1 and bits_per_edge(d, mode) == length:
             return pad_degeneracy(d)
-        d += 1
     raise MalformedAdvice(f"no degeneracy bound has {length}-bit records")
 
 

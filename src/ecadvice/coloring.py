@@ -6,8 +6,11 @@ capped by a node budget.  It runs on an explicit stack and keeps each
 edge's saturation up to date incrementally, so a search node costs
 O(max_degree) and there is no recursion limit on the graph size.
 vizing_plus_one and konig_color are the polynomial constructions for
-max_degree+1 colors and for bipartite graphs; color_degenerate is a
-max_degree-coloring witness built on exact_color.
+max_degree+1 colors and for bipartite graphs.  They share one recoloring
+ledger: per vertex, a bitmask of the colors present plus a slot naming the
+edge that holds each one, so the smallest free color is the lowest zero
+bit.  color_degenerate is a max_degree-coloring witness built on
+exact_color.
 """
 from __future__ import annotations
 
@@ -201,77 +204,48 @@ def exact_color(
     return Coloring(assignment)
 
 
-def brute_force_colorable(g: Graph, k: int) -> bool:
-    """Independent oracle: exhaustive recursion over edges in arrival order.
-
-    No ordering heuristics, no symmetry breaking, no budget; every proper
-    prefix of every assignment in {1..k}^m is visited.  Only sensible for
-    tiny graphs.
-    """
-    edges = g.edges
-    used: dict[int, set[int]] = {v: set() for v in g.vertices}
-
-    def extend(i: int) -> bool:
-        if i == len(edges):
-            return True
-        e = edges[i]
-        for c in range(1, k + 1):
-            if c in used[e.u] or c in used[e.v]:
-                continue
-            used[e.u].add(c)
-            used[e.v].add(c)
-            if extend(i + 1):
-                return True
-            used[e.u].remove(c)
-            used[e.v].remove(c)
-        return False
-
-    if g.m == 0:
-        return True
-    return extend(0)
-
-
-def brute_force_chromatic_index(g: Graph) -> int:
-    """Smallest k with a proper k-edge-coloring, found by scanning k upward."""
-    k = 0
-    while True:
-        if brute_force_colorable(g, k):
-            return k
-        k += 1
-
-
 class _Ledger:
-    """Recoloring state of the fan and König constructions: each edge's
-    color, and at[v][c] the edge holding color c at v."""
+    """Recoloring state shared by the fan and König constructions: each
+    edge's color, at[v][c] the edge holding color c at v, and used[v] the
+    same colors as a bitmask (bit c set when c is present at v).  Bit 0 is
+    always set, so the smallest free color at v is the lowest zero bit."""
 
     def __init__(self, g: Graph, k: int):
         self.k = k
         self.color: dict[Pair, int] = {}
         self.at: dict[int, dict[int, Pair]] = {v: {} for v in g.vertices}
+        self.used: dict[int, int] = dict.fromkeys(g.vertices, 1)
 
     def free(self, v: int) -> int:
         """Smallest color in 1..k absent at v."""
-        at = self.at[v]
-        for c in range(1, self.k + 1):
-            if c not in at:
-                return c
-        raise AssertionError(f"palette 1..{self.k} exhausted at vertex {v}")
+        used = self.used[v]
+        c = (~used & (used + 1)).bit_length() - 1
+        if c > self.k:
+            raise AssertionError(f"palette 1..{self.k} exhausted at vertex {v}")
+        return c
 
     def set(self, pair: Pair, c: int) -> None:
+        u, v = pair
         self.color[pair] = c
-        self.at[pair[0]][c] = pair
-        self.at[pair[1]][c] = pair
+        self.at[u][c] = pair
+        self.at[v][c] = pair
+        self.used[u] |= 1 << c
+        self.used[v] |= 1 << c
 
     def unset(self, pair: Pair) -> int:
+        u, v = pair
         c = self.color.pop(pair)
-        del self.at[pair[0]][c]
-        del self.at[pair[1]][c]
+        del self.at[u][c]
+        del self.at[v][c]
+        self.used[u] ^= 1 << c
+        self.used[v] ^= 1 << c
         return c
 
     def flip(self, start: int, first: int, second: int) -> int:
         """Swap colors first/second along the alternating path that leaves
-        start on first; returns the path's far end."""
-        at = self.at
+        start on first; returns the path's far end.  second must be free
+        at start."""
+        at, color = self.at, self.color
         cur, want = start, first
         path: list[tuple[Pair, int]] = []
         seen = {start}
@@ -288,7 +262,14 @@ class _Ledger:
             del at[u][old]
             del at[v][old]
         for pair, old in path:
-            self.set(pair, second if old == first else first)
+            new = second if old == first else first
+            color[pair] = new
+            at[pair[0]][new] = pair
+            at[pair[1]][new] = pair
+        # inner vertices keep both colors; each end trades one for the other
+        if path:
+            self.used[start] ^= 1 << first | 1 << second
+            self.used[cur] ^= 1 << first | 1 << second
         return cur
 
 
@@ -302,22 +283,22 @@ def vizing_plus_one(g: Graph, *, check: bool = False) -> Coloring:
     """
     k = g.max_degree + 1
     ledger = _Ledger(g, k)
-    color, at = ledger.color, ledger.at
+    color, at, used = ledger.color, ledger.at, ledger.used
 
     for e in g.edges:
         anchor, tip = (e.u, e.v) if e.u < e.v else (e.v, e.u)
-        # Maximal fan: each next edge's color is free at the previous vertex.
+        at_anchor = at[anchor]
+        # Maximal fan: each next edge's color is free at the previous vertex;
+        # among the candidates the smallest label wins.
         fan = [tip]
         in_fan = {tip}
         while True:
-            last = fan[-1]
             candidate = None
-            for c in range(1, k + 1):
-                if c in at[last]:
-                    continue
-                pair = at[anchor].get(c)
-                if pair is None:
-                    continue
+            options = used[anchor] & ~used[fan[-1]]
+            while options:
+                low = options & -options
+                options ^= low
+                pair = at_anchor[low.bit_length() - 1]
                 z = pair[0] if pair[1] == anchor else pair[1]
                 if z not in in_fan and (candidate is None or z < candidate):
                     candidate = z
@@ -327,22 +308,18 @@ def vizing_plus_one(g: Graph, *, check: bool = False) -> Coloring:
             in_fan.add(candidate)
         a = ledger.free(anchor)
         b = ledger.free(fan[-1])
-        if b in at[anchor]:
+        if used[anchor] >> b & 1:
             ledger.flip(anchor, b, a)
         # Some prefix of the fan now ends at a vertex missing b and is still
-        # a valid fan; rotate it and finish with b.
+        # a valid fan.  A prefix stays valid up to the first step whose color
+        # is no longer free at its vertex; rotate the shortest valid prefix
+        # whose last vertex misses b, and finish with b.
         chosen = -1
-        for idx in range(len(fan)):
-            if b in at[fan[idx]]:
-                continue
-            ok = True
-            for t in range(idx):
-                c_next = color[edge_pair(anchor, fan[t + 1])]
-                if c_next in at[fan[t]]:
-                    ok = False
-                    break
-            if ok:
+        for idx, w in enumerate(fan):
+            if not used[w] >> b & 1:
                 chosen = idx
+                break
+            if idx + 1 < len(fan) and used[w] >> color[edge_pair(anchor, fan[idx + 1])] & 1:
                 break
         if chosen < 0:
             raise AssertionError("fan rotation target missing")
@@ -363,7 +340,7 @@ def konig_color(g: Graph) -> Coloring:
     """
     bipartition(g)  # raises on odd cycles
     ledger = _Ledger(g, g.max_degree)
-    at = ledger.at
+    used = ledger.used
 
     for e in g.edges:
         u, v = e.u, e.v
@@ -371,9 +348,9 @@ def konig_color(g: Graph) -> Coloring:
         b = ledger.free(v)
         if a == b:
             c = a
-        elif a not in at[v]:
+        elif not used[v] >> a & 1:
             c = a
-        elif b not in at[u]:
+        elif not used[u] >> b & 1:
             c = b
         else:
             # a used at v, b used at u: flip the b/a path from u; in a

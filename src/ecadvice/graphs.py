@@ -9,6 +9,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DuplicateEdge, NotBipartite, ParseError, PreconditionViolated, SelfLoop
@@ -126,11 +127,15 @@ class Graph:
         self.vertices: tuple[int, ...] = tuple(sorted(adjacency))
         self.degree = {v: len(adjacency[v]) for v in self.vertices}
         self.max_degree = max(self.degree.values(), default=0)
-        self.pairs = frozenset(e.pair for e in self.edges)
 
     @classmethod
     def from_stream(cls, stream: EdgeStream) -> "Graph":
         return cls(stream.edges)
+
+    @cached_property
+    def pairs(self) -> frozenset[Pair]:
+        """Normalized endpoint pairs, built on first use."""
+        return frozenset(e.pair for e in self.edges)
 
     @property
     def n(self) -> int:

@@ -234,25 +234,27 @@ def build_advice(
         trace = build_partition(sub, dd, sub_order, budget=budget)
         per_edge = []
         for e in edges:
-            c = opt[e.pair]
+            pair = e.pair
+            c = opt[pair]
             if c <= b:
                 per_edge.append(EdgeAdvice(0, c))
             else:
-                j, r = trace.assignments[e.pair]
+                j, r = trace.assignments[pair]
                 per_edge.append(
-                    EdgeAdvice(1, trace.colorings[j][e.pair], j, r, trace.fronts[e.pair])
+                    EdgeAdvice(1, trace.colorings[j][pair], j, r, trace.fronts[pair])
                 )
     else:
         per_edge = [EdgeAdvice(0, opt[e.pair]) for e in edges]
 
-    # few distinct records exist, so each is packed once and shared
+    # few distinct records exist, so each is packed once and shared; a key
+    # holds only written fields, so a strict key's front flag is always 0
     packed: dict[tuple[int, int, int, int], AdviceRecord] = {}
     records = []
     for e, adv in zip(edges, per_edge):
         if adv.mode == 0:
             key = (0, adv.color, 0, 0)
         else:
-            key = (1, adv.color, adv.rank, 0 if adv.front == min(e.u, e.v) else 1)
+            key = (1, adv.color, adv.rank, int(mode == "robust" and adv.front != min(e.u, e.v)))
         record = packed.get(key)
         if record is None:
             record = packed[key] = pack_record(dd, mode, *key)

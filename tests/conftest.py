@@ -80,3 +80,42 @@ def gnp_pairs(n: int, p: float, seed: int) -> list[tuple[int, int]]:
         for j in range(i + 1, n)
         if rng.random() < p
     ]
+
+
+def brute_force_colorable(g: Graph, k: int) -> bool:
+    """Independent oracle: exhaustive recursion over edges in arrival order.
+
+    No ordering heuristics, no symmetry breaking, no budget; every proper
+    prefix of every assignment in {1..k}^m is visited.  Only sensible for
+    tiny graphs.
+    """
+    edges = g.edges
+    used: dict[int, set[int]] = {v: set() for v in g.vertices}
+
+    def extend(i: int) -> bool:
+        if i == len(edges):
+            return True
+        e = edges[i]
+        for c in range(1, k + 1):
+            if c in used[e.u] or c in used[e.v]:
+                continue
+            used[e.u].add(c)
+            used[e.v].add(c)
+            if extend(i + 1):
+                return True
+            used[e.u].remove(c)
+            used[e.v].remove(c)
+        return False
+
+    if g.m == 0:
+        return True
+    return extend(0)
+
+
+def brute_force_chromatic_index(g: Graph) -> int:
+    """Smallest k with a proper k-edge-coloring, found by scanning k upward."""
+    k = 0
+    while True:
+        if brute_force_colorable(g, k):
+            return k
+        k += 1

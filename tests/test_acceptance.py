@@ -14,8 +14,6 @@ from ecadvice import (
     Graph,
     Greedy,
     GreedyVariant,
-    brute_force_chromatic_index,
-    brute_force_colorable,
     build_permutation_instance,
     ceil_log2,
     chromatic_index,
@@ -42,7 +40,7 @@ from ecadvice import (
 from ecadvice.advice import bits_per_edge
 
 from .test_coloring import CORPUS, product_colorable
-from .conftest import graph
+from .conftest import brute_force_chromatic_index, brute_force_colorable, graph
 
 PER_CLASS = 200
 

@@ -61,6 +61,54 @@ def test_length_inversion(d, mode):
     assert degeneracy_from_length(bits_per_edge(d, mode), mode) == pad_degeneracy(d)
 
 
+def _pad_by_steps(d):
+    # the stepping loop pad_degeneracy used before its closed form
+    target = bits_per_edge(d)
+    while bits_per_edge(d + 1) == target:
+        d += 1
+    return d
+
+
+def _length_by_steps(length, mode):
+    # the stepping loop degeneracy_from_length used before its binary search
+    d = 1
+    while bits_per_edge(d, mode) <= length:
+        if bits_per_edge(d, mode) == length:
+            return _pad_by_steps(d)
+        d += 1
+    return None
+
+
+def test_pad_degeneracy_matches_stepping():
+    for d in range(1, 5000):
+        assert pad_degeneracy(d) == _pad_by_steps(d), d
+
+
+@pytest.mark.parametrize("mode", ["strict", "robust"])
+def test_length_inversion_matches_stepping(mode):
+    for length in range(-1, 41):
+        expected = _length_by_steps(length, mode)
+        if expected is None:
+            with pytest.raises(MalformedAdvice):
+                degeneracy_from_length(length, mode)
+        else:
+            assert degeneracy_from_length(length, mode) == expected, length
+
+
+@pytest.mark.parametrize("mode", ["strict", "robust"])
+def test_length_inversion_long_records(mode):
+    # 2**j and 2**j - 1 are padded bounds; their records are ~2j bits long
+    j = 100_000
+    for d in (1 << j, (1 << j) - 1):
+        assert degeneracy_from_length(bits_per_edge(d, mode), mode) == d
+
+
+def test_pad_degeneracy_rejects_nonpositive():
+    for d in (0, -3):
+        with pytest.raises(PreconditionViolated):
+            pad_degeneracy(d)
+
+
 def test_length_inversion_rejects_gaps():
     with pytest.raises(MalformedAdvice):
         degeneracy_from_length(2, "strict")  # shortest strict record is 3 bits

@@ -4,18 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ecadvice.coloring
 from ecadvice import (
     Graph,
     NotBipartite,
     PreconditionViolated,
     ResourceLimit,
-    brute_force_chromatic_index,
-    brute_force_colorable,
+    bipartition,
     build_advice,
     build_coupled_pair,
     chromatic_index,
     color_degenerate,
     colors_used,
+    edge_pair,
     exact_color,
     gen_bipartite,
     gen_d_degenerate,
@@ -26,6 +27,8 @@ from ecadvice import (
 
 from .conftest import (
     biclique_pairs,
+    brute_force_chromatic_index,
+    brute_force_colorable,
     complete_pairs,
     cycle_pairs,
     gnp_pairs,
@@ -312,3 +315,172 @@ def test_chromatic_index_random_degenerate(n, seed):
     assert chi in (g.max_degree, g.max_degree + 1)
     witness = exact_color(g, chi)
     assert witness is not None and is_proper(g, witness)
+
+
+# Reference copies of the fan and König passes as they stood before the
+# ledger kept bitmasks: dict slots only, and colors scanned 1..k.
+
+
+class _SlotLedger:
+    def __init__(self, g, k):
+        self.k = k
+        self.color = {}
+        self.at = {v: {} for v in g.vertices}
+
+    def free(self, v):
+        at = self.at[v]
+        for c in range(1, self.k + 1):
+            if c not in at:
+                return c
+        raise AssertionError("palette exhausted")
+
+    def set(self, pair, c):
+        self.color[pair] = c
+        self.at[pair[0]][c] = pair
+        self.at[pair[1]][c] = pair
+
+    def unset(self, pair):
+        c = self.color.pop(pair)
+        del self.at[pair[0]][c]
+        del self.at[pair[1]][c]
+        return c
+
+    def flip(self, start, first, second):
+        at = self.at
+        cur, want = start, first
+        path = []
+        while want in at[cur]:
+            pair = at[cur][want]
+            path.append((pair, want))
+            cur = pair[0] if pair[1] == cur else pair[1]
+            want = second if want == first else first
+        for (u, v), old in path:
+            del at[u][old]
+            del at[v][old]
+        for pair, old in path:
+            self.set(pair, second if old == first else first)
+        return cur
+
+
+def _slot_vizing(g):
+    k = g.max_degree + 1
+    ledger = _SlotLedger(g, k)
+    color, at = ledger.color, ledger.at
+    for e in g.edges:
+        anchor, tip = (e.u, e.v) if e.u < e.v else (e.v, e.u)
+        fan = [tip]
+        in_fan = {tip}
+        while True:
+            last = fan[-1]
+            candidate = None
+            for c in range(1, k + 1):
+                if c in at[last]:
+                    continue
+                pair = at[anchor].get(c)
+                if pair is None:
+                    continue
+                z = pair[0] if pair[1] == anchor else pair[1]
+                if z not in in_fan and (candidate is None or z < candidate):
+                    candidate = z
+            if candidate is None:
+                break
+            fan.append(candidate)
+            in_fan.add(candidate)
+        a = ledger.free(anchor)
+        b = ledger.free(fan[-1])
+        if b in at[anchor]:
+            ledger.flip(anchor, b, a)
+        chosen = -1
+        for idx in range(len(fan)):
+            if b in at[fan[idx]]:
+                continue
+            ok = True
+            for t in range(idx):
+                if color[edge_pair(anchor, fan[t + 1])] in at[fan[t]]:
+                    ok = False
+                    break
+            if ok:
+                chosen = idx
+                break
+        assert chosen >= 0
+        shifted = [ledger.unset(edge_pair(anchor, fan[t + 1])) for t in range(chosen)]
+        for t in range(chosen):
+            ledger.set(edge_pair(anchor, fan[t]), shifted[t])
+        ledger.set(edge_pair(anchor, fan[chosen]), b)
+    return dict(color)
+
+
+def _slot_konig(g):
+    bipartition(g)
+    ledger = _SlotLedger(g, g.max_degree)
+    at = ledger.at
+    for e in g.edges:
+        u, v = e.u, e.v
+        a = ledger.free(u)
+        b = ledger.free(v)
+        if a == b or a not in at[v]:
+            c = a
+        elif b not in at[u]:
+            c = b
+        else:
+            ledger.flip(u, b, a)
+            c = b
+        ledger.set(e.pair, c)
+    return dict(ledger.color)
+
+
+@st.composite
+def ledger_graphs(draw):
+    """Random graphs, stars, bicliques and d-degenerate streams, with the
+    labels, the arrival order and each edge's listed endpoint shuffled."""
+    kind = draw(st.sampled_from(["random", "star", "biclique", "degenerate"]))
+    if kind == "random":
+        pairs = draw(random_pair_lists(max_vertices=14, max_edges=40))
+    elif kind == "star":
+        pairs = star_pairs(draw(st.integers(min_value=1, max_value=12)))
+    elif kind == "biclique":
+        a = draw(st.integers(min_value=1, max_value=6))
+        pairs = biclique_pairs(a, draw(st.integers(min_value=1, max_value=6)))
+    else:
+        n = draw(st.integers(min_value=2, max_value=30))
+        d = draw(st.integers(min_value=1, max_value=5))
+        s = gen_d_degenerate(n, d, draw(st.integers(min_value=0, max_value=10_000)))
+        pairs = [(e.u, e.v) for e in s.edges]
+    labels = draw(st.permutations(range(40)))
+    pairs = draw(st.permutations(pairs))
+    swap = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return graph(
+        [(labels[v], labels[u]) if t else (labels[u], labels[v]) for (u, v), t in zip(pairs, swap)]
+    )
+
+
+@given(ledger_graphs())
+@settings(max_examples=300, deadline=None)
+def test_bitmask_ledger_matches_slot_ledger(g):
+    ledgers = []
+
+    class Recorded(ecadvice.coloring._Ledger):
+        def __init__(self, *args):
+            super().__init__(*args)
+            ledgers.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ecadvice.coloring, "_Ledger", Recorded)
+        fan = vizing_plus_one(g, check=True)
+        try:
+            konig = konig_color(g)
+        except NotBipartite:
+            konig = None
+
+    # same colors, inserted in the same order
+    assert list(fan.assignment.items()) == list(_slot_vizing(g).items())
+    try:
+        expected = list(_slot_konig(g).items())
+    except NotBipartite:
+        expected = None
+    assert (None if konig is None else list(konig.assignment.items())) == expected
+    assert len(ledgers) == (1 if konig is None else 2)
+    for ledger in ledgers:
+        assert ledger.used.keys() == ledger.at.keys()
+        for v, slots in ledger.at.items():
+            assert ledger.used[v] == sum(1 << c for c in slots) | 1

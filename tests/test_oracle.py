@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecadvice import (
@@ -21,7 +21,14 @@ from ecadvice import (
     unpack_record,
 )
 
-from .conftest import complete_pairs, cycle_pairs, graph, petersen_pairs, stream
+from .conftest import (
+    complete_pairs,
+    cycle_pairs,
+    degenerate_streams,
+    graph,
+    petersen_pairs,
+    stream,
+)
 
 
 CENTER_FIRST = DegeneracyOrder((0, 1, 2, 3, 4, 5), {v: v for v in range(6)}, 1)
@@ -277,3 +284,14 @@ def test_partition_invariants_on_generated_streams(n, d, seed):
     for subset, rank in res.partition_trace.assignments.values():
         assert 1 <= subset
         assert 0 <= rank <= dd
+
+
+@given(degenerate_streams(max_n=30, max_d=3), st.sampled_from(["strict", "robust"]))
+@example((gen_d_degenerate(80, 2, 3), 2), "strict")
+@settings(max_examples=60, deadline=None)
+def test_one_record_object_per_record_string(case, mode):
+    # strict records do not write the front flag, so two subset edges that
+    # differ only in it share one record
+    s, d = case
+    result = build_advice(s, d, mode=mode)
+    assert len({id(r) for r in result.records}) == len({r.bits for r in result.records})
