@@ -22,6 +22,7 @@ from .adversaries import (
     rounds_to_extinction,
     variant_family,
 )
+from .coloring import node_budget
 from .errors import (
     AdviceExhausted,
     ImproperColoring,
@@ -104,6 +105,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    node_budget(args.budget)  # a negative budget is refused for every algorithm
     stream, digest = _read_stream(args.stream)
     config = {
         "command": "run",
@@ -208,6 +210,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    node_budget(args.budget)  # refused even when no instance is checked
     if args.what == "rigidity":
         passed = rigidity_check(args.n, budget=args.budget)
         _emit({"check": "rigidity", "n": args.n, "passed": passed})

@@ -4,13 +4,17 @@ exact_color is the ground-truth engine: complete backtracking with a
 saturation-first (DSATUR) edge order and first-use color symmetry breaking,
 capped by a node budget.  It runs on an explicit stack and keeps each
 edge's saturation up to date incrementally, so a search node costs
-O(max_degree) and there is no recursion limit on the graph size.
-vizing_plus_one and konig_color are the polynomial constructions for
-max_degree+1 colors and for bipartite graphs.  They share one recoloring
-ledger: per vertex, a bitmask of the colors present plus a slot naming the
-edge that holds each one, so the smallest free color is the lowest zero
-bit.  color_degenerate is a max_degree-coloring witness built on
-exact_color.
+O(max_degree) and there is no recursion limit on the graph size.  It is
+needed only to decide the class of a graph with max_degree < 2*degeneracy
+and for the rigidity gadget.
+
+The polynomial constructions need no search: vizing_plus_one gives
+max_degree+1 colors, konig_color max_degree colors on a bipartite graph,
+and color_degenerate max(max_degree, 2d) colors on a graph of degeneracy
+<= d (Vizing's adjacency lemma).  They share one recoloring ledger (per
+vertex, a bitmask of the colors present plus a slot naming the edge that
+holds each one, so the smallest free color is the lowest zero bit) and its
+one alternating-path flip and one fan rotation.
 """
 from __future__ import annotations
 
@@ -19,16 +23,20 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import PreconditionViolated, ResourceLimit
-from .graphs import Graph, Pair, bipartition, degeneracy, edge_pair, is_proper
+from .graphs import Graph, Pair, bipartition, edge_pair, is_proper
 
 DEFAULT_NODE_BUDGET = 10_000_000
 _BUDGET_ENV = "ECADVICE_NODE_BUDGET"
 
 
 def node_budget(budget: Optional[int]) -> int:
-    if budget is not None:
-        return budget
-    return int(os.environ.get(_BUDGET_ENV, DEFAULT_NODE_BUDGET))
+    """The search node limit: `budget`, else $ECADVICE_NODE_BUDGET, else the
+    default.  A negative limit is a usage error."""
+    if budget is None:
+        budget = int(os.environ.get(_BUDGET_ENV, DEFAULT_NODE_BUDGET))
+    if budget < 0:
+        raise PreconditionViolated(f"node budget {budget} is negative")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -241,11 +249,10 @@ class _Ledger:
         self.used[v] ^= 1 << c
         return c
 
-    def flip(self, start: int, first: int, second: int) -> int:
-        """Swap colors first/second along the alternating path that leaves
-        start on first; returns the path's far end.  second must be free
-        at start."""
-        at, color = self.at, self.color
+    def chain(self, start: int, first: int, second: int) -> tuple[list[tuple[Pair, int]], int]:
+        """The alternating first/second path that leaves start on first, as
+        (edge, color) steps, and its far end."""
+        at = self.at
         cur, want = start, first
         path: list[tuple[Pair, int]] = []
         seen = {start}
@@ -257,6 +264,14 @@ class _Ledger:
                 raise AssertionError("alternating path revisited a vertex")
             seen.add(cur)
             want = second if want == first else first
+        return path, cur
+
+    def flip(self, start: int, first: int, second: int) -> int:
+        """Swap colors first/second along the alternating path that leaves
+        start on first; returns the path's far end.  second must be free
+        at start."""
+        at, color = self.at, self.color
+        path, cur = self.chain(start, first, second)
         # clear the path's slots first; color keeps its keys, and its order
         for (u, v), old in path:
             del at[u][old]
@@ -271,6 +286,29 @@ class _Ledger:
             self.used[start] ^= 1 << first | 1 << second
             self.used[cur] ^= 1 << first | 1 << second
         return cur
+
+    def rotate(self, anchor: int, fan: list[int], c: int) -> None:
+        """Color the uncolored edge anchor-fan[0] by rotating a fan prefix.
+
+        Step t of the fan is valid while the color of anchor-fan[t+1] is
+        free at fan[t].  Take the shortest valid prefix whose last vertex
+        misses c (c must be free at anchor), shift each edge's color one
+        step back along it, and give its last edge c.
+        """
+        used, color = self.used, self.color
+        end = -1
+        for idx, w in enumerate(fan):
+            if not used[w] >> c & 1:
+                end = idx
+                break
+            if idx + 1 < len(fan) and used[w] >> color[edge_pair(anchor, fan[idx + 1])] & 1:
+                break
+        if end < 0:
+            raise AssertionError("fan rotation target missing")
+        shifted = [self.unset(edge_pair(anchor, fan[t + 1])) for t in range(end)]
+        for t in range(end):
+            self.set(edge_pair(anchor, fan[t]), shifted[t])
+        self.set(edge_pair(anchor, fan[end]), c)
 
 
 def vizing_plus_one(g: Graph, *, check: bool = False) -> Coloring:
@@ -311,22 +349,8 @@ def vizing_plus_one(g: Graph, *, check: bool = False) -> Coloring:
         if used[anchor] >> b & 1:
             ledger.flip(anchor, b, a)
         # Some prefix of the fan now ends at a vertex missing b and is still
-        # a valid fan.  A prefix stays valid up to the first step whose color
-        # is no longer free at its vertex; rotate the shortest valid prefix
-        # whose last vertex misses b, and finish with b.
-        chosen = -1
-        for idx, w in enumerate(fan):
-            if not used[w] >> b & 1:
-                chosen = idx
-                break
-            if idx + 1 < len(fan) and used[w] >> color[edge_pair(anchor, fan[idx + 1])] & 1:
-                break
-        if chosen < 0:
-            raise AssertionError("fan rotation target missing")
-        shifted = [ledger.unset(edge_pair(anchor, fan[t + 1])) for t in range(chosen)]
-        for t in range(chosen):
-            ledger.set(edge_pair(anchor, fan[t]), shifted[t])
-        ledger.set(edge_pair(anchor, fan[chosen]), b)
+        # a valid fan.
+        ledger.rotate(anchor, fan, b)
         if check and not is_proper(g, color):
             raise AssertionError("fan step broke properness")
     return Coloring(dict(color))
@@ -362,15 +386,115 @@ def konig_color(g: Graph) -> Coloring:
     return Coloring(dict(ledger.color))
 
 
-def color_degenerate(g: Graph, d: int, *, budget: Optional[int] = None) -> Coloring:
-    """Executable witness that degeneracy <= d and max_degree >= 2d force a
-    max_degree coloring; delegates to exact_color."""
-    dgn, _ = degeneracy(g)
-    if dgn > d:
-        raise PreconditionViolated(f"degeneracy {dgn} exceeds {d}")
-    if g.max_degree < 2 * d:
-        raise PreconditionViolated(f"max degree {g.max_degree} below {2 * d}")
-    coloring = exact_color(g, g.max_degree, budget=budget)
-    if coloring is None:
-        raise AssertionError("max_degree coloring must exist here")
-    return coloring
+def color_degenerate(g: Graph, d: int) -> Coloring:
+    """Proper coloring with colors 1..max(max_degree, 2d) when degeneracy <= d.
+
+    Peel: repeatedly remove an edge xy where deg(y) <= d and x has at most
+    k - deg(y) neighbors of degree k, with k = max(max_degree, 2d).  By
+    Vizing's adjacency lemma such an edge exists in every graph of
+    degeneracy <= d while k >= 2d, so a stuck peel proves the degeneracy
+    exceeds d (PreconditionViolated).  Degrees and degree-k counts only
+    fall, so an edge once eligible stays eligible, and an edge that is not
+    yet eligible is looked at again only when deg(y) falls or x's count
+    reaches the value the edge waits for: the peel costs O(m*d).
+
+    Re-add the edges in reverse peel order.  Each takes a color free at
+    both ends or is placed by a multi-fan at x rooted at y: when a fan
+    vertex shares a free color alpha with x the fan path to it rotates;
+    when two fan vertices miss one color beta, the alpha/beta chain is
+    flipped from the one that is not the far end of x's chain, and the
+    shortest still-valid prefix ending at a vertex missing alpha rotates.
+    The same lemma says one of these always applies, so a failure is a bug.
+    """
+    if d < 0:
+        raise PreconditionViolated("d must be nonnegative")
+    k = max(g.max_degree, 2 * d)
+    nbrs: dict[int, dict[int, Pair]] = {v: {} for v in g.vertices}
+    for e in g.edges:
+        pair = e.pair
+        nbrs[e.u][e.v] = pair
+        nbrs[e.v][e.u] = pair
+    deg = dict(g.degree)
+    major = dict.fromkeys(nbrs, 0)  # neighbors of degree k
+    for v, ws in nbrs.items():
+        if deg[v] == k:
+            for w in ws:
+                major[w] += 1
+
+    # todo holds small vertices whose edges may have become eligible; an
+    # edge that is not yet eligible waits at x under the count x must fall to.
+    todo = [y for y in nbrs if deg[y] <= d]
+    waiting: dict[int, dict[int, list[int]]] = {}
+    peeled: list[tuple[int, int, Pair]] = []
+    while todo:
+        y = todo.pop()
+        at_y = nbrs[y]
+        start = deg[y]
+        for x in list(at_y):
+            need = k - deg[y]
+            if major[x] > need:
+                waiting.setdefault(x, {}).setdefault(need, []).append(y)
+                continue
+            at_x = nbrs[x]
+            if deg[x] == k:
+                for w in at_x:  # y included: x leaves its neighborhood too
+                    major[w] -= 1
+                    if w in waiting:
+                        todo.extend(waiting[w].pop(major[w], ()))
+            peeled.append((x, y, at_x.pop(y)))
+            del at_y[x]
+            deg[y] -= 1
+            deg[x] -= 1
+            if deg[x] <= d:
+                todo.append(x)
+        if at_y and deg[y] < start:
+            todo.append(y)  # edges parked above waited for the old deg[y]
+    if len(peeled) < g.m:
+        raise PreconditionViolated(f"degeneracy exceeds {d}")
+
+    ledger = _Ledger(g, k)
+    at, used = ledger.at, ledger.used
+    full = (2 << k) - 2  # colors 1..k
+    for x, y, pair in reversed(peeled):
+        free_x = ~used[x] & full
+        both = free_x & ~used[y]
+        if both:
+            ledger.set(pair, (both & -both).bit_length() - 1)
+            continue
+        # Grow the multi-fan breadth first: each color missing at a fan
+        # vertex names the edge at x that brings in the next vertex.
+        parent = {y: y}
+        fan = [y]
+        missed = 0  # colors missing at the fan vertices seen so far
+        at_x = at[x]
+        for z in fan:
+            mz = ~used[z] & full
+            if mz & free_x:
+                alpha = (mz & free_x & -(mz & free_x)).bit_length() - 1
+                break
+            clash = mz & missed
+            if clash:
+                beta = (clash & -clash).bit_length() - 1
+                alpha = (free_x & -free_x).bit_length() - 1
+                if ledger.chain(z, alpha, beta)[1] == x:
+                    z = next(w for w in fan if not used[w] >> beta & 1)
+                ledger.flip(z, alpha, beta)
+                break
+            missed |= mz
+            while mz:
+                low = mz & -mz
+                mz ^= low
+                p = at_x[low.bit_length() - 1]
+                w = p[0] if p[1] == x else p[1]
+                if w not in parent:
+                    parent[w] = z
+                    fan.append(w)
+        else:
+            raise AssertionError(f"maximal multi-fan at {x} breaks the adjacency lemma")
+        path = [z]
+        while z != y:
+            z = parent[z]
+            path.append(z)
+        path.reverse()
+        ledger.rotate(x, path, alpha)
+    return Coloring(dict(ledger.color))

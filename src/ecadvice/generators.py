@@ -47,6 +47,8 @@ def gen_forest(n: int, seed: int) -> EdgeStream:
 
 def gen_bipartite(a: int, b: int, p: float, seed: int) -> EdgeStream:
     """Random bipartite graph on sides 0..a-1 and a..a+b-1, edge prob p."""
+    if a < 0 or b < 0 or not 0.0 <= p <= 1.0:
+        raise PreconditionViolated("need side sizes >= 0 and 0 <= p <= 1")
     rng = random.Random(seed)
     pairs = [
         (i, a + j)
@@ -70,6 +72,8 @@ def coupler_edges(n: int, left_hub: int, right_hub: int, base: int) -> list[tupl
     hub adjacent to all of R.  Reveal order: hub-L edges, core rows, hub-R
     edges.  Labels base..base+2n-1 must be fresh.
     """
+    if n < 0:
+        raise PreconditionViolated(f"coupler size {n} is negative")
     left = [base + i for i in range(n)]
     right = [base + n + j for j in range(n)]
     edges = [(left_hub, x) for x in left]

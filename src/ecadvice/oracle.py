@@ -11,6 +11,11 @@ Two regimes, split on the (padded) degeneracy bound d:
   then names the color inside the subset plus the subset's rank among the
   indices still open at the edge's front endpoint, and the consumer can
   rebuild the subset index because both sides only count earlier arrivals.
+
+A graph of degeneracy <= d with max_degree >= 2d is class 1, and
+color_degenerate builds both the max_degree coloring and every subset's
+2d-coloring without search.  The exact search runs only to decide the
+class of a graph with max_degree < 2*degeneracy.
 """
 from __future__ import annotations
 
@@ -18,7 +23,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .advice import AdviceRecord, pack_record, pad_degeneracy
-from .coloring import Coloring, exact_color, konig_color, vizing_plus_one
+from .coloring import (
+    Coloring,
+    color_degenerate,
+    exact_color,
+    konig_color,
+    node_budget,
+    vizing_plus_one,
+)
 from .errors import NotBipartite, PreconditionViolated
 from .graphs import (
     DegeneracyOrder,
@@ -58,8 +70,6 @@ def build_partition(
     g: Graph,
     d: int,
     order: DegeneracyOrder,
-    *,
-    budget: Optional[int] = None,
 ) -> PartitionTrace:
     """Assign every edge to a subset of max degree <= 2d, recording ranks.
 
@@ -69,6 +79,9 @@ def build_partition(
     that index, the subsets that look open when only earlier arrivals at
     the front endpoint are visible.  With back-degree <= d the rank never
     exceeds d.
+
+    Each subset is a subgraph of g, so its degeneracy is at most d and
+    color_degenerate gives it a 2d-coloring without search.
 
     Requires max degree to be a positive multiple of 2d.
     """
@@ -128,10 +141,7 @@ def build_partition(
         sub = Graph(members)
         if sub.max_degree > 2 * d:
             raise AssertionError(f"subset {j} reached degree {sub.max_degree}")
-        coloring = exact_color(sub, 2 * d, budget=budget)
-        if coloring is None:
-            raise AssertionError(f"subset {j} refused a {2 * d}-coloring")
-        colorings[j] = coloring
+        colorings[j] = color_degenerate(sub, d)
     return PartitionTrace(d, order, assignments, fronts, partition, colorings)
 
 
@@ -164,8 +174,15 @@ def _contiguous(col: Coloring) -> Coloring:
     return Coloring({pair: rename[c] for pair, c in col.assignment.items()})
 
 
-def optimal_coloring(g: Graph, *, budget: Optional[int] = None) -> tuple[int, Coloring]:
-    """(chromatic index, witness coloring); palette is exactly 1..chi."""
+def optimal_coloring(
+    g: Graph, *, budget: Optional[int] = None, dgn: Optional[int] = None
+) -> tuple[int, Coloring]:
+    """(chromatic index, witness coloring); palette is exactly 1..chi.
+
+    `dgn` is g's degeneracy, computed when not given.  Bipartite graphs and
+    graphs with max_degree >= 2*dgn are class 1 and get a max_degree
+    coloring by construction; only the rest reach the exact search.
+    """
     if g.m == 0:
         return 0, Coloring({})
     delta = g.max_degree
@@ -173,6 +190,11 @@ def optimal_coloring(g: Graph, *, budget: Optional[int] = None) -> tuple[int, Co
         return delta, konig_color(g)
     except NotBipartite:
         pass
+    if dgn is None:
+        dgn = degeneracy(g)[0]
+    if delta >= 2 * dgn:
+        # a vertex of degree delta sees every color, so the palette is 1..delta
+        return delta, color_degenerate(g, dgn)
     # fan recoloring sometimes lands on delta distinct colors, which settles
     # the class-1 question without touching the exact search
     fan = vizing_plus_one(g)
@@ -185,7 +207,8 @@ def optimal_coloring(g: Graph, *, budget: Optional[int] = None) -> tuple[int, Co
 
 
 def chromatic_index(g: Graph, *, budget: Optional[int] = None) -> int:
-    """max_degree or max_degree+1; bipartite graphs settle without search."""
+    """max_degree or max_degree+1; bipartite graphs and graphs with
+    max_degree >= 2*degeneracy settle without search."""
     return optimal_coloring(g, budget=budget)[0]
 
 
@@ -206,6 +229,7 @@ def build_advice(
     """
     if mode not in ("strict", "robust"):
         raise PreconditionViolated(f"unknown mode {mode!r}")
+    budget = node_budget(budget)  # refused here even when no search runs
     edges = stream.edges
     if not edges:
         dd = pad_degeneracy(d if d is not None else 1)
@@ -219,7 +243,7 @@ def build_advice(
         raise PreconditionViolated(f"stream has degeneracy {dgn}, above {requested}")
     dd = pad_degeneracy(requested)
     delta = g.max_degree
-    chi, opt = optimal_coloring(g, budget=budget)
+    chi, opt = optimal_coloring(g, budget=budget, dgn=dgn)
 
     trace: Optional[PartitionTrace] = None
     if delta >= 2 * dd:
@@ -231,7 +255,7 @@ def build_advice(
         if sub.max_degree != a * 2 * dd:
             raise AssertionError("residual subgraph lost the expected max degree")
         _, sub_order = degeneracy(sub)
-        trace = build_partition(sub, dd, sub_order, budget=budget)
+        trace = build_partition(sub, dd, sub_order)
         per_edge = []
         for e in edges:
             pair = e.pair

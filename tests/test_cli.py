@@ -122,6 +122,50 @@ def test_run_budget_exhaustion_exits_three(tmp_path, capsys):
     assert "resource limit" in stderr
 
 
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_negative_budget_is_a_usage_error(tmp_path, capsys, monkeypatch, how):
+    from .conftest import star_pairs
+
+    # a star needs no search at all, so only the budget check can refuse it
+    path = write_stream(tmp_path, star_pairs(4))
+    if how == "flag":
+        argv = ["run", path, "--alg", "advice", "--budget", "-1"]
+    else:
+        monkeypatch.setenv("ECADVICE_NODE_BUDGET", "-1")
+        argv = ["run", path, "--alg", "advice"]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert "budget" in stderr
+    for argv in (["run", path, "--alg", "greedy", "--budget", "-1"],
+                 ["check", "invariants", "--count", "1", "--budget", "-1"],
+                 ["check", "invariants", "--count", "0", "--budget", "-1"],
+                 ["check", "rigidity", "--budget", "-1"]):
+        assert run_cli(capsys, *argv)[0] == 2
+
+
+def test_zero_budget_runs_without_search(tmp_path, capsys):
+    from .conftest import star_pairs
+
+    path = write_stream(tmp_path, star_pairs(4))
+    code, stdout, _ = run_cli(capsys, "run", path, "--alg", "advice", "--budget", "0")
+    assert code == 0
+    assert json.loads(stdout)["optimal"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "bipartite", "--p", "2"],
+    ["gen", "bipartite", "--a", "-1"],
+    ["gen", "coupled-pair", "--n", "-1"],
+    ["check", "rigidity", "--n", "-1"],
+])
+def test_bad_generator_arguments_exit_two(capsys, argv):
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert "PreconditionViolated" in stderr
+
+
 def test_adversary_elimination_greedy(capsys):
     code, stdout, _ = run_cli(
         capsys, "adversary", "elimination", "--delta", "2", "--family", "greedy"

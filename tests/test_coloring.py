@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +12,11 @@ from ecadvice import (
     PreconditionViolated,
     ResourceLimit,
     bipartition,
-    build_advice,
     build_coupled_pair,
     chromatic_index,
     color_degenerate,
     colors_used,
+    degeneracy,
     edge_pair,
     exact_color,
     gen_bipartite,
@@ -133,9 +134,13 @@ def test_exact_color_rejects_constraints_off_the_graph():
 
 
 def _d5_bundle():
-    oracle = build_advice(gen_d_degenerate(65, 5, 3), 5)
-    (members,) = oracle.partition.values()
-    return Graph(members), 2 * oracle.d, {}
+    # A 202-edge bundle with max degree 2d = 14 (d = 7 after padding): the
+    # edges that the search's max-degree witness colors above delta - 14.
+    # Built here rather than read off the oracle, whose constructive
+    # colorings cut a different bundle.
+    g = Graph.from_stream(gen_d_degenerate(65, 5, 3))
+    witness = exact_color(g, g.max_degree)
+    return Graph([e for e in g.edges if witness[e.pair] > g.max_degree - 14]), 14, {}
 
 
 def _coupled_pair_n3():
@@ -284,12 +289,75 @@ def test_color_degenerate_star():
 
 
 def test_color_degenerate_preconditions():
-    # C5 has degeneracy 2 but max degree 2 < 2d
-    with pytest.raises(PreconditionViolated):
-        color_degenerate(graph(cycle_pairs(5)), 2)
-    # degeneracy above the claimed bound
+    # degeneracy above the claimed bound: the peel gets stuck
     with pytest.raises(PreconditionViolated):
         color_degenerate(graph(complete_pairs(4)), 1)
+    with pytest.raises(PreconditionViolated):
+        color_degenerate(graph(path_pairs(2)), -1)
+
+
+def test_color_degenerate_below_twice_d_uses_2d_palette():
+    # C5 has degeneracy 2 and max degree 2 < 2d: the palette is 1..2d = 1..4
+    g = graph(cycle_pairs(5))
+    col = color_degenerate(g, 2)
+    assert is_proper(g, col) and len(col) == g.m
+    assert max(col.palette) <= 4
+
+
+@st.composite
+def hubbed_graphs(draw):
+    """Small random graphs, some with one extra vertex joined to many others."""
+    pairs = draw(random_pair_lists(max_vertices=7, max_edges=10))
+    if draw(st.booleans()):
+        n = 1 + max((v for pair in pairs for v in pair), default=1)
+        spokes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        # spokes arrive first, so the brute force refutes fewer colors quickly
+        pairs = [(n, v) for v in spokes] + pairs
+    return graph(pairs)
+
+
+@given(hubbed_graphs())
+@settings(max_examples=120, deadline=None)
+def test_color_degenerate_matches_brute_force(g):
+    if g.m == 0:
+        return
+    dgn, _ = degeneracy(g)
+    with pytest.raises(PreconditionViolated):
+        color_degenerate(g, dgn - 1)
+    for d in range(dgn, dgn + 3):
+        col = color_degenerate(g, d)
+        assert is_proper(g, col) and len(col) == g.m
+        assert col.palette <= set(range(1, max(g.max_degree, 2 * d) + 1))
+        if g.max_degree >= 2 * d:
+            assert colors_used(col) == brute_force_chromatic_index(g) == g.max_degree
+
+
+def tight_pairs(n: int, d: int, seed: int) -> list[tuple[int, int]]:
+    """A d-degenerate graph packed with degree-2d vertices: each new vertex
+    joins the d earlier vertices of highest degree below 2d."""
+    rng = random.Random(seed)
+    degree = [0] * n
+    pairs = []
+    for i in range(1, n):
+        below = [j for j in range(i) if degree[j] < 2 * d]
+        below.sort(key=lambda j: (-degree[j], rng.random()))
+        for j in below[:d]:
+            pairs.append((j, i))
+            degree[i] += 1
+            degree[j] += 1
+    rng.shuffle(pairs)
+    return pairs
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_color_degenerate_tight_graphs(d):
+    # max degree 2d with many vertices at it: long multi-fans and Kempe
+    # flips, including chains that end at the fan's center
+    for seed in range(150):
+        g = graph(tight_pairs(20 + seed % 40, d, seed))
+        col = color_degenerate(g, d)
+        assert is_proper(g, col) and len(col) == g.m, seed
+        assert max(col.palette) <= 2 * d, seed
 
 
 @given(st.integers(min_value=6, max_value=40), st.integers(min_value=0, max_value=300))

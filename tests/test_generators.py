@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from ecadvice import (
     Graph,
+    PreconditionViolated,
     build_coupled_pair,
     build_coupler,
     degeneracy,
@@ -61,6 +62,19 @@ def test_gen_bipartite_sides_never_mix(a, b, seed):
         assert (u < a) != (v < a)
 
 
+@pytest.mark.parametrize(
+    "a,b,p", [(3, 3, 2.0), (3, 3, -0.1), (3, 3, float("nan")), (-1, 3, 0.5), (3, -2, 0.5)]
+)
+def test_gen_bipartite_rejects_bad_arguments(a, b, p):
+    with pytest.raises(PreconditionViolated):
+        gen_bipartite(a, b, p, 0)
+
+
+def test_gen_bipartite_accepts_boundary_arguments():
+    assert gen_bipartite(0, 3, 0.5, 0).m == 0
+    assert gen_bipartite(2, 2, 0.0, 0).m == 0
+
+
 def test_gen_star_shape():
     s = gen_star(5)
     g = Graph.from_stream(s)
@@ -77,6 +91,13 @@ def test_coupler_frozen_shape():
     core = [v for v in g.vertices if v not in (left_hub, right_hub)]
     assert [g.degree[v] for v in core] == [3, 3, 3, 3]
     assert is_bipartite(g)
+
+
+def test_coupled_pair_rejects_negative_size():
+    with pytest.raises(PreconditionViolated):
+        build_coupled_pair(-1)
+    with pytest.raises(PreconditionViolated):
+        build_coupler(-1)
 
 
 @pytest.mark.parametrize("n,m", [(1, 5), (2, 10), (3, 17), (4, 26)])

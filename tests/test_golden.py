@@ -1,7 +1,8 @@
 """Golden outputs: records, colorings and CLI stdout pinned by digest.
 
-The exact search's edge order decides which optimal coloring is found, so
-any drift in that order shows up here as a changed digest.
+The constructive engines' peel and fan orders decide which optimal
+coloring is found, so any drift in those orders shows up here as a changed
+digest.
 """
 
 import hashlib
@@ -40,27 +41,27 @@ GOLDEN_RUNS = [
     # (generator, d, mode, model, digest)
     (
         lambda: gen_d_degenerate(45, 5, 1), 5, "robust", "request",
-        "0c0db020cc164cd5eda14fa44c2b5f800c87a601a7a57b80c0a3953b53b08661",
+        "7d33347342995847b87e7042897cb07028b377189ec76742231eba3205c26223",
     ),
     (
         lambda: gen_d_degenerate(55, 5, 2), 5, "strict", "tape",
-        "fdc6f997ae65fc874e2c2171be5125820775c83d778fe6eb2f1069c08a6a56f1",
+        "d9ed4aee93b53d7b220842f933c0441819c4b3f37d550d993a02efb530423f2e",
     ),
     (
         lambda: gen_d_degenerate(65, 5, 3), 5, "robust", "tape",
-        "5773ab99c13f0384a2145fb09fc8c0bde09428c56675ca6159a051e141bfdd30",
+        "99e54e933579d48afd2d7f98d341f1d53caa9190ff19f78692963274698772bc",
     ),
     (
         lambda: gen_d_degenerate(75, 5, 4), 5, "strict", "request",
-        "7f0f646b206038c55763325229cd80100936c15f72fe537eddb25916f213ada1",
+        "b61aa0291318307bc871b549839d820c12f8dcf11d6f85a780fa3e0921cff8ff",
     ),
     (
         lambda: gen_d_degenerate(85, 5, 5), 5, "robust", "request",
-        "f860c983d05dc59629069608dd7aefc309680602e811527295f5819c526d2e99",
+        "5bf78a89e57e9d90c3d0ce86845166618caff9c8fda598a2e8f23c71d36b3988",
     ),
     (
         lambda: gen_forest(450, 1), 1, "strict", "tape",
-        "ee59d1bbc41accc985d60c5556d8604d10d36ca1abaf0ac33277d4db4b1a05d3",
+        "9550b04b9dee43ec19870edffc93c7a8eaff730b5401f2d83aa73b3e2a801927",
     ),
 ]
 
@@ -81,7 +82,7 @@ GOLDEN_STDOUT = (
     '"d8e2447da443d2b2949bdd635d33b0202d039201e8fe70f5648eea7af1f7b228"}, "d": 7, '
     '"delta": 21, "m": 285, "mode": "robust", "n": 60, "optimal": true, "per_edge_bits": 9}\n'
 )
-GOLDEN_COLORS_SHA256 = "bf323d0c3a6f02cd52de14e9f0e00aee8bfcdd77ba114d7b5f771c3007a1561b"
+GOLDEN_COLORS_SHA256 = "977672b7785da6a1a037106aae15ff26e1b2af5d0cb3e43345db77b1776700b6"
 
 
 def test_cli_run_stdout_is_pinned(tmp_path, monkeypatch, capsys):

@@ -228,12 +228,17 @@ def test_truncated_tape_exhausts():
 
 
 def test_leftover_advice_raises():
-    oracle = build_advice(gen_d_degenerate(12, 2, 2), 2)
+    oracle = build_advice(gen_d_degenerate(12, 2, 12), 2)
     records = [r.bits for r in oracle.records]
     # one bit slipped in before the last record: every record still reads
     # in full and the shifted last one yields another proper coloring, so
-    # only the bit left over shows the fault
+    # only the bit left over shows the fault.  That premise depends on the
+    # oracle's colorings, so it is checked first.
     shifted = records[:-1] + ["0" + records[-1]]
+    read = records[:-1] + [shifted[-1][: len(records[-1])]]
+    assert read[-1] != records[-1]
+    premise = simulate(oracle.stream, AdviceAlgorithm("robust"), RequestSource(read))
+    assert is_proper(Graph.from_stream(oracle.stream), premise.coloring)
     tape = encode_tape([], oracle.d).bits + "".join(shifted)
     with pytest.raises(MalformedTape):
         simulate(oracle.stream, AdviceAlgorithm("robust"), TapeSource(tape))
