@@ -100,6 +100,8 @@ def elimination_game(
     graph stays a forest with max degree delta.
     """
     alpha, beta = pigeonhole_thresholds(delta)
+    if rounds < 0:
+        raise PreconditionViolated(f"round count {rounds} is negative")
     members = [_Member(alg) for alg in family]
     threshold = 2 * delta - 2
 

@@ -15,12 +15,16 @@ and color_degenerate max(max_degree, 2d) colors on a graph of degeneracy
 vertex, a bitmask of the colors present plus a slot naming the edge that
 holds each one, so the smallest free color is the lowest zero bit) and its
 one alternating-path flip and one fan rotation.
+
+Every engine works on edge ids (positions in `g.edges`, see graphs) and
+builds its pair-keyed Coloring once, at the end, keeping the colors by id
+beside it in `Coloring.by_id` for the oracle.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Mapping, Optional, Sequence
 
 from .errors import PreconditionViolated, ResourceLimit
 from .graphs import Graph, Pair, bipartition, edge_pair, is_proper
@@ -41,9 +45,14 @@ def node_budget(budget: Optional[int]) -> int:
 
 @dataclass(frozen=True)
 class Coloring:
-    """Proper edge coloring keyed by normalized endpoint pair."""
+    """Proper edge coloring keyed by normalized endpoint pair.
+
+    An engine also leaves `by_id`, the colors in edge-id order of the graph
+    it colored; a coloring built from pairs has None there.
+    """
 
     assignment: Mapping[Pair, int]
+    by_id: Optional[Sequence[int]] = field(default=None, compare=False, repr=False)
 
     @property
     def palette(self) -> frozenset[int]:
@@ -57,6 +66,15 @@ class Coloring:
 
     def __len__(self) -> int:
         return len(self.assignment)
+
+
+def _coloring(g: Graph, color: Mapping[int, int]) -> Coloring:
+    """The pair-keyed coloring of g from edge-id colors, in `color`'s order."""
+    ends = map(g.ends.__getitem__, color)
+    return Coloring(
+        {(u, v) if u < v else (v, u): c for (u, v), c in zip(ends, color.values())},
+        [color[i] for i in range(g.m)],
+    )
 
 
 def exact_color(
@@ -95,7 +113,7 @@ def exact_color(
     limit = node_budget(budget)
 
     if g.m == 0:
-        return Coloring({})
+        return Coloring({}, [])
     if k < g.max_degree:
         return None
     for pair, c in fixed.items():
@@ -105,14 +123,15 @@ def exact_color(
     # Per-vertex color sets are bitmasks: bit c set when color c is present.
     index = {v: i for i, v in enumerate(g.vertices)}
     used = [0] * len(index)
-    assignment: dict[Pair, int] = {}
-    for pair, c in fixed.items():
-        u, v = index[pair[0]], index[pair[1]]
+    assignment: dict[int, int] = {}  # edge id -> color
+    for (a, b), c in fixed.items():
+        u, v = index[a], index[b]
         if (used[u] | used[v]) >> c & 1:
             return None
         used[u] |= 1 << c
         used[v] |= 1 << c
-        assignment[pair] = c
+        assignment[g.nbrs[a][b]] = c
+    banned_at = {g.nbrs[a][b]: cs for (a, b), cs in forbidden.items()}
 
     # Colors referenced by constraints are pinned and excluded from the
     # symmetry cap.
@@ -124,15 +143,13 @@ def exact_color(
     # Rank the free edges best first by the static tie-break (the sort is
     # stable, so exact ties keep g.edges order).  Rank r is bit r of the
     # saturation buckets, so the lowest bit of a bucket is its preferred edge.
-    free = sorted(
-        (e for e in g.edges if e.pair not in assignment),
-        key=lambda e: (g.degree[e.u] + g.degree[e.v], -e.arrival),
-        reverse=True,
-    )
-    ends = [(index[e.u], index[e.v]) for e in free]
-    banned = [
-        sum(1 << c for c in forbidden.get(e.pair, ()) if 1 <= c <= k) for e in free
-    ]
+    def rank_key(i: int) -> tuple[int, int]:
+        u, v = g.ends[i]
+        return g.degree[u] + g.degree[v], -g.edges[i].arrival
+
+    free = sorted((i for i in range(g.m) if i not in assignment), key=rank_key, reverse=True)
+    ends = [(index[u], index[v]) for u, v in map(g.ends.__getitem__, free)]
+    banned = [sum(1 << c for c in banned_at.get(i, ()) if 1 <= c <= k) for i in free]
     incident: list[list[tuple[int, int]]] = [[] for _ in used]  # (rank, far end)
     for r, (u, v) in enumerate(ends):
         incident[u].append((r, v))
@@ -208,20 +225,23 @@ def exact_color(
             frame = stack[-1]
 
     for r, _, _, c in stack:
-        assignment[free[r].pair] = c
-    return Coloring(assignment)
+        assignment[free[r]] = c
+    return _coloring(g, assignment)
 
 
 class _Ledger:
-    """Recoloring state shared by the fan and König constructions: each
-    edge's color, at[v][c] the edge holding color c at v, and used[v] the
-    same colors as a bitmask (bit c set when c is present at v).  Bit 0 is
-    always set, so the smallest free color at v is the lowest zero bit."""
+    """Recoloring state shared by the fan, König and degenerate
+    constructions, on edge ids: color[i] the color of edge i (in the order
+    edges got colored), at[v][c] the id of the edge holding color c at v, and
+    used[v] the same colors as a bitmask (bit c set when c is present at v).
+    Bit 0 is always set, so the smallest free color at v is the lowest zero
+    bit."""
 
     def __init__(self, g: Graph, k: int):
         self.k = k
-        self.color: dict[Pair, int] = {}
-        self.at: dict[int, dict[int, Pair]] = {v: {} for v in g.vertices}
+        self.ends = g.ends
+        self.color: dict[int, int] = {}
+        self.at: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
         self.used: dict[int, int] = dict.fromkeys(g.vertices, 1)
 
     def free(self, v: int) -> int:
@@ -232,34 +252,35 @@ class _Ledger:
             raise AssertionError(f"palette 1..{self.k} exhausted at vertex {v}")
         return c
 
-    def set(self, pair: Pair, c: int) -> None:
-        u, v = pair
-        self.color[pair] = c
-        self.at[u][c] = pair
-        self.at[v][c] = pair
+    def set(self, i: int, c: int) -> None:
+        u, v = self.ends[i]
+        self.color[i] = c
+        self.at[u][c] = i
+        self.at[v][c] = i
         self.used[u] |= 1 << c
         self.used[v] |= 1 << c
 
-    def unset(self, pair: Pair) -> int:
-        u, v = pair
-        c = self.color.pop(pair)
+    def unset(self, i: int) -> int:
+        u, v = self.ends[i]
+        c = self.color.pop(i)
         del self.at[u][c]
         del self.at[v][c]
         self.used[u] ^= 1 << c
         self.used[v] ^= 1 << c
         return c
 
-    def chain(self, start: int, first: int, second: int) -> tuple[list[tuple[Pair, int]], int]:
+    def chain(self, start: int, first: int, second: int) -> tuple[list[tuple[int, int]], int]:
         """The alternating first/second path that leaves start on first, as
-        (edge, color) steps, and its far end."""
-        at = self.at
+        (edge id, color) steps, and its far end."""
+        at, ends = self.at, self.ends
         cur, want = start, first
-        path: list[tuple[Pair, int]] = []
+        path: list[tuple[int, int]] = []
         seen = {start}
         while want in at[cur]:
-            pair = at[cur][want]
-            path.append((pair, want))
-            cur = pair[0] if pair[1] == cur else pair[1]
+            i = at[cur][want]
+            path.append((i, want))
+            u, v = ends[i]
+            cur = u if v == cur else v
             if cur in seen:  # paths are simple; a repeat would be a bug
                 raise AssertionError("alternating path revisited a vertex")
             seen.add(cur)
@@ -270,30 +291,33 @@ class _Ledger:
         """Swap colors first/second along the alternating path that leaves
         start on first; returns the path's far end.  second must be free
         at start."""
-        at, color = self.at, self.color
+        at, color, ends = self.at, self.color, self.ends
         path, cur = self.chain(start, first, second)
         # clear the path's slots first; color keeps its keys, and its order
-        for (u, v), old in path:
+        for i, old in path:
+            u, v = ends[i]
             del at[u][old]
             del at[v][old]
-        for pair, old in path:
+        for i, old in path:
             new = second if old == first else first
-            color[pair] = new
-            at[pair[0]][new] = pair
-            at[pair[1]][new] = pair
+            color[i] = new
+            u, v = ends[i]
+            at[u][new] = i
+            at[v][new] = i
         # inner vertices keep both colors; each end trades one for the other
         if path:
             self.used[start] ^= 1 << first | 1 << second
             self.used[cur] ^= 1 << first | 1 << second
         return cur
 
-    def rotate(self, anchor: int, fan: list[int], c: int) -> None:
-        """Color the uncolored edge anchor-fan[0] by rotating a fan prefix.
+    def rotate(self, anchor: int, fan: list[int], ids: list[int], c: int) -> None:
+        """Color the uncolored edge ids[0] by rotating a fan prefix.
 
-        Step t of the fan is valid while the color of anchor-fan[t+1] is
-        free at fan[t].  Take the shortest valid prefix whose last vertex
-        misses c (c must be free at anchor), shift each edge's color one
-        step back along it, and give its last edge c.
+        ids[t] is the edge anchor-fan[t].  Step t of the fan is valid while
+        the color of edge ids[t+1] is free at fan[t].  Take the shortest
+        valid prefix whose last vertex misses c (c must be free at anchor),
+        shift each edge's color one step back along it, and give its last
+        edge c.
         """
         used, color = self.used, self.color
         end = -1
@@ -301,14 +325,14 @@ class _Ledger:
             if not used[w] >> c & 1:
                 end = idx
                 break
-            if idx + 1 < len(fan) and used[w] >> color[edge_pair(anchor, fan[idx + 1])] & 1:
+            if idx + 1 < len(fan) and used[w] >> color[ids[idx + 1]] & 1:
                 break
         if end < 0:
             raise AssertionError("fan rotation target missing")
-        shifted = [self.unset(edge_pair(anchor, fan[t + 1])) for t in range(end)]
+        shifted = [self.unset(ids[t + 1]) for t in range(end)]
         for t in range(end):
-            self.set(edge_pair(anchor, fan[t]), shifted[t])
-        self.set(edge_pair(anchor, fan[end]), c)
+            self.set(ids[t], shifted[t])
+        self.set(ids[end], c)
 
 
 def vizing_plus_one(g: Graph, *, check: bool = False) -> Coloring:
@@ -321,14 +345,15 @@ def vizing_plus_one(g: Graph, *, check: bool = False) -> Coloring:
     """
     k = g.max_degree + 1
     ledger = _Ledger(g, k)
-    color, at, used = ledger.color, ledger.at, ledger.used
+    ends, at, used = g.ends, ledger.at, ledger.used
 
-    for e in g.edges:
-        anchor, tip = (e.u, e.v) if e.u < e.v else (e.v, e.u)
+    for i, (u, v) in enumerate(ends):
+        anchor, tip = (u, v) if u < v else (v, u)
         at_anchor = at[anchor]
         # Maximal fan: each next edge's color is free at the previous vertex;
         # among the candidates the smallest label wins.
         fan = [tip]
+        ids = [i]
         in_fan = {tip}
         while True:
             candidate = None
@@ -336,13 +361,15 @@ def vizing_plus_one(g: Graph, *, check: bool = False) -> Coloring:
             while options:
                 low = options & -options
                 options ^= low
-                pair = at_anchor[low.bit_length() - 1]
-                z = pair[0] if pair[1] == anchor else pair[1]
+                j = at_anchor[low.bit_length() - 1]
+                x, y = ends[j]
+                z = x if y == anchor else y
                 if z not in in_fan and (candidate is None or z < candidate):
-                    candidate = z
+                    candidate, via = z, j
             if candidate is None:
                 break
             fan.append(candidate)
+            ids.append(via)
             in_fan.add(candidate)
         a = ledger.free(anchor)
         b = ledger.free(fan[-1])
@@ -350,10 +377,10 @@ def vizing_plus_one(g: Graph, *, check: bool = False) -> Coloring:
             ledger.flip(anchor, b, a)
         # Some prefix of the fan now ends at a vertex missing b and is still
         # a valid fan.
-        ledger.rotate(anchor, fan, b)
-        if check and not is_proper(g, color):
+        ledger.rotate(anchor, fan, ids, b)
+        if check and not is_proper(g, {edge_pair(*ends[j]): c for j, c in ledger.color.items()}):
             raise AssertionError("fan step broke properness")
-    return Coloring(dict(color))
+    return _coloring(g, ledger.color)
 
 
 def konig_color(g: Graph) -> Coloring:
@@ -366,8 +393,7 @@ def konig_color(g: Graph) -> Coloring:
     ledger = _Ledger(g, g.max_degree)
     used = ledger.used
 
-    for e in g.edges:
-        u, v = e.u, e.v
+    for i, (u, v) in enumerate(g.ends):
         a = ledger.free(u)
         b = ledger.free(v)
         if a == b:
@@ -382,8 +408,8 @@ def konig_color(g: Graph) -> Coloring:
             if ledger.flip(u, b, a) == v:
                 raise AssertionError("alternating path reached the far endpoint")
             c = b
-        ledger.set(e.pair, c)
-    return Coloring(dict(ledger.color))
+        ledger.set(i, c)
+    return _coloring(g, ledger.color)
 
 
 def color_degenerate(g: Graph, d: int) -> Coloring:
@@ -409,11 +435,8 @@ def color_degenerate(g: Graph, d: int) -> Coloring:
     if d < 0:
         raise PreconditionViolated("d must be nonnegative")
     k = max(g.max_degree, 2 * d)
-    nbrs: dict[int, dict[int, Pair]] = {v: {} for v in g.vertices}
-    for e in g.edges:
-        pair = e.pair
-        nbrs[e.u][e.v] = pair
-        nbrs[e.v][e.u] = pair
+    # vertices in sorted-label order: the peel order depends on it
+    nbrs = {v: dict(g.nbrs[v]) for v in g.vertices}
     deg = dict(g.degree)
     major = dict.fromkeys(nbrs, 0)  # neighbors of degree k
     for v, ws in nbrs.items():
@@ -425,10 +448,12 @@ def color_degenerate(g: Graph, d: int) -> Coloring:
     # edge that is not yet eligible waits at x under the count x must fall to.
     todo = [y for y in nbrs if deg[y] <= d]
     waiting: dict[int, dict[int, list[int]]] = {}
-    peeled: list[tuple[int, int, Pair]] = []
+    peeled: list[tuple[int, int, int]] = []  # (x, y, edge id)
     while todo:
         y = todo.pop()
         at_y = nbrs[y]
+        if not at_y:
+            continue
         start = deg[y]
         for x in list(at_y):
             need = k - deg[y]
@@ -453,17 +478,18 @@ def color_degenerate(g: Graph, d: int) -> Coloring:
         raise PreconditionViolated(f"degeneracy exceeds {d}")
 
     ledger = _Ledger(g, k)
-    at, used = ledger.at, ledger.used
+    ends, at, used = g.ends, ledger.at, ledger.used
     full = (2 << k) - 2  # colors 1..k
-    for x, y, pair in reversed(peeled):
+    for x, y, i in reversed(peeled):
         free_x = ~used[x] & full
         both = free_x & ~used[y]
         if both:
-            ledger.set(pair, (both & -both).bit_length() - 1)
+            ledger.set(i, (both & -both).bit_length() - 1)
             continue
         # Grow the multi-fan breadth first: each color missing at a fan
         # vertex names the edge at x that brings in the next vertex.
         parent = {y: y}
+        via = {y: i}  # fan vertex -> id of its edge to x
         fan = [y]
         missed = 0  # colors missing at the fan vertices seen so far
         at_x = at[x]
@@ -484,10 +510,12 @@ def color_degenerate(g: Graph, d: int) -> Coloring:
             while mz:
                 low = mz & -mz
                 mz ^= low
-                p = at_x[low.bit_length() - 1]
-                w = p[0] if p[1] == x else p[1]
+                j = at_x[low.bit_length() - 1]
+                a, b = ends[j]
+                w = a if b == x else b
                 if w not in parent:
                     parent[w] = z
+                    via[w] = j
                     fan.append(w)
         else:
             raise AssertionError(f"maximal multi-fan at {x} breaks the adjacency lemma")
@@ -496,5 +524,5 @@ def color_degenerate(g: Graph, d: int) -> Coloring:
             z = parent[z]
             path.append(z)
         path.reverse()
-        ledger.rotate(x, path, alpha)
-    return Coloring(dict(ledger.color))
+        ledger.rotate(x, path, [via[w] for w in path], alpha)
+    return _coloring(g, ledger.color)

@@ -35,6 +35,8 @@ def gen_d_degenerate(n: int, d: int, seed: int) -> EdgeStream:
 
 def gen_forest(n: int, seed: int) -> EdgeStream:
     """Random forest: each vertex joins an earlier one with probability 0.9."""
+    if n < 0:
+        raise PreconditionViolated(f"forest size {n} is negative")
     rng = random.Random(seed)
     pairs: list[tuple[int, int]] = []
     for i in range(1, n):
@@ -61,6 +63,8 @@ def gen_bipartite(a: int, b: int, p: float, seed: int) -> EdgeStream:
 
 def gen_star(delta: int) -> EdgeStream:
     """Star with center 0 and leaves 1..delta, revealed leaf by leaf."""
+    if delta < 0:
+        raise PreconditionViolated(f"star degree {delta} is negative")
     return stream_from_pairs((0, i) for i in range(1, delta + 1))
 
 

@@ -3,6 +3,13 @@
 Vertices are opaque integer labels; they exist only once an edge reveals
 them.  An edge stream fixes the arrival order, which is the only notion of
 time the online algorithms ever see.
+
+Inside a Graph an edge is named by its position in `edges`, its edge id:
+`ends[i]` holds edge i's endpoints as listed, and `nbrs[v]` maps each
+neighbor w of v to the id of edge vw, in edge order.  The engines, the
+partition and the oracle key their state on these ids; normalized endpoint
+pairs (`Graph.pairs`, pair-keyed colorings) are built only at the API
+boundary.
 """
 from __future__ import annotations
 
@@ -115,17 +122,32 @@ def serialize_stream(stream: EdgeStream, comments: Sequence[str] = ()) -> str:
 
 
 class Graph:
-    """Static view of a stream: adjacency, degrees, vertex set."""
+    """Static view of a stream: edge ids, neighbors, degrees, vertex set.
+
+    Raises SelfLoop or DuplicateEdge (both ParseErrors) on a loop or a
+    repeated pair, so no engine ever sees a multigraph.
+    """
 
     def __init__(self, edges: Sequence[Edge]):
         self.edges: tuple[Edge, ...] = tuple(edges)
-        adjacency: dict[int, list[Edge]] = {}
-        for e in self.edges:
-            adjacency.setdefault(e.u, []).append(e)
-            adjacency.setdefault(e.v, []).append(e)
-        self.adjacency = adjacency
-        self.vertices: tuple[int, ...] = tuple(sorted(adjacency))
-        self.degree = {v: len(adjacency[v]) for v in self.vertices}
+        self.ends: list[Pair] = [(e.u, e.v) for e in self.edges]
+        nbrs: dict[int, dict[int, int]] = {}
+        for i, (u, v) in enumerate(self.ends):
+            at_u = nbrs.get(u)
+            if at_u is None:
+                at_u = nbrs[u] = {}
+            if u == v:
+                raise SelfLoop(f"edge {self.edges[i].arrival} joins {u} to itself")
+            if v in at_u:
+                raise DuplicateEdge(f"edge {self.edges[i].arrival} repeats pair {edge_pair(u, v)}")
+            at_u[v] = i
+            at_v = nbrs.get(v)
+            if at_v is None:
+                at_v = nbrs[v] = {}
+            at_v[u] = i
+        self.nbrs = nbrs
+        self.vertices: tuple[int, ...] = tuple(sorted(nbrs))
+        self.degree = {v: len(nbrs[v]) for v in self.vertices}
         self.max_degree = max(self.degree.values(), default=0)
 
     @classmethod
@@ -135,7 +157,7 @@ class Graph:
     @cached_property
     def pairs(self) -> frozenset[Pair]:
         """Normalized endpoint pairs, built on first use."""
-        return frozenset(e.pair for e in self.edges)
+        return frozenset(edge_pair(u, v) for u, v in self.ends)
 
     @property
     def n(self) -> int:
@@ -144,9 +166,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def neighbors(self, v: int) -> list[int]:
-        return [e.other(v) for e in self.adjacency[v]]
 
 
 @dataclass(frozen=True)
@@ -173,26 +192,29 @@ def degeneracy(g: Graph) -> tuple[int, DegeneracyOrder]:
     """
     if g.n == 0:
         raise PreconditionViolated("degeneracy of an empty graph is undefined")
-    residual = dict(g.degree)
+    nbrs = g.nbrs
+    residual = dict(g.degree)  # alive vertices only
     heap = [(r, v) for v, r in residual.items()]
     heapq.heapify(heap)
-    alive = set(g.vertices)
+    pop, push = heapq.heappop, heapq.heappush
     peeled: list[int] = []
     d = 0
     while heap:
-        r, v = heapq.heappop(heap)
+        r, v = pop(heap)
         # residuals only fall, so v's newest entry pops before its older
         # ones: the first pop of v carries its current residual and any
         # later pop finds v already peeled
-        if v not in alive:
+        if v not in residual:
             continue
-        d = max(d, r)
+        del residual[v]
+        if r > d:
+            d = r
         peeled.append(v)
-        alive.remove(v)
-        for w in g.neighbors(v):
-            if w in alive:
-                residual[w] -= 1
-                heapq.heappush(heap, (residual[w], w))
+        for w in nbrs[v]:
+            if w in residual:
+                r = residual[w] - 1
+                residual[w] = r
+                push(heap, (r, w))
     order = tuple(reversed(peeled))
     rank = {v: i for i, v in enumerate(order)}
     return d, DegeneracyOrder(order, rank, d)
@@ -200,34 +222,38 @@ def degeneracy(g: Graph) -> tuple[int, DegeneracyOrder]:
 
 @dataclass(frozen=True)
 class EdgeClassification:
-    """front[pair] is the endpoint whose rank is lower; back the other."""
+    """front[i] is the endpoint of edge i whose rank is lower; back[i] the
+    other.  Both are indexed by edge id."""
 
-    front: Mapping[Pair, int]
-    back: Mapping[Pair, int]
+    front: Sequence[int]
+    back: Sequence[int]
     front_degree: Mapping[int, int]
     back_degree: Mapping[int, int]
 
 
 def classify(g: Graph, order: DegeneracyOrder) -> EdgeClassification:
     """Split each edge into its front (earlier) and back (later) endpoint."""
+    rank = order.rank
     for v in g.vertices:
-        if v not in order.rank:
+        if v not in rank:
             raise PreconditionViolated(f"vertex {v} missing from order")
-    front: dict[Pair, int] = {}
-    back: dict[Pair, int] = {}
-    front_degree = {v: 0 for v in g.vertices}
-    back_degree = {v: 0 for v in g.vertices}
-    for e in g.edges:
-        lo, hi = (e.u, e.v) if order.rank[e.u] < order.rank[e.v] else (e.v, e.u)
-        front[e.pair] = lo
-        back[e.pair] = hi
-        front_degree[lo] += 1
-        back_degree[hi] += 1
+    front: list[int] = []
+    back: list[int] = []
+    front_degree = dict.fromkeys(g.vertices, 0)
+    back_degree = dict.fromkeys(g.vertices, 0)
+    for u, v in g.ends:
+        if rank[u] > rank[v]:
+            u, v = v, u
+        front.append(u)
+        back.append(v)
+        front_degree[u] += 1
+        back_degree[v] += 1
     return EdgeClassification(front, back, front_degree, back_degree)
 
 
 def bipartition(g: Graph) -> tuple[set[int], set[int]]:
     """Two-color the vertices by BFS; raises NotBipartite on an odd cycle."""
+    nbrs = g.nbrs
     side: dict[int, int] = {}
     for start in g.vertices:
         if start in side:
@@ -236,7 +262,7 @@ def bipartition(g: Graph) -> tuple[set[int], set[int]]:
         queue = deque([start])
         while queue:
             v = queue.popleft()
-            for w in g.neighbors(v):
+            for w in nbrs[v]:
                 if w not in side:
                     side[w] = 1 - side[v]
                     queue.append(w)
@@ -265,14 +291,14 @@ def is_proper(g: Graph, coloring) -> bool:
     """
     colors = _assignment(coloring)
     seen: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for e in g.edges:
-        c = colors.get(e.pair)
+    for u, v in g.ends:
+        c = colors.get(edge_pair(u, v))
         if c is None:
             continue
-        if c in seen[e.u] or c in seen[e.v]:
+        if c in seen[u] or c in seen[v]:
             return False
-        seen[e.u].add(c)
-        seen[e.v].add(c)
+        seen[u].add(c)
+        seen[v].add(c)
     return True
 
 
@@ -290,8 +316,8 @@ def is_forest(g: Graph) -> bool:
             x = parent[x]
         return x
 
-    for e in g.edges:
-        ru, rv = find(e.u), find(e.v)
+    for u, v in g.ends:
+        ru, rv = find(u), find(v)
         if ru == rv:
             return False
         parent[ru] = rv

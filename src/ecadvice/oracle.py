@@ -16,10 +16,17 @@ A graph of degeneracy <= d with max_degree >= 2d is class 1, and
 color_degenerate builds both the max_degree coloring and every subset's
 2d-coloring without search.  The exact search runs only to decide the
 class of a graph with max_degree < 2*degeneracy.
+
+The oracle works on edge ids (see graphs): it reads the optimal coloring
+by id, splits literal from subset edges by id, and the partition keeps
+per-id arrays over the residual subgraph.  The pair-keyed views of
+PartitionTrace (`assignments`, `fronts`) are built on first access; the
+pipeline never reads them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .advice import AdviceRecord, pack_record, pad_degeneracy
@@ -40,6 +47,7 @@ from .graphs import (
     Pair,
     classify,
     degeneracy,
+    edge_pair,
 )
 
 
@@ -56,14 +64,33 @@ class EdgeAdvice:
 
 @dataclass
 class PartitionTrace:
-    """Everything the subset partition decided, keyed for the tests."""
+    """Everything the subset partition decided.
+
+    subset, rank, front and color are indexed by edge id of `graph`, the
+    partitioned graph; color is the edge's color inside its subset.
+    """
 
     d: int
     order: DegeneracyOrder
-    assignments: dict[Pair, tuple[int, int]]  # pair -> (subset index, rank)
-    fronts: dict[Pair, int]
+    graph: Graph
+    subset: list[int]
+    rank: list[int]
+    front: list[int]
+    color: list[int]
     partition: dict[int, list[Edge]]
     colorings: dict[int, Coloring]
+
+    @cached_property
+    def assignments(self) -> dict[Pair, tuple[int, int]]:
+        """pair -> (subset index, rank)"""
+        return {
+            edge_pair(u, v): (j, r)
+            for (u, v), j, r in zip(self.graph.ends, self.subset, self.rank)
+        }
+
+    @cached_property
+    def fronts(self) -> dict[Pair, int]:
+        return {edge_pair(u, v): f for (u, v), f in zip(self.graph.ends, self.front)}
 
 
 def build_partition(
@@ -93,56 +120,67 @@ def build_partition(
         raise PreconditionViolated(f"max degree {delta} is not a positive multiple of {2 * d}")
 
     cap = 2 * d - 1
-    front_edges: dict[int, list[Edge]] = {}
-    for e in g.edges:
-        front_edges.setdefault(sides.front[e.pair], []).append(e)
-    for group in front_edges.values():
-        group.sort(key=lambda e: e.arrival)
+    edges, front, other = g.edges, sides.front, sides.back
+    arrival = [e.arrival for e in edges]
+    front_edges: dict[int, list[int]] = {}
+    for i in sorted(range(g.m), key=arrival.__getitem__):
+        front_edges.setdefault(front[i], []).append(i)
 
     # placed[v][j]: edges at v already in subset j.  back[v]: (arrival, j)
     # of v's back edges, all placed before v itself is visited.
     placed: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
     back: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
-    assignments: dict[Pair, tuple[int, int]] = {}
-    fronts: dict[Pair, int] = {}
-    partition: dict[int, list[Edge]] = {}
+    subset = [0] * g.m
+    rank = [0] * g.m
+    members: dict[int, list[int]] = {}
 
     for v in order.order:
-        total = placed.get(v, {})
+        if v not in front_edges:
+            continue
+        total = placed[v]
+        back_v = back[v]
         target = 1
-        for e in front_edges.get(v, ()):
+        for i in front_edges[v]:
             # subsets only fill up, so the lowest open index never falls
             while total.get(target, 0) > cap:
                 target += 1
-            # the placed edges at v that arrive after e are back edges
-            late: dict[int, int] = {}
-            for arrival, j in back[v]:
-                if arrival > e.arrival:
-                    late[j] = late.get(j, 0) + 1
-            if total.get(target, 0) - late.get(target, 0) > cap:
-                raise AssertionError("chosen subset not open among earlier arrivals")
-            # every subset below target is full, so it looks open among
-            # earlier arrivals only when late back edges hide enough of it
-            rank = sum(1 for j, k in late.items() if j < target and total[j] - k <= cap)
-            if rank > d:
-                raise AssertionError(f"rank {rank} exceeds back-degree bound {d}")
-            assignments[e.pair] = (target, rank)
-            fronts[e.pair] = v
-            partition.setdefault(target, []).append(e)
-            w = e.other(v)
+            if back_v:
+                # the placed edges at v that arrive after edge i are back edges
+                late: dict[int, int] = {}
+                t = arrival[i]
+                for s, j in back_v:
+                    if s > t:
+                        late[j] = late.get(j, 0) + 1
+                if total.get(target, 0) - late.get(target, 0) > cap:
+                    raise AssertionError("chosen subset not open among earlier arrivals")
+                # every subset below target is full, so it looks open among
+                # earlier arrivals only when late back edges hide enough of it
+                r = sum(1 for j, k in late.items() if j < target and total[j] - k <= cap)
+                if r > d:
+                    raise AssertionError(f"rank {r} exceeds back-degree bound {d}")
+                rank[i] = r
+            subset[i] = target
+            members.setdefault(target, []).append(i)
             total[target] = total.get(target, 0) + 1
-            placed[w][target] = placed[w].get(target, 0) + 1
-            back[w].append((e.arrival, target))
+            w = other[i]
+            at_w = placed[w]
+            at_w[target] = at_w.get(target, 0) + 1
+            back[w].append((arrival[i], target))
 
-    for j, members in partition.items():
-        members.sort(key=lambda e: e.arrival)
+    color = [0] * g.m
+    partition: dict[int, list[Edge]] = {}
     colorings: dict[int, Coloring] = {}
-    for j, members in sorted(partition.items()):
-        sub = Graph(members)
+    for j, ids in members.items():
+        ids.sort(key=arrival.__getitem__)
+        partition[j] = [edges[i] for i in ids]
+    for j, ids in sorted(members.items()):
+        sub = Graph(partition[j])
         if sub.max_degree > 2 * d:
             raise AssertionError(f"subset {j} reached degree {sub.max_degree}")
-        colorings[j] = color_degenerate(sub, d)
-    return PartitionTrace(d, order, assignments, fronts, partition, colorings)
+        col = colorings[j] = color_degenerate(sub, d)
+        for i, c in zip(ids, col.by_id):
+            color[i] = c
+    return PartitionTrace(d, order, g, subset, rank, front, color, partition, colorings)
 
 
 @dataclass
@@ -171,7 +209,10 @@ def _contiguous(col: Coloring) -> Coloring:
     rename: dict[int, int] = {}
     for c in sorted(set(col.assignment.values())):
         rename[c] = len(rename) + 1
-    return Coloring({pair: rename[c] for pair, c in col.assignment.items()})
+    return Coloring(
+        {pair: rename[c] for pair, c in col.assignment.items()},
+        [rename[c] for c in col.by_id],
+    )
 
 
 def optimal_coloring(
@@ -184,7 +225,7 @@ def optimal_coloring(
     coloring by construction; only the rest reach the exact search.
     """
     if g.m == 0:
-        return 0, Coloring({})
+        return 0, Coloring({}, [])
     delta = g.max_degree
     try:
         return delta, konig_color(g)
@@ -245,54 +286,42 @@ def build_advice(
     delta = g.max_degree
     chi, opt = optimal_coloring(g, budget=budget, dgn=dgn)
 
+    colors = opt.by_id
+    b = chi  # colors 1..b are shipped literally
     trace: Optional[PartitionTrace] = None
     if delta >= 2 * dd:
         a, b = divmod(delta, 2 * dd)
         if chi != delta:
             raise AssertionError("a degenerate graph with max_degree >= 2d must be class 1")
-        rest = [e for e in edges if opt[e.pair] > b]
-        sub = Graph(rest)
+        rest = [i for i, c in enumerate(colors) if c > b]
+        sub = Graph([edges[i] for i in rest])
         if sub.max_degree != a * 2 * dd:
             raise AssertionError("residual subgraph lost the expected max degree")
         _, sub_order = degeneracy(sub)
         trace = build_partition(sub, dd, sub_order)
-        per_edge = []
-        for e in edges:
-            pair = e.pair
-            c = opt[pair]
-            if c <= b:
-                per_edge.append(EdgeAdvice(0, c))
-            else:
-                j, r = trace.assignments[pair]
-                per_edge.append(
-                    EdgeAdvice(1, trace.colorings[j][pair], j, r, trace.fronts[pair])
-                )
-    else:
-        per_edge = [EdgeAdvice(0, opt[e.pair]) for e in edges]
 
     # few distinct records exist, so each is packed once and shared; a key
     # holds only written fields, so a strict key's front flag is always 0
-    packed: dict[tuple[int, int, int, int], AdviceRecord] = {}
-    records = []
-    for e, adv in zip(edges, per_edge):
-        if adv.mode == 0:
-            key = (0, adv.color, 0, 0)
-        else:
-            key = (1, adv.color, adv.rank, int(mode == "robust" and adv.front != min(e.u, e.v)))
-        record = packed.get(key)
-        if record is None:
-            record = packed[key] = pack_record(dd, mode, *key)
-        records.append(record)
-
-    out_stream = stream
-    if mode == "strict":
-        oriented = []
-        for e, adv in zip(edges, per_edge):
-            if adv.mode == 1 and e.u != adv.front:
-                oriented.append(Edge(e.v, e.u, e.arrival))
-            else:
-                oriented.append(e)
-        out_stream = EdgeStream(tuple(oriented), "strict")
+    literal = {c: EdgeAdvice(0, c) for c in set(colors) if c <= b}
+    literal_records = {c: pack_record(dd, mode, 0, c, 0, 0) for c in literal}
+    per_edge = [literal.get(c) for c in colors]  # subset edges are filled in below
+    records = [literal_records.get(c) for c in colors]
+    robust = mode == "robust"
+    oriented = list(edges)  # strict mode lists each subset edge's front first
+    if trace is not None:
+        packed: dict[tuple[int, int, int], AdviceRecord] = {}
+        for i, (u, v), c, j, r, f in zip(
+            rest, sub.ends, trace.color, trace.subset, trace.rank, trace.front
+        ):
+            per_edge[i] = EdgeAdvice(1, c, j, r, f)
+            key = (c, r, int(robust and f != (u if u < v else v)))
+            record = packed.get(key)
+            if record is None:
+                record = packed[key] = pack_record(dd, mode, 1, *key)
+            records[i] = record
+            if not robust and f != u:
+                oriented[i] = Edge(v, u, i)
+    out_stream = stream if robust else EdgeStream(tuple(oriented), "strict")
 
     return OracleResult(
         dd,

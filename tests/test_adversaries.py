@@ -43,6 +43,12 @@ def test_pigeonhole_thresholds_reject_small_delta():
         pigeonhole_thresholds(1)
 
 
+def test_elimination_game_rejects_negative_rounds():
+    with pytest.raises(PreconditionViolated):
+        elimination_game(2, [Greedy()], -1)
+    assert elimination_game(2, [Greedy()], 0).rounds == []
+
+
 def test_select_same_colored_stars_lex_first():
     sets = [frozenset({2}), frozenset({1}), frozenset({2}), frozenset({1})]
     assert select_same_colored_stars(sets, 2) == (0, 2)

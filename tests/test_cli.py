@@ -158,6 +158,9 @@ def test_zero_budget_runs_without_search(tmp_path, capsys):
     ["gen", "bipartite", "--a", "-1"],
     ["gen", "coupled-pair", "--n", "-1"],
     ["check", "rigidity", "--n", "-1"],
+    ["gen", "forest", "--n", "-1"],
+    ["gen", "star", "--delta", "-1"],
+    ["adversary", "elimination", "--delta", "2", "--rounds", "-1"],
 ])
 def test_bad_generator_arguments_exit_two(capsys, argv):
     code, stdout, stderr = run_cli(capsys, *argv)

@@ -93,6 +93,14 @@ def test_coupler_frozen_shape():
     assert is_bipartite(g)
 
 
+def test_forest_and_star_reject_negative_sizes():
+    with pytest.raises(PreconditionViolated):
+        gen_forest(-1, 0)
+    with pytest.raises(PreconditionViolated):
+        gen_star(-1)
+    assert gen_forest(0, 0).m == 0 and gen_star(0).m == 0
+
+
 def test_coupled_pair_rejects_negative_size():
     with pytest.raises(PreconditionViolated):
         build_coupled_pair(-1)

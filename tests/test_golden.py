@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from ecadvice import gen_d_degenerate, gen_forest, run_advice, serialize_stream
+from ecadvice import gen_bipartite, gen_d_degenerate, gen_forest, run_advice, serialize_stream
 from ecadvice.cli import main
 
 
@@ -63,13 +63,40 @@ GOLDEN_RUNS = [
         lambda: gen_forest(450, 1), 1, "strict", "tape",
         "9550b04b9dee43ec19870edffc93c7a8eaff730b5401f2d83aa73b3e2a801927",
     ),
+    # Konig, every record literal: max degree 15 < 2*8
+    (
+        lambda: gen_bipartite(20, 20, 0.5, 1), 8, "robust", "request",
+        "f8de4e2edb04fc88ca727d794d1fd49d56f981bacd022ef55114ec798d137f70",
+    ),
+    # the fan coloring lands on max degree colors and settles chi
+    (
+        lambda: gen_d_degenerate(6, 3, 0), 3, "strict", "tape",
+        "2cc618a2d4763a04d117e384c113dbfd2e38d47577aeb9828649c6c306fd447d",
+    ),
+    # the exact search settles chi
+    (
+        lambda: gen_d_degenerate(8, 5, 0), 5, "robust", "tape",
+        "941d6c93206cdde6fa177946b5d631ca37d763ea938fb326ea54a02a0147d1be",
+    ),
+    # d = 2 and d = 3 bundles
+    (
+        lambda: gen_d_degenerate(150, 2, 1), 2, "strict", "request",
+        "ca8b17c77654dda991c47eb5df456097eb3bb94528f3522a0082c9b64c671acc",
+    ),
+    (
+        lambda: gen_d_degenerate(150, 3, 1), 3, "robust", "tape",
+        "19fe7a893ec389bb9878500a067ecca7f8022fac1b6f42465c33b35826ea7a82",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "make,d,mode,model,digest",
     GOLDEN_RUNS,
-    ids=["deg5-n45", "deg5-n55", "deg5-n65", "deg5-n75", "deg5-n85", "forest-n450"],
+    ids=[
+        "deg5-n45", "deg5-n55", "deg5-n65", "deg5-n75", "deg5-n85", "forest-n450",
+        "bipartite-20x20", "deg3-n6-fan", "deg5-n8-exact", "deg2-n150", "deg3-n150",
+    ],
 )
 def test_records_and_colorings_are_pinned(make, d, mode, model, digest):
     assert run_digest(make(), d, mode, model) == digest

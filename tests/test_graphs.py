@@ -58,6 +58,22 @@ def test_stream_rejects_duplicate():
         stream_from_pairs([(0, 1), (1, 0)])
 
 
+@pytest.mark.parametrize(
+    "edges,error",
+    [
+        ((Edge(0, 1, 0), Edge(1, 0, 1), Edge(1, 2, 2)), DuplicateEdge),
+        ((Edge(0, 1, 0), Edge(0, 1, 1)), DuplicateEdge),
+        ((Edge(0, 0, 0), Edge(0, 1, 1)), SelfLoop),
+        ((Edge(0, 1, 0), Edge(2, 2, 1)), SelfLoop),
+    ],
+)
+def test_graph_rejects_multigraphs_and_loops(edges, error):
+    # EdgeStream checks only arrival indices, so Graph is where they stop
+    with pytest.raises(error) as info:
+        Graph.from_stream(EdgeStream(edges))
+    assert isinstance(info.value, ParseError)
+
+
 def test_stream_arrival_indices_must_match_position():
     with pytest.raises(ValueError):
         EdgeStream((Edge(0, 1, 1),))
@@ -132,7 +148,7 @@ def _quadratic_peel(g):
         d = max(d, residual[v])
         peeled.append(v)
         alive.remove(v)
-        for w in g.neighbors(v):
+        for w in g.nbrs[v]:
             if w in alive:
                 residual[w] -= 1
     order = tuple(reversed(peeled))
@@ -177,7 +193,8 @@ def test_classify_star_center_first():
     # the center is first in this order, so it owns every front-edge
     assert cls.front_degree[0] == 4
     assert all(cls.back_degree[v] <= 1 for v in g.vertices)
-    assert cls.front[(0, 2)] == 0 and cls.back[(0, 2)] == 2
+    i = g.nbrs[0][2]  # edge id of the pair (0, 2)
+    assert cls.front[i] == 0 and cls.back[i] == 2
 
 
 @given(random_pair_lists())

@@ -4,8 +4,12 @@ from hypothesis import strategies as st
 
 from ecadvice import (
     DegeneracyOrder,
+    DuplicateEdge,
+    Edge,
+    EdgeStream,
     Graph,
     PreconditionViolated,
+    SelfLoop,
     bits_per_edge,
     build_advice,
     build_partition,
@@ -18,6 +22,7 @@ from ecadvice import (
     is_proper,
     optimal_coloring,
     pad_degeneracy,
+    run_advice,
     unpack_record,
 )
 
@@ -77,8 +82,8 @@ def _rescan_partition(g, d, order):
     sides = classify(g, order)
     cap = 2 * d - 1
     front_edges = {}
-    for e in g.edges:
-        front_edges.setdefault(sides.front[e.pair], []).append(e)
+    for e, front in zip(g.edges, sides.front):
+        front_edges.setdefault(front, []).append(e)
     for group in front_edges.values():
         group.sort(key=lambda e: e.arrival)
     incident = {v: [] for v in g.vertices}
@@ -295,3 +300,25 @@ def test_one_record_object_per_record_string(case, mode):
     s, d = case
     result = build_advice(s, d, mode=mode)
     assert len({id(r) for r in result.records}) == len({r.bits for r in result.records})
+
+
+@pytest.mark.parametrize(
+    "edges,error",
+    [
+        ((Edge(0, 1, 0), Edge(1, 0, 1), Edge(1, 2, 2)), DuplicateEdge),
+        ((Edge(0, 0, 0), Edge(0, 1, 1)), SelfLoop),
+    ],
+    ids=["parallel", "loop"],
+)
+@pytest.mark.parametrize("stage", ["build_advice", "optimal_coloring", "run_advice"])
+def test_oracle_refuses_multigraphs_and_loops(edges, error, stage):
+    # once gave both parallel edges color 1 with chi 3, and a loop chi 3;
+    # run_advice refused the repeat only in the consumer, after the oracle ran
+    s = EdgeStream(edges)
+    call = {
+        "build_advice": lambda: build_advice(s),
+        "optimal_coloring": lambda: optimal_coloring(Graph.from_stream(s)),
+        "run_advice": lambda: run_advice(s),
+    }[stage]
+    with pytest.raises(error):
+        call()
