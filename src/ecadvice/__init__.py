@@ -96,6 +96,7 @@ from .runtime import (
     run_advice,
     run_greedy,
     simulate,
+    verify_run,
 )
 
 __version__ = "0.1.0"

@@ -41,8 +41,8 @@ from .generators import (
     gen_forest,
     gen_star,
 )
-from .graphs import Graph, degeneracy, is_forest, is_proper, parse_stream, serialize_stream
-from .runtime import Greedy, GreedyVariant, run_advice, run_greedy
+from .graphs import Graph, degeneracy, is_forest, parse_stream, serialize_stream
+from .runtime import Greedy, GreedyVariant, run_advice, run_greedy, verify_run
 
 _USAGE_ERRORS = (ParseError, PreconditionViolated, NotBipartite, OSError, ValueError)
 _PROPERTY_ERRORS = (
@@ -216,45 +216,21 @@ def cmd_check(args: argparse.Namespace) -> int:
         _emit({"check": "rigidity", "n": args.n, "passed": passed})
         return 0 if passed else 1
 
-    # invariants: batch oracle/consumer agreement over generated instances
+    # invariants: verify_run over a batch of generated instances
     failures: list[str] = []
-    checked = 0
-    for seed in range(args.seed, args.seed + args.count):
+    seeds = range(args.seed, args.seed + args.count)
+    for seed in seeds:
         if args.kind == "d-degenerate":
-            stream = gen_d_degenerate(args.n, args.d, seed)
-        elif args.kind == "forest":
-            stream = gen_forest(args.n, seed)
-        else:
-            raise PreconditionViolated(f"unknown kind {args.kind!r}")
-        run = run_advice(stream, args.d if args.kind == "d-degenerate" else None,
-                         mode=args.mode, model=args.model, budget=args.budget)
-        checked += 1
-        g = Graph.from_stream(run.oracle.stream)
-        label = f"seed={seed}"
-        if not is_proper(g, run.report.coloring):
-            failures.append(f"{label}: improper")
-        if run.report.colors_used != run.oracle.chromatic_index:
-            failures.append(f"{label}: used {run.report.colors_used} colors")
-        d = run.oracle.d
-        for j, members in run.oracle.partition.items():
-            if Graph(members).max_degree > 2 * d:
-                failures.append(f"{label}: subset {j} too dense")
-        for adv in run.oracle.per_edge:
-            if adv.mode == 1 and adv.rank > d:
-                failures.append(f"{label}: rank {adv.rank} above {d}")
-        decoded = {s.arrival: s.subset for s in run.algorithm.decoded if s.mode == 1}
-        oracle_side = {
-            e.arrival: run.oracle.per_edge[e.arrival].subset
-            for e in run.oracle.stream.edges
-            if run.oracle.per_edge[e.arrival].mode == 1
-        }
-        if decoded != oracle_side:
-            failures.append(f"{label}: consumer subsets diverge")
+            stream, d = gen_d_degenerate(args.n, args.d, seed), args.d
+        else:  # forest; argparse restricts the choices
+            stream, d = gen_forest(args.n, seed), None
+        run = run_advice(stream, d, mode=args.mode, model=args.model, budget=args.budget)
+        failures.extend(f"seed={seed}: {problem}" for problem in verify_run(run))
     _emit(
         {
             "check": "invariants",
             "kind": args.kind,
-            "count": checked,
+            "count": len(seeds),
             "failures": failures,
             "passed": not failures,
         }

@@ -58,9 +58,6 @@ class Coloring:
     def palette(self) -> frozenset[int]:
         return frozenset(self.assignment.values())
 
-    def get(self, pair: Pair) -> Optional[int]:
-        return self.assignment.get(pair)
-
     def __getitem__(self, pair: Pair) -> int:
         return self.assignment[pair]
 

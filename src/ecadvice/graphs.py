@@ -17,7 +17,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DuplicateEdge, NotBipartite, ParseError, PreconditionViolated, SelfLoop
 
@@ -65,16 +65,6 @@ class EdgeStream:
     def m(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> set[int]:
-        seen: set[int] = set()
-        for e in self.edges:
-            seen.add(e.u)
-            seen.add(e.v)
-        return seen
-
-    def __iter__(self) -> Iterator[Edge]:
-        return iter(self.edges)
-
 
 def stream_from_pairs(pairs: Iterable[tuple[int, int]], orientation: str = "robust") -> EdgeStream:
     """Build a stream from ordered (u, v) pairs, assigning arrival indices."""
@@ -101,13 +91,14 @@ def parse_stream(text: str) -> EdgeStream:
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected two labels, got {len(tokens)}")
+        u, v = tokens
+        # int() alone would also take "1_0", "+3" and non-ASCII digits
+        if not (u.isdigit() and v.isdigit() and u.isascii() and v.isascii()):
+            raise ParseError(f"line {lineno}: a label is not a run of ASCII digits")
         try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: non-integer label") from exc
-        if u < 0 or v < 0:
-            raise ParseError(f"line {lineno}: negative label")
-        pairs.append((u, v))
+            pairs.append((int(u), int(v)))
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(f"line {lineno}: label too long") from exc
     try:
         return stream_from_pairs(pairs)
     except (SelfLoop, DuplicateEdge) as exc:

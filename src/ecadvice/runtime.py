@@ -7,6 +7,7 @@ advice consumption is metered by the source.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Optional
 
 from .advice import (
@@ -16,6 +17,7 @@ from .advice import (
     bits_per_edge,
     degeneracy_from_length,
     encode_tape,
+    header_bits,
     read_header,
     unpack_record,
 )
@@ -29,7 +31,7 @@ from .errors import (
     RecoloringAttempt,
     SelfLoop,
 )
-from .graphs import Edge, EdgeStream, Pair
+from .graphs import Edge, EdgeStream, Graph, Pair, is_proper
 
 
 class RequestSource:
@@ -328,6 +330,37 @@ class AdviceRun:
     oracle: "OracleResult"  # noqa: F821  (import cycle; see oracle.py)
     algorithm: AdviceAlgorithm
     source: RequestSource | TapeSource
+
+
+def verify_run(run: AdviceRun) -> list[str]:
+    """Check the paper's guarantees on one oracle-to-decoder run: one message
+    per violated property, [] when all hold.  A message is led by its
+    property: proper, optimal (with max_degree <= chi <= max_degree + 1, and
+    chi == max_degree once max_degree >= 2d), bits (exact, with the header on
+    a non-empty tape), rank (<= d), bundles (max degree <= 2d) or decoder."""
+    report, oracle = run.report, run.oracle
+    d, m, chi, used = oracle.d, oracle.stream.m, oracle.chromatic_index, report.colors_used
+    g = Graph.from_stream(oracle.stream)
+    delta, colored, proper = g.max_degree, len(report.coloring), is_proper(g, report.coloring)
+    per, read = bits_per_edge(d, oracle.mode), report.advice_bits_read
+    expected = m * per + (header_bits(d) if m and report.model == "tape" else 0)
+    rank = max((adv.rank for adv in oracle.per_edge if adv.mode == 1), default=0)
+    degree = max((Graph(b).max_degree for b in oracle.partition.values()), default=0)
+    planned = [(adv.mode, adv.subset, adv.rank) for adv in oracle.per_edge]
+    decoded = [(step.mode, step.subset, step.rank) for step in run.algorithm.decoded]
+    diverged = [i for i, (a, b) in enumerate(zip_longest(planned, decoded)) if a != b]
+    chi_fits = delta <= chi <= delta + 1 and (chi == delta or delta < 2 * d)
+    checks = [
+        ("proper", colored == m and proper, f"{colored} of {m} edges colored, no clash: {proper}"),
+        ("optimal", used == chi and report.optimal and chi_fits,
+         f"{used} colors (optimal: {report.optimal}), chi {chi}, max degree {delta}, d = {d}"),
+        ("bits", read == expected and (not m or report.per_edge_bits == per),
+         f"read {read} in {report.per_edge_bits}-bit records, expected {expected} in {per}-bit"),
+        ("rank", rank <= d, f"a subset record has rank {rank} > d = {d}"),
+        ("bundles", degree <= 2 * d, f"a bundle has max degree {degree} > 2d = {2 * d}"),
+        ("decoder", not diverged, f"{len(diverged)} edges off the plan, first at {diverged[:1]}"),
+    ]
+    return [f"{name}: {detail}" for name, ok, detail in checks if not ok]
 
 
 def run_advice(

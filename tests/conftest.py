@@ -18,6 +18,11 @@ def graph(pairs) -> Graph:
     return Graph.from_stream(stream_from_pairs(pairs))
 
 
+def about(problems: list[str], *properties: str) -> list[str]:
+    """The verify_run messages that name one of `properties`."""
+    return [p for p in problems if p.split(":", 1)[0] in properties]
+
+
 def path_pairs(m: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(m)]
 

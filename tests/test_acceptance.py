@@ -16,13 +16,11 @@ from ecadvice import (
     GreedyVariant,
     build_permutation_instance,
     ceil_log2,
-    chromatic_index,
     colors_used,
     elimination_game,
     exact_color,
     gen_d_degenerate,
     gen_forest,
-    header_bits,
     is_bipartite,
     is_forest,
     is_proper,
@@ -35,12 +33,13 @@ from ecadvice import (
     run_advice,
     run_greedy,
     variant_family,
+    verify_run,
     vizing_plus_one,
 )
 from ecadvice.advice import bits_per_edge
 
 from .test_coloring import CORPUS, product_colorable
-from .conftest import brute_force_chromatic_index, brute_force_colorable, graph
+from .conftest import about, brute_force_chromatic_index, brute_force_colorable, graph
 
 PER_CLASS = 200
 
@@ -82,7 +81,7 @@ def corpus():
                     stream=s,
                     graph=g,
                     run=run,
-                    chi=chromatic_index(g),
+                    problems=verify_run(run),
                     greedy=run_greedy(s),
                 )
             )
@@ -90,17 +89,12 @@ def corpus():
     return instances
 
 
+def _problems(corpus, *properties):
+    return [f"{inst.label}: {p}" for inst in corpus for p in about(inst.problems, *properties)]
+
+
 def test_criterion_1_optimality(corpus):
-    failures = []
-    for inst in corpus:
-        r = inst.run.report
-        g = Graph.from_stream(inst.run.oracle.stream)
-        if not is_proper(g, r.coloring):
-            failures.append(f"{inst.label}: improper coloring")
-        if r.colors_used != inst.chi or not r.optimal:
-            failures.append(
-                f"{inst.label}: {r.colors_used} colors vs chi {inst.chi}"
-            )
+    failures = _problems(corpus, "proper", "optimal")
     counts = {label: sum(1 for i in corpus if i.label == label) for label, *_ in CLASSES}
     if any(c != PER_CLASS for c in counts.values()):
         failures.append(f"class sizes off: {counts}")
@@ -112,27 +106,14 @@ def test_criterion_1_optimality(corpus):
 
 
 def test_criterion_2_advice_budget(corpus):
-    failures = []
+    failures = _problems(corpus, "bits")
     for d in range(1, 9):
         expected = 1 + ceil_log2(2 * d) + ceil_log2(d + 1)
         if bits_per_edge(d, "strict") != expected:
             failures.append(f"d={d}: {bits_per_edge(d, 'strict')} != {expected}")
     if bits_per_edge(5, "strict") != 8:
         failures.append("d=5 strict record is not 8 bits")
-    tape_runs = 0
-    for inst in corpus:
-        r = inst.run.report
-        per = bits_per_edge(inst.run.oracle.d, r.mode)
-        if r.per_edge_bits != per:
-            failures.append(f"{inst.label}: per-edge {r.per_edge_bits} != {per}")
-        expected_total = r.m * per
-        if r.model == "tape":
-            tape_runs += 1
-            expected_total += header_bits(inst.run.oracle.d)
-        if r.advice_bits_read != expected_total:
-            failures.append(
-                f"{inst.label}: read {r.advice_bits_read}, expected {expected_total}"
-            )
+    tape_runs = sum(1 for inst in corpus if inst.run.report.model == "tape")
     _verdict(
         "2 advice budget",
         failures,
@@ -141,31 +122,10 @@ def test_criterion_2_advice_budget(corpus):
 
 
 def test_criterion_3_partition_invariants(corpus):
-    failures = []
-    checked_edges = 0
-    for inst in corpus:
-        oracle = inst.run.oracle
-        dd = oracle.d
-        for j, members in oracle.partition.items():
-            if Graph(members).max_degree > 2 * dd:
-                failures.append(f"{inst.label}: subset {j} above degree {2 * dd}")
-        decoded = {
-            s.arrival: (s.subset, s.rank)
-            for s in inst.run.algorithm.decoded
-            if s.mode == 1
-        }
-        for e in oracle.stream.edges:
-            adv = oracle.per_edge[e.arrival]
-            if adv.mode != 1:
-                continue
-            checked_edges += 1
-            if adv.rank > dd:
-                failures.append(f"{inst.label}: rank {adv.rank} above {dd}")
-            if decoded.get(e.arrival) != (adv.subset, adv.rank):
-                failures.append(
-                    f"{inst.label}: edge {e.arrival} decoded {decoded.get(e.arrival)}"
-                    f" vs oracle ({adv.subset}, {adv.rank})"
-                )
+    failures = _problems(corpus, "rank", "bundles", "decoder")
+    checked_edges = sum(adv.mode == 1 for inst in corpus for adv in inst.run.oracle.per_edge)
+    if not checked_edges:
+        failures.append("no subset edges in the corpus")
     _verdict(
         "3 partition invariants",
         failures,

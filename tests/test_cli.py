@@ -1,8 +1,13 @@
 import json
+import os
+import tempfile
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecadvice import Graph, parse_stream
+from ecadvice import Graph, parse_stream, run_advice
 from ecadvice.cli import main
 
 from .conftest import cycle_pairs, stream
@@ -257,6 +262,22 @@ def test_check_invariants_batch(capsys, model):
     assert doc["passed"] is True and doc["count"] == 8 and doc["failures"] == []
 
 
+def test_check_invariants_reports_each_violation_by_seed(capsys, monkeypatch):
+    import ecadvice.cli
+
+    def short_read(*args, **kwargs):
+        run = run_advice(*args, **kwargs)
+        run.report.advice_bits_read -= 1
+        return run
+
+    monkeypatch.setattr(ecadvice.cli, "run_advice", short_read)
+    code, stdout, _ = run_cli(capsys, "check", "invariants", "--n", "12", "--count", "2")
+    assert code == 1
+    doc = json.loads(stdout)
+    assert doc["passed"] is False
+    assert [f.split(": bits: read ")[0] for f in doc["failures"]] == ["seed=0", "seed=1"]
+
+
 def test_check_invariants_forest(capsys):
     code, stdout, _ = run_cli(
         capsys, "check", "invariants", "--kind", "forest", "--n", "30", "--count", "5"
@@ -276,3 +297,97 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def _ints(hi):
+    # every integer option is drawn from -2 upward, to hit the range checks
+    return st.integers(min_value=-2, max_value=hi).map(str)
+
+
+_LABELS = st.one_of(
+    _ints(12),
+    st.integers(min_value=10**18, max_value=10**40).map(str),
+    st.sampled_from(["9" * 5000, "1_0", "+3", "٣", "००१", "0x1", "1.5", "x"]),
+)
+_STREAM_TEXT = st.one_of(
+    # a valid simple graph, so the advice pipeline itself runs
+    st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(lambda p: p[0] != p[1]),
+        max_size=16,
+        unique_by=frozenset,
+    ).map(lambda pairs: "".join(f"{u} {v}\n" for u, v in pairs)),
+    st.lists(
+        st.one_of(st.tuples(_LABELS, _LABELS).map(" ".join), st.text(max_size=8)),
+        max_size=12,
+    ).map("\n".join),
+)
+
+
+@st.composite
+def _argvs(draw):
+    """Every subcommand with option values drawn at bounded sizes.
+
+    `check rigidity --n 24` searches up to the 10^7-node default budget and
+    `adversary elimination --delta 4 --family variants:2` plays 723,445
+    rounds; each takes minutes, so rigidity stays at n <= 3 and elimination
+    at Δ <= 3 with families of at most 2^3.
+    """
+    opt = lambda flag, values: [flag, draw(values)] if draw(st.booleans()) else []  # noqa: E731
+    mode_model = opt("--mode", st.sampled_from(["robust", "strict"])) + opt(
+        "--model", st.sampled_from(["request", "tape"])
+    )
+    budget = opt("--budget", _ints(200))
+    command = draw(st.sampled_from(["gen", "run", "elimination", "permutation", "rigidity",
+                                    "invariants"]))
+    if command == "gen":
+        kind = draw(st.sampled_from(["d-degenerate", "forest", "bipartite", "star",
+                                     "coupled-pair", "permutation"]))
+        argv = ["gen", kind, *opt("--n", _ints(4 if kind == "coupled-pair" else 30)),
+                *opt("--d", _ints(6)), *opt("--a", _ints(8)), *opt("--b", _ints(8)),
+                *opt("--p", st.floats(-0.5, 1.5).map(str)), *opt("--delta", _ints(4)),
+                *opt("--seed", _ints(10**6)),
+                *opt("--pi", st.one_of(st.text(max_size=6),
+                                       st.permutations(range(4)).map(
+                                           lambda p: ",".join(map(str, p)))))]
+    elif command == "run":
+        argv = ["run", "{stream}", *opt("--alg", st.sampled_from(["advice", "greedy"])),
+                *mode_model, *opt("--d", _ints(6)), *budget,
+                *(["--coloring-out", "{colors}"] if draw(st.booleans()) else [])]
+    elif command == "elimination":
+        family = st.one_of(st.just("greedy"), _ints(3).map("variants:{}".format),
+                           st.text(max_size=6))
+        argv = ["adversary", "elimination", "--delta", draw(_ints(3)),
+                *opt("--family", family), *opt("--rounds", _ints(40))]
+    elif command == "permutation":
+        alg = st.one_of(st.just("greedy"), st.text(max_size=6).map("variant:{}".format),
+                        st.text("01", max_size=6).map("variant:{}".format))
+        argv = ["adversary", "permutation", "--delta", draw(_ints(4)), *opt("--alg", alg),
+                *opt("--mode", st.sampled_from(["robust", "strict"])),
+                *(["--oracle"] if draw(st.booleans()) else [])]
+    elif command == "rigidity":
+        argv = ["check", "rigidity", *opt("--n", _ints(3)), *budget]
+    else:
+        argv = ["check", "invariants",
+                *opt("--kind", st.sampled_from(["d-degenerate", "forest"])),
+                *opt("--d", _ints(4)), *opt("--n", _ints(25)), *opt("--count", _ints(3)),
+                *opt("--seed", _ints(10**6)), *mode_model, *budget]
+    if draw(st.integers(0, 19)) == 0:  # now and then a flag argparse refuses
+        argv.insert(draw(st.integers(0, len(argv))), "--bogus")
+    return argv
+
+
+@given(_argvs(), _STREAM_TEXT)
+@settings(max_examples=150, deadline=timedelta(seconds=10))
+def test_cli_fuzz_exits_inside_the_contract(argv, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        colors = os.path.join(tmp, "c.txt")
+        argv = [{"{stream}": path, "{colors}": colors}.get(a, a) for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the command line
+            assert exc.code == 2
+        else:
+            assert code in (0, 1, 2, 3)

@@ -89,12 +89,23 @@ def test_parse_basic():
     text = "# a square\n0 1\n1 2\n\n2 3\n3 0\n"
     s = parse_stream(text)
     assert [e.pair for e in s.edges] == [(0, 1), (1, 2), (2, 3), (0, 3)]
+    assert [e.pair for e in parse_stream("007 01\n").edges] == [(1, 7)]
 
 
 @pytest.mark.parametrize("bad", ["0", "0 1 2", "a b", "0 -1", "1 1"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):
         parse_stream(bad)
+
+
+@pytest.mark.parametrize("label", ["1_0", "+10", "١٠", "१०", "००१", "9" * 5000])
+def test_parse_takes_only_ascii_digit_labels(label):
+    # int() reads each of these; "1_0" used to parse as 10 and then clash
+    # with the "10 2" above it as a DuplicateEdge
+    with pytest.raises(ParseError) as info:
+        parse_stream(f"10 2\n{label} 2\n")
+    assert info.type is ParseError
+    assert "line 2" in str(info.value)
 
 
 @given(random_pair_lists())

@@ -1,3 +1,6 @@
+import copy
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from ecadvice import (
     AdviceAlgorithm,
     AdviceExhausted,
+    Coloring,
     Edge,
     EdgeStream,
     Graph,
@@ -31,6 +35,7 @@ from ecadvice import (
     run_greedy,
     simulate,
     unpack_record,
+    verify_run,
 )
 from ecadvice.advice import ceil_log2, encode_int
 from ecadvice.runtime import OnlineAlgorithm
@@ -204,12 +209,8 @@ def test_decoder_reads_d_from_tape_header():
 @pytest.mark.parametrize("mode", ["robust", "strict"])
 def test_decoder_matches_oracle_subsets(mode):
     run = run_advice(gen_d_degenerate(24, 2, 9), 2, mode=mode)
-    oracle = run.oracle
-    for step, adv in zip(run.algorithm.decoded, oracle.per_edge):
-        assert step.mode == adv.mode
-        if adv.mode == 1:
-            assert step.subset == adv.subset
-            assert step.rank == adv.rank
+    assert run.oracle.partition
+    assert verify_run(run) == []
 
 
 def test_truncated_request_records_exhaust():
@@ -248,7 +249,9 @@ def test_leftover_advice_raises():
 
 def test_empty_stream_reads_no_advice():
     for model in ("request", "tape"):
-        assert run_advice(EdgeStream(()), 1, model=model).report.advice_bits_read == 0
+        run = run_advice(EdgeStream(()), 1, model=model)
+        assert run.report.advice_bits_read == 0
+        assert verify_run(run) == []
 
 
 def test_corrupt_record_raises_malformed():
@@ -290,13 +293,93 @@ def test_pipeline_random_instances(n, d, seed, mode, model):
     s = gen_d_degenerate(n, d, seed)
     if s.m == 0:
         return
-    run = run_advice(s, d, mode=mode, model=model)
-    r = run.report
-    assert is_proper(Graph.from_stream(run.oracle.stream), r.coloring)
-    assert r.optimal and r.colors_used == r.chromatic_index
-    per = bits_per_edge(pad_degeneracy(d), mode)
-    header = header_bits(run.oracle.d) if model == "tape" else 0
-    assert r.advice_bits_read == s.m * per + header
+    assert verify_run(run_advice(s, d, mode=mode, model=model)) == []
+
+
+@pytest.fixture(scope="module")
+def bundled_run():
+    # max degree 4 >= 2d = 2: every record is a subset record, two bundles
+    run = run_advice(gen_d_degenerate(14, 1, 3), 1, mode="robust", model="tape")
+    assert run.oracle.partition and verify_run(run) == []
+    return run
+
+
+@pytest.fixture(scope="module")
+def triangle_run():
+    # max degree 2 < 2d = 4: class 2, every record literal
+    run = run_advice(stream([(0, 1), (1, 2), (2, 0)]), 2)
+    assert run.oracle.chromatic_index == 3 and verify_run(run) == []
+    return run
+
+
+def _share_color(run):
+    edges = run.oracle.stream.edges
+    a, b = next((e, f) for e in edges for f in edges if e != f and {e.u, e.v} & {f.u, f.v})
+    colors = dict(run.report.coloring.assignment)
+    colors[b.pair] = colors[a.pair]
+    run.report.coloring = Coloring(colors)
+
+
+def _uncolor_one(run):
+    colors = dict(run.report.coloring.assignment)
+    colors.popitem()
+    run.report.coloring = Coloring(colors)
+
+
+def _set_chi(run, chi):
+    # consistent everywhere, so only the bounds on chi can object
+    run.oracle.chromatic_index = run.report.chromatic_index = run.report.colors_used = chi
+
+
+def _rank_above_d(run):
+    i = next(i for i, adv in enumerate(run.oracle.per_edge) if adv.mode == 1)
+    rank = run.oracle.d + 1
+    run.oracle.per_edge[i] = replace(run.oracle.per_edge[i], rank=rank)
+    run.algorithm.decoded[i] = replace(run.algorithm.decoded[i], rank=rank)
+
+
+def _dense_bundle(run):
+    members = run.oracle.partition[1]
+    g = Graph(members)
+    v = max(g.vertices, key=g.degree.__getitem__)
+    fresh = max(w for e in run.oracle.stream.edges for w in (e.u, e.v)) + 1
+    members.append(Edge(v, fresh, len(members)))
+
+
+def _bump(obj, name):
+    setattr(obj, name, getattr(obj, name) + 1)
+
+
+def _move_decoded_subset(run):
+    decoded = run.algorithm.decoded
+    i = next(i for i, step in enumerate(decoded) if step.mode == 1)
+    decoded[i] = replace(decoded[i], subset=decoded[i].subset + 1)
+
+
+TAMPERED = {
+    "adjacent-edges-share-a-color": ("bundled_run", _share_color, "proper"),
+    "an-edge-left-uncolored": ("bundled_run", _uncolor_one, "proper"),
+    "colors-used-plus-one": ("bundled_run", lambda r: _bump(r.report, "colors_used"), "optimal"),
+    "not-reported-optimal": (
+        "bundled_run", lambda r: setattr(r.report, "optimal", False), "optimal"
+    ),
+    "chi-above-delta-plus-one": ("triangle_run", lambda r: _set_chi(r, 4), "optimal"),
+    "chi-delta-plus-one-on-class-1": ("bundled_run", lambda r: _set_chi(r, 5), "optimal"),
+    "bits-read-plus-one": ("bundled_run", lambda r: _bump(r.report, "advice_bits_read"), "bits"),
+    "record-length-plus-one": ("bundled_run", lambda r: _bump(r.report, "per_edge_bits"), "bits"),
+    "rank-above-d": ("bundled_run", _rank_above_d, "rank"),
+    "bundle-with-an-extra-edge": ("bundled_run", _dense_bundle, "bundles"),
+    "decoded-subset-changed": ("bundled_run", _move_decoded_subset, "decoder"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED))
+def test_verify_run_reports_each_tampered_property(request, case):
+    fixture, tamper, prop = TAMPERED[case]
+    run = copy.deepcopy(request.getfixturevalue(fixture))
+    tamper(run)
+    problems = verify_run(run)
+    assert [p.split(":", 1)[0] for p in problems] == [prop], problems
 
 
 def _corrupt(bits, d, mode, kind, data):

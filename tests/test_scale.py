@@ -19,13 +19,13 @@ from ecadvice import (
     gen_d_degenerate,
     gen_forest,
     gen_star,
-    header_bits,
-    is_proper,
     run_advice,
     serialize_stream,
+    verify_run,
 )
-from ecadvice.advice import bits_per_edge
 from ecadvice.cli import main
+
+from .conftest import about
 
 pytestmark = pytest.mark.scale
 
@@ -46,43 +46,27 @@ def scaled(request):
     make, d, m = INSTANCES[request.param]
     stream = make()
     assert stream.m == m
-    return stream, d, run_advice(stream, d, mode="robust", model="tape", budget=0)
+    run = run_advice(stream, d, mode="robust", model="tape", budget=0)
+    return stream, run, verify_run(run)
 
 
 def test_scale_coloring_is_optimal(scaled):
-    stream, d, run = scaled
-    g = Graph.from_stream(stream)
-    report = run.report
-    assert g.max_degree >= 2 * run.oracle.d
-    assert is_proper(Graph.from_stream(run.oracle.stream), report.coloring)
-    assert len(report.coloring) == g.m
-    assert report.colors_used == report.chromatic_index == g.max_degree
-    assert report.optimal
+    stream, run, problems = scaled
+    delta = Graph.from_stream(stream).max_degree
+    assert delta >= 2 * run.oracle.d
+    assert run.report.colors_used == delta
+    assert run.oracle.partition
+    assert about(problems, "proper", "optimal") == []
 
 
 def test_scale_bit_count_is_exact(scaled):
-    _, _, run = scaled
-    report = run.report
-    per = bits_per_edge(run.oracle.d, "robust")
-    assert report.per_edge_bits == per
-    assert report.advice_bits_read == report.m * per + header_bits(run.oracle.d)
+    _, _, problems = scaled
+    assert about(problems, "bits") == []
 
 
 def test_scale_bundles_and_decoder_agree(scaled):
-    _, _, run = scaled
-    oracle = run.oracle
-    dd = oracle.d
-    assert oracle.partition
-    for members in oracle.partition.values():
-        assert Graph(members).max_degree <= 2 * dd
-    decoded = {s.arrival: (s.subset, s.rank) for s in run.algorithm.decoded if s.mode == 1}
-    planned = {
-        e.arrival: (adv.subset, adv.rank)
-        for e, adv in zip(oracle.stream.edges, oracle.per_edge)
-        if adv.mode == 1
-    }
-    assert all(rank <= dd for _, rank in planned.values())
-    assert decoded == planned
+    _, _, problems = scaled
+    assert about(problems, "rank", "bundles", "decoder") == []
 
 
 def test_scale_cli_run_exits_zero(tmp_path, capsys):
