@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Optional, Sequence
 
-from .coloring import exact_color, konig_color
+from .coloring import exact_color, konig_color, vizing_plus_one
 from .errors import NoMonochromeFamily, PreconditionViolated
 from .generators import build_coupled_pair, coupler_edges
 from .graphs import Edge, EdgeStream, Graph, Pair, edge_pair, stream_from_pairs
@@ -277,31 +277,20 @@ def rigidity_check(n: int, *, budget: Optional[int] = None) -> bool:
 
     True iff the instance is (n+1)-edge-colorable, no proper (n+1)-coloring
     gives the two pendant edges different colors, and some (n+2)-coloring
-    does.  Fixing the left pendant's color to 1 is pure symmetry breaking:
-    any separating coloring can be renamed into that shape.
+    does.  Joining the two pendant leaves into one vertex makes the pendant
+    edges adjacent, so the joined graph's colorings are exactly the
+    gadget's colorings that separate them: the search must find no
+    (n+1)-coloring of it, and the fan construction (Vizing's theorem) an
+    (n+2)-coloring.
     """
     stream, e_l, e_r = build_coupled_pair(n)
     g = Graph.from_stream(stream)
-    base = konig_color(g)
-    if len(base.palette) != n + 1:
+    if len(konig_color(g).palette) != n + 1:
         return False
-    separated = exact_color(
-        g,
-        n + 1,
-        budget=budget,
-        fixed={e_l.pair: 1},
-        forbidden={e_r.pair: frozenset({1})},
-    )
-    if separated is not None:
+    joined = Graph(g.edges[:-1] + (Edge(e_l.u, e_r.v, e_r.arrival),))
+    if exact_color(joined, n + 1, budget=budget) is not None:
         return False
-    wider = exact_color(
-        g,
-        n + 2,
-        budget=budget,
-        fixed={e_l.pair: 1},
-        forbidden={e_r.pair: frozenset({1})},
-    )
-    return wider is not None
+    return len(vizing_plus_one(joined).palette) <= n + 2
 
 
 def variant_family(bit_length: int, *, cycle: bool = True) -> list[GreedyVariant]:

@@ -217,6 +217,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 0 if passed else 1
 
     # invariants: verify_run over a batch of generated instances
+    if args.count < 1:
+        raise PreconditionViolated(f"instance count {args.count} is below 1")
     failures: list[str] = []
     seeds = range(args.seed, args.seed + args.count)
     for seed in seeds:

@@ -4,9 +4,10 @@ exact_color is the ground-truth engine: complete backtracking with a
 saturation-first (DSATUR) edge order and first-use color symmetry breaking,
 capped by a node budget.  It runs on an explicit stack and keeps each
 edge's saturation up to date incrementally, so a search node costs
-O(max_degree) and there is no recursion limit on the graph size.  It is
-needed only to decide the class of a graph with max_degree < 2*degeneracy
-and for the rigidity gadget.
+O(max_degree) and there is no recursion limit on the graph size.  It has
+one job, deciding whether a graph is k-edge-colorable: the class of a
+graph with max_degree < 2*degeneracy, and the rigidity gadget with its
+pendant leaves joined (see adversaries).
 
 The polynomial constructions need no search: vizing_plus_one gives
 max_degree+1 colors, konig_color max_degree colors on a bipartite graph,
@@ -74,21 +75,12 @@ def _coloring(g: Graph, color: Mapping[int, int]) -> Coloring:
     )
 
 
-def exact_color(
-    g: Graph,
-    k: int,
-    *,
-    budget: Optional[int] = None,
-    fixed: Optional[Mapping[Pair, int]] = None,
-    forbidden: Optional[Mapping[Pair, frozenset[int]]] = None,
-) -> Optional[Coloring]:
+def exact_color(g: Graph, k: int, *, budget: Optional[int] = None) -> Optional[Coloring]:
     """Search for a proper edge coloring with colors 1..k.
 
-    Returns None when no such coloring exists.  `fixed` pins colors of some
-    edges; `forbidden` excludes per-edge color sets (both used by the gadget
-    rigidity check).  Colors above the largest one referenced so far are
-    interchangeable, so branching is capped at max_used+1, which keeps the
-    search complete while pruning palette permutations.
+    Returns None when no such coloring exists.  Colors above the largest one
+    used so far are interchangeable, so branching is capped at max_used+1,
+    which keeps the search complete while pruning palette permutations.
 
     Each node colors the uncolored edge whose endpoints already see the most
     distinct colors, ties going to the larger degree sum and then the
@@ -96,68 +88,39 @@ def exact_color(
     the edges next to the one being (un)colored, and the search runs on an
     explicit stack, so a node costs O(max_degree) and depth is unbounded.
 
-    Raises PreconditionViolated when a `fixed` or `forbidden` pair is not an
-    edge of g, and ResourceLimit when the node budget is exhausted.
+    Raises ResourceLimit when the node budget is exhausted.
     """
     if k < 0:
         raise PreconditionViolated("k must be nonnegative")
-    fixed = dict(fixed or {})
-    forbidden = {p: frozenset(cs) for p, cs in (forbidden or {}).items()}
-    for what, pairs in (("fixed", fixed), ("forbidden", forbidden)):
-        for pair in pairs:
-            if pair not in g.pairs:
-                raise PreconditionViolated(f"{what} pair {pair} not in graph")
     limit = node_budget(budget)
 
     if g.m == 0:
         return Coloring({}, [])
     if k < g.max_degree:
         return None
-    for pair, c in fixed.items():
-        if not 1 <= c <= k or c in forbidden.get(pair, frozenset()):
-            return None
 
-    # Per-vertex color sets are bitmasks: bit c set when color c is present.
-    index = {v: i for i, v in enumerate(g.vertices)}
-    used = [0] * len(index)
-    assignment: dict[int, int] = {}  # edge id -> color
-    for (a, b), c in fixed.items():
-        u, v = index[a], index[b]
-        if (used[u] | used[v]) >> c & 1:
-            return None
-        used[u] |= 1 << c
-        used[v] |= 1 << c
-        assignment[g.nbrs[a][b]] = c
-    banned_at = {g.nbrs[a][b]: cs for (a, b), cs in forbidden.items()}
-
-    # Colors referenced by constraints are pinned and excluded from the
-    # symmetry cap.
-    reserved = max(
-        [c for c in fixed.values()] + [c for cs in forbidden.values() for c in cs],
-        default=0,
-    )
-
-    # Rank the free edges best first by the static tie-break (the sort is
-    # stable, so exact ties keep g.edges order).  Rank r is bit r of the
-    # saturation buckets, so the lowest bit of a bucket is its preferred edge.
+    # Rank the edges best first by the static tie-break (the sort is stable,
+    # so exact ties keep g.edges order).  Rank r is bit r of the saturation
+    # buckets, so the lowest bit of a bucket is its preferred edge.
     def rank_key(i: int) -> tuple[int, int]:
         u, v = g.ends[i]
         return g.degree[u] + g.degree[v], -g.edges[i].arrival
 
-    free = sorted((i for i in range(g.m) if i not in assignment), key=rank_key, reverse=True)
-    ends = [(index[u], index[v]) for u, v in map(g.ends.__getitem__, free)]
-    banned = [sum(1 << c for c in banned_at.get(i, ()) if 1 <= c <= k) for i in free]
+    order = sorted(range(g.m), key=rank_key, reverse=True)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    ends = [(index[u], index[v]) for u, v in map(g.ends.__getitem__, order)]
+    # Per-vertex color sets are bitmasks: bit c set when color c is present.
+    used = [0] * len(index)
     incident: list[list[tuple[int, int]]] = [[] for _ in used]  # (rank, far end)
     for r, (u, v) in enumerate(ends):
         incident[u].append((r, v))
         incident[v].append((r, u))
-    color = [0] * len(free)
-    sat = [(used[u] | used[v]).bit_count() for u, v in ends]
+    color = [0] * g.m
+    sat = [0] * g.m
     # bucket[s]: ranks of uncolored edges with saturation s <= 2*max_degree - 2
     bucket = [0] * (2 * g.max_degree)
-    for r, s in enumerate(sat):
-        bucket[s] |= 1 << r
-    top = max(sat, default=0)  # no bucket above top is occupied
+    bucket[0] = (1 << g.m) - 1
+    top = 0  # no bucket above top is occupied
 
     def recount(r: int, c: int, step: int) -> None:
         """Move the uncolored edges next to r as color c comes or goes there."""
@@ -176,7 +139,7 @@ def exact_color(
 
     # Frames are [rank, next color to try, max_used on entry, color held].
     stack: list[list[int]] = []
-    max_used = max(assignment.values(), default=0)
+    max_used = 0
     nodes = 0
     while True:
         while top and not bucket[top]:
@@ -199,9 +162,9 @@ def exact_color(
                 used[v] ^= 1 << held
                 recount(r, held, -1)
                 color[r] = 0
-            cap = min(k, max(entry, reserved) + 1)
-            # colors nxt..cap that are free at both ends and not banned here
-            options = ~(used[u] | used[v] | banned[r]) & ((2 << cap) - (1 << nxt))
+            cap = min(k, entry + 1)
+            # colors nxt..cap that are free at both ends
+            options = ~(used[u] | used[v]) & ((2 << cap) - (1 << nxt))
             if options:
                 c = (options & -options).bit_length() - 1
                 used[u] |= 1 << c
@@ -221,9 +184,7 @@ def exact_color(
                 return None
             frame = stack[-1]
 
-    for r, _, _, c in stack:
-        assignment[free[r]] = c
-    return _coloring(g, assignment)
+    return _coloring(g, {order[r]: c for r, _, _, c in stack})
 
 
 class _Ledger:

@@ -8,15 +8,15 @@ Inside a Graph an edge is named by its position in `edges`, its edge id:
 `ends[i]` holds edge i's endpoints as listed, and `nbrs[v]` maps each
 neighbor w of v to the id of edge vw, in edge order.  The engines, the
 partition and the oracle key their state on these ids; normalized endpoint
-pairs (`Graph.pairs`, pair-keyed colorings) are built only at the API
+pairs (`Edge.pair`, pair-keyed colorings) are built only at the API
 boundary.
 """
 from __future__ import annotations
 
 import heapq
+import re
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DuplicateEdge, NotBipartite, ParseError, PreconditionViolated, SelfLoop
@@ -81,19 +81,32 @@ def stream_from_pairs(pairs: Iterable[tuple[int, int]], orientation: str = "robu
     return EdgeStream(tuple(edges), orientation)
 
 
+# the line breaks of str.splitlines that are ASCII; on ASCII text the two
+# split alike, and splitlines is the faster
+_ASCII_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e]")
+
+
 def parse_stream(text: str) -> EdgeStream:
-    """Parse the line-oriented "u v" format; '#' starts a comment."""
+    """Parse the line-oriented "u v" format; '#' starts a comment.
+
+    Lines break only at ASCII line breaks, and outside comments a line is
+    ASCII: a non-ASCII space or digit is a ParseError, not a separator or a
+    label.
+    """
     pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    lines = text.splitlines() if text.isascii() else _ASCII_BREAK.split(text)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0]
+        if not line.isascii():
+            raise ParseError(f"line {lineno}: a character outside a comment is not ASCII")
         tokens = line.split()
+        if not tokens:
+            continue
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected two labels, got {len(tokens)}")
         u, v = tokens
-        # int() alone would also take "1_0", "+3" and non-ASCII digits
-        if not (u.isdigit() and v.isdigit() and u.isascii() and v.isascii()):
+        # int() alone would also take "1_0" and "+3"
+        if not (u.isdigit() and v.isdigit()):
             raise ParseError(f"line {lineno}: a label is not a run of ASCII digits")
         try:
             pairs.append((int(u), int(v)))
@@ -144,11 +157,6 @@ class Graph:
     @classmethod
     def from_stream(cls, stream: EdgeStream) -> "Graph":
         return cls(stream.edges)
-
-    @cached_property
-    def pairs(self) -> frozenset[Pair]:
-        """Normalized endpoint pairs, built on first use."""
-        return frozenset(edge_pair(u, v) for u, v in self.ends)
 
     @property
     def n(self) -> int:

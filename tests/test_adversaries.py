@@ -1,6 +1,7 @@
 import pytest
 
 from ecadvice import (
+    Coloring,
     Edge,
     Graph,
     Greedy,
@@ -9,6 +10,7 @@ from ecadvice import (
     NoMonochromeFamily,
     PreconditionViolated,
     SelfLoop,
+    build_coupled_pair,
     build_permutation_instance,
     chromatic_index,
     elimination_game,
@@ -26,6 +28,7 @@ from ecadvice import (
     select_same_colored_stars,
     variant_family,
 )
+from ecadvice import adversaries
 from ecadvice.adversaries import _Member
 from ecadvice.runtime import OnlineAlgorithm
 
@@ -149,6 +152,68 @@ def test_permutation_game_oracle_consumer_is_immune():
 @pytest.mark.parametrize("n", [1, 2])
 def test_rigidity_small(n):
     assert rigidity_check(n)
+
+
+def proper_colorings(edges, k):
+    """Every proper coloring of `edges` with colors 1..k, as color tuples in
+    edge order, by plain backtracking in that order."""
+    colors = []
+
+    def extend(i):
+        if i == len(edges):
+            yield tuple(colors)
+            return
+        u, v = edges[i]
+        taken = {c for (a, b), c in zip(edges, colors) if a in (u, v) or b in (u, v)}
+        for c in range(1, k + 1):
+            if c not in taken:
+                colors.append(c)
+                yield from extend(i + 1)
+                colors.pop()
+
+    return extend(0)
+
+
+def gadget_edges(n):
+    stream, e_l, e_r = build_coupled_pair(n)
+    assert (e_l, e_r) == (stream.edges[0], stream.edges[-1])
+    return [(e.u, e.v) for e in stream.edges]
+
+
+@pytest.mark.parametrize("n,count", [(0, 1), (1, 2), (2, 12), (3, 576)])
+def test_rigidity_agrees_with_enumeration(n, count):
+    # the pendant edges are the first and the last edge of the gadget
+    tight = list(proper_colorings(gadget_edges(n), n + 1))
+    assert len(tight) == count
+    assert all(c[0] == c[-1] for c in tight)
+    if n <= 2:
+        assert any(c[0] != c[-1] for c in proper_colorings(gadget_edges(n), n + 2))
+    assert rigidity_check(n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_rigidity_decides_the_separating_colorings(n, monkeypatch):
+    # Both halves of the check must run on one graph whose k-colorings are
+    # as many as the gadget's k-colorings that separate the pendants.
+    searched = {}
+    for name in ("exact_color", "vizing_plus_one"):
+        def spy(g, *args, real=getattr(adversaries, name), name=name, **kwargs):
+            searched[name] = [(e.u, e.v) for e in g.edges]
+            return real(g, *args, **kwargs)
+
+        monkeypatch.setattr(adversaries, name, spy)
+    assert rigidity_check(n)
+    assert searched["exact_color"] == searched["vizing_plus_one"]
+    for k in (n + 1, n + 2):
+        separating = sum(c[0] != c[-1] for c in proper_colorings(gadget_edges(n), k))
+        assert sum(1 for _ in proper_colorings(searched["exact_color"], k)) == separating
+
+
+def test_rigidity_needs_the_wider_coloring(monkeypatch):
+    # a fan construction that overshot n + 2 colors would leave rigidity unproved
+    wide = Coloring({(0, i): i for i in range(1, 6)})
+    monkeypatch.setattr(adversaries, "vizing_plus_one", lambda g: wide)
+    assert not rigidity_check(2)
 
 
 def test_variant_family_sizes():

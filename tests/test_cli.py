@@ -278,6 +278,14 @@ def test_check_invariants_reports_each_violation_by_seed(capsys, monkeypatch):
     assert [f.split(": bits: read ")[0] for f in doc["failures"]] == ["seed=0", "seed=1"]
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_check_invariants_needs_an_instance(capsys, count):
+    code, stdout, stderr = run_cli(capsys, "check", "invariants", "--count", count)
+    assert code == 2
+    assert stdout == ""
+    assert "PreconditionViolated" in stderr
+
+
 def test_check_invariants_forest(capsys):
     code, stdout, _ = run_cli(
         capsys, "check", "invariants", "--kind", "forest", "--n", "30", "--count", "5"

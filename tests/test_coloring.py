@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import ecadvice.coloring
 from ecadvice import (
+    Edge,
     Graph,
     NotBipartite,
     PreconditionViolated,
@@ -105,34 +106,6 @@ def test_chromatic_index_matches_brute_force(pairs):
     assert chromatic_index(g) == brute_force_chromatic_index(g)
 
 
-def test_exact_color_fixed_and_forbidden():
-    g = graph(cycle_pairs(4))
-    col = exact_color(g, 2, fixed={(0, 1): 2})
-    assert col is not None and col[(0, 1)] == 2
-    col = exact_color(g, 2, forbidden={(0, 1): frozenset({1})})
-    assert col is not None and col[(0, 1)] == 2
-    # pinning adjacent edges to one color is unsatisfiable
-    assert exact_color(g, 3, fixed={(0, 1): 1, (1, 2): 1}) is None
-
-
-def test_exact_color_fixed_must_exist():
-    with pytest.raises(PreconditionViolated):
-        exact_color(graph(path_pairs(1)), 2, fixed={(5, 6): 1})
-
-
-def test_exact_color_rejects_constraints_off_the_graph():
-    g = graph(path_pairs(3))
-    with pytest.raises(PreconditionViolated):
-        exact_color(g, 2, forbidden={(5, 6): frozenset({1})})
-    # still reported when k < max_degree or an empty graph settles the answer
-    with pytest.raises(PreconditionViolated):
-        exact_color(g, 1, fixed={(5, 6): 1})
-    with pytest.raises(PreconditionViolated):
-        exact_color(g, 1, forbidden={(5, 6): frozenset({1})})
-    with pytest.raises(PreconditionViolated):
-        exact_color(Graph(()), 1, fixed={(0, 1): 1})
-
-
 def _d5_bundle():
     # A 202-edge bundle with max degree 2d = 14 (d = 7 after padding): the
     # edges that the search's max-degree witness colors above delta - 14.
@@ -140,32 +113,33 @@ def _d5_bundle():
     # colorings cut a different bundle.
     g = Graph.from_stream(gen_d_degenerate(65, 5, 3))
     witness = exact_color(g, g.max_degree)
-    return Graph([e for e in g.edges if witness[e.pair] > g.max_degree - 14]), 14, {}
+    return Graph([e for e in g.edges if witness[e.pair] > g.max_degree - 14]), 14
 
 
-def _coupled_pair_n3():
+def _joined_pair_n3():
+    # the rigidity gadget with its pendant leaves joined (see rigidity_check)
     stream, e_l, e_r = build_coupled_pair(3)
-    constraints = {"fixed": {e_l.pair: 1}, "forbidden": {e_r.pair: frozenset({1})}}
-    return Graph.from_stream(stream), 4, constraints
+    last = Edge(e_l.u, e_r.v, e_r.arrival)
+    return Graph(stream.edges[:-1] + (last,)), 4
 
 
 # (instance builder, nodes the search spends to finish, colorable); the
 # counts are pinned so that node accounting, and with it every budget
 # verdict, cannot drift
 BUDGET_CASES = {
-    "petersen-k3": (lambda: (graph(petersen_pairs()), 3, {}), 30, False),
+    "petersen-k3": (lambda: (graph(petersen_pairs()), 3), 30, False),
     "d5-bundle": (_d5_bundle, 202, True),
-    "coupled-pair-n3": (_coupled_pair_n3, 199, False),
+    "joined-pair-n3": (_joined_pair_n3, 200, False),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BUDGET_CASES))
 def test_exact_color_budget_trips(case):
     make, nodes, colorable = BUDGET_CASES[case]
-    g, k, constraints = make()
+    g, k = make()
     with pytest.raises(ResourceLimit):
-        exact_color(g, k, budget=nodes - 1, **constraints)
-    witness = exact_color(g, k, budget=nodes, **constraints)
+        exact_color(g, k, budget=nodes - 1)
+    witness = exact_color(g, k, budget=nodes)
     assert (witness is not None) == colorable
 
 
@@ -173,45 +147,6 @@ def test_exact_color_has_no_depth_limit():
     g = graph(path_pairs(5000))
     col = exact_color(g, 2)
     assert col is not None and is_proper(g, col) and colors_used(col) == 2
-
-
-@st.composite
-def constrained_instances(draw):
-    pairs = draw(random_pair_lists(max_vertices=6, max_edges=7))
-    k = draw(st.integers(min_value=0, max_value=3))
-    fixed, forbidden = {}, {}
-    if pairs:
-        colors = st.integers(min_value=0, max_value=k + 1)
-        fixed = draw(st.dictionaries(st.sampled_from(pairs), colors, max_size=3))
-        forbidden = draw(
-            st.dictionaries(st.sampled_from(pairs), st.frozensets(colors, max_size=3), max_size=3)
-        )
-    return pairs, k, fixed, forbidden
-
-
-def respects(g, k, fixed, forbidden, assignment) -> bool:
-    return (
-        len(assignment) == g.m
-        and is_proper(g, assignment)
-        and all(1 <= c <= k for c in assignment.values())
-        and all(assignment[p] == c for p, c in fixed.items())
-        and all(assignment[p] not in cs for p, cs in forbidden.items())
-    )
-
-
-@given(constrained_instances())
-@settings(max_examples=300)
-def test_exact_color_constraints_match_enumeration(instance):
-    pairs, k, fixed, forbidden = instance
-    g = graph(pairs)
-    exists = any(
-        respects(g, k, fixed, forbidden, {e.pair: c for e, c in zip(g.edges, combo)})
-        for combo in itertools.product(range(1, k + 1), repeat=g.m)
-    )
-    witness = exact_color(g, k, fixed=fixed, forbidden=forbidden)
-    assert (witness is not None) == exists
-    if witness is not None:
-        assert respects(g, k, fixed, forbidden, witness.assignment)
 
 
 @given(random_pair_lists(max_vertices=8, max_edges=10))

@@ -58,7 +58,7 @@ def test_gen_bipartite_complete_when_p_one():
 )
 def test_gen_bipartite_sides_never_mix(a, b, seed):
     g = Graph.from_stream(gen_bipartite(a, b, 0.7, seed))
-    for u, v in g.pairs:
+    for u, v in {e.pair for e in g.edges}:
         assert (u < a) != (v < a)
 
 
@@ -115,7 +115,8 @@ def test_coupled_pair_edge_count(n, m):
     assert g.m == m == n * n + 2 * n + 2
     assert g.max_degree == n + 1
     assert is_bipartite(g)
-    assert e_l.pair in g.pairs and e_r.pair in g.pairs
+    pairs = {e.pair for e in g.edges}
+    assert e_l.pair in pairs and e_r.pair in pairs
     # the marked edges are the pendants: one endpoint has degree 1
     assert min(g.degree[e_l.u], g.degree[e_l.v]) == 1
     assert min(g.degree[e_r.u], g.degree[e_r.v]) == 1

@@ -108,6 +108,21 @@ def test_parse_takes_only_ascii_digit_labels(label):
     assert "line 2" in str(info.value)
 
 
+@pytest.mark.parametrize("line", ["1\xa02", "1\u30002", "1 2\u20283 4", "1 2\u2029", "\x85"])
+def test_parse_takes_only_ascii_separators(line):
+    # str.split and str.splitlines would read each of these as a space or a
+    # line break
+    with pytest.raises(ParseError) as info:
+        parse_stream(f"0 1\n{line}\n")
+    assert "line 2" in str(info.value)
+
+
+def test_parse_keeps_non_ascii_comments_and_crlf():
+    text = "# caf\u00e9 \u2028 1 2\r\n1 2  # \u00e9\u3000\r\n3 4\r\n"
+    assert [e.pair for e in parse_stream(text).edges] == [(1, 2), (3, 4)]
+    assert [e.pair for e in parse_stream("1 2\r\n3 4\r\n").edges] == [(1, 2), (3, 4)]
+
+
 @given(random_pair_lists())
 def test_parse_serialize_round_trip(pairs):
     s = stream_from_pairs(pairs)
@@ -222,7 +237,7 @@ def test_bipartition_even_cycle():
     g = graph(cycle_pairs(6))
     left, right = bipartition(g)
     assert left | right == set(g.vertices)
-    for u, v in g.pairs:
+    for u, v in {e.pair for e in g.edges}:
         assert (u in left) != (v in left)
 
 
