@@ -210,7 +210,6 @@ def cmd_adversary(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    node_budget(args.budget)  # refused even when no instance is checked
     if args.what == "rigidity":
         passed = rigidity_check(args.n, budget=args.budget)
         _emit({"check": "rigidity", "n": args.n, "passed": passed})

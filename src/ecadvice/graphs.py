@@ -81,8 +81,7 @@ def stream_from_pairs(pairs: Iterable[tuple[int, int]], orientation: str = "robu
     return EdgeStream(tuple(edges), orientation)
 
 
-# the line breaks of str.splitlines that are ASCII; on ASCII text the two
-# split alike, and splitlines is the faster
+# the line breaks of str.splitlines that are ASCII
 _ASCII_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e]")
 
 
@@ -94,8 +93,7 @@ def parse_stream(text: str) -> EdgeStream:
     label.
     """
     pairs = []
-    lines = text.splitlines() if text.isascii() else _ASCII_BREAK.split(text)
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_ASCII_BREAK.split(text), start=1):
         line = raw.split("#", 1)[0]
         if not line.isascii():
             raise ParseError(f"line {lineno}: a character outside a comment is not ASCII")

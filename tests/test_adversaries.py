@@ -149,7 +149,7 @@ def test_permutation_game_oracle_consumer_is_immune():
     assert res.report.colors_used == 3 and res.report.optimal
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_rigidity_small(n):
     assert rigidity_check(n)
 
@@ -181,14 +181,13 @@ def gadget_edges(n):
 
 
 @pytest.mark.parametrize("n,count", [(0, 1), (1, 2), (2, 12), (3, 576)])
-def test_rigidity_agrees_with_enumeration(n, count):
+def test_enumeration_shows_the_pendants_rigid(n, count):
     # the pendant edges are the first and the last edge of the gadget
     tight = list(proper_colorings(gadget_edges(n), n + 1))
     assert len(tight) == count
     assert all(c[0] == c[-1] for c in tight)
     if n <= 2:
         assert any(c[0] != c[-1] for c in proper_colorings(gadget_edges(n), n + 2))
-    assert rigidity_check(n)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
