@@ -1,9 +1,6 @@
 """Online edge coloring of d-degenerate graphs with per-edge advice."""
 
 from .advice import (
-    AdviceRecord,
-    AdviceTape,
-    RecordFields,
     bits_per_edge,
     ceil_log2,
     degeneracy_from_length,
@@ -30,9 +27,6 @@ from .errors import (
     SelfLoop,
 )
 from .adversaries import (
-    EliminationTranscript,
-    PermutationGameResult,
-    PermutationInstance,
     build_permutation_instance,
     elimination_game,
     permutation_game,
@@ -61,12 +55,10 @@ from .generators import (
 from .graphs import (
     DegeneracyOrder,
     Edge,
-    EdgeClassification,
     EdgeStream,
     Graph,
     bipartition,
     classify,
-    colors_used,
     degeneracy,
     edge_pair,
     is_bipartite,
@@ -77,9 +69,6 @@ from .graphs import (
     stream_from_pairs,
 )
 from .oracle import (
-    EdgeAdvice,
-    OracleResult,
-    PartitionTrace,
     build_advice,
     build_partition,
     chromatic_index,
@@ -87,11 +76,9 @@ from .oracle import (
 )
 from .runtime import (
     AdviceAlgorithm,
-    AdviceRun,
     Greedy,
     GreedyVariant,
     RequestSource,
-    RunReport,
     TapeSource,
     run_advice,
     run_greedy,

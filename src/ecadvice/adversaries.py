@@ -10,7 +10,7 @@ colored, forcing delta + 1 colors out of anyone who committed too early.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import ceil, comb, log
 from typing import Callable, Optional, Sequence
 
 from .coloring import exact_color, konig_color, vizing_plus_one
@@ -77,7 +77,6 @@ class EliminationTranscript:
     delta: int
     alpha: int
     beta: int
-    rows: int
     rounds: list[EliminationRound]
     stream: EdgeStream
     colors_used: list[int]
@@ -137,7 +136,7 @@ def elimination_game(
     for member in members:
         member.alive = member.palette_size() <= threshold
 
-    log: list[EliminationRound] = []
+    played: list[EliminationRound] = []
     for row in range(rounds):
         alive_before = sum(m.alive for m in members)
         if alive_before == 0:
@@ -163,14 +162,13 @@ def elimination_game(
         kills_due = -(-alive_before // beta)  # ceil
         if alive_after > alive_before - kills_due:
             raise AssertionError("round killed fewer members than the pigeonhole bound")
-        log.append(EliminationRound(row, alive_before, alive_after, selected, joint))
+        played.append(EliminationRound(row, alive_before, alive_after, selected, joint))
 
     return EliminationTranscript(
         delta,
         alpha,
         beta,
-        rounds,
-        log,
+        played,
         EdgeStream(tuple(edges)),
         [m.palette_size() for m in members],
         [m.alive for m in members],
@@ -179,11 +177,9 @@ def elimination_game(
 
 def rounds_to_extinction(family_size: int, beta: int) -> int:
     """Rounds guaranteed to empty a family under the per-round decay."""
-    import math
-
     if family_size < 1:
         return 0
-    return math.ceil(math.log(family_size) / math.log(beta / (beta - 1))) + 1
+    return ceil(log(family_size) / log(beta / (beta - 1))) + 1
 
 
 @dataclass
@@ -278,8 +274,8 @@ def rigidity_check(n: int, *, budget: Optional[int] = None) -> bool:
     True iff the instance is (n+1)-edge-colorable, no proper (n+1)-coloring
     gives the two pendant edges different colors, and some (n+2)-coloring
     does.  Joining the two pendant leaves into one vertex makes the pendant
-    edges adjacent, so the joined graph's colorings are exactly the
-    gadget's colorings that separate them: the search must find no
+    edges adjacent, so a coloring of the joined graph is exactly a
+    coloring of the gadget that separates them: the search must find no
     (n+1)-coloring of it, and the fan construction (Vizing's theorem) an
     (n+2)-coloring.
     """

@@ -23,7 +23,6 @@ beside it in `Coloring.by_id` for the oracle.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -31,14 +30,13 @@ from .errors import PreconditionViolated, ResourceLimit
 from .graphs import Graph, Pair, bipartition, edge_pair, is_proper
 
 DEFAULT_NODE_BUDGET = 10_000_000
-_BUDGET_ENV = "ECADVICE_NODE_BUDGET"
 
 
 def node_budget(budget: Optional[int]) -> int:
-    """The search node limit: `budget`, else $ECADVICE_NODE_BUDGET, else the
-    default.  A negative limit is a usage error."""
+    """The search node limit: `budget`, else the default.  A negative limit
+    is a usage error."""
     if budget is None:
-        budget = int(os.environ.get(_BUDGET_ENV, DEFAULT_NODE_BUDGET))
+        return DEFAULT_NODE_BUDGET
     if budget < 0:
         raise PreconditionViolated(f"node budget {budget} is negative")
     return budget

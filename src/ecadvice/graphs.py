@@ -8,7 +8,7 @@ Inside a Graph an edge is named by its position in `edges`, its edge id:
 `ends[i]` holds edge i's endpoints as listed, and `nbrs[v]` maps each
 neighbor w of v to the id of edge vw, in edge order.  The engines, the
 partition and the oracle key their state on these ids; normalized endpoint
-pairs (`Edge.pair`, pair-keyed colorings) are built only at the API
+pairs (`Edge.pair`, the keys of a Coloring) are built only at the API
 boundary.
 """
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DuplicateEdge, NotBipartite, ParseError, PreconditionViolated, SelfLoop
@@ -41,20 +41,12 @@ class Edge:
     def pair(self) -> Pair:
         return edge_pair(self.u, self.v)
 
-    def other(self, w: int) -> int:
-        return self.v if w == self.u else self.u
-
 
 @dataclass(frozen=True)
 class EdgeStream:
-    """Edges in arrival order.
-
-    `orientation` is "strict" when every edge lists its front endpoint
-    first (produced by the oracle rewrite), otherwise "robust".
-    """
+    """Edges in arrival order."""
 
     edges: tuple[Edge, ...]
-    orientation: str = field(default="robust", compare=False)
 
     def __post_init__(self) -> None:
         for i, e in enumerate(self.edges):
@@ -66,7 +58,7 @@ class EdgeStream:
         return len(self.edges)
 
 
-def stream_from_pairs(pairs: Iterable[tuple[int, int]], orientation: str = "robust") -> EdgeStream:
+def stream_from_pairs(pairs: Iterable[tuple[int, int]]) -> EdgeStream:
     """Build a stream from ordered (u, v) pairs, assigning arrival indices."""
     edges = []
     seen: set[Pair] = set()
@@ -78,7 +70,7 @@ def stream_from_pairs(pairs: Iterable[tuple[int, int]], orientation: str = "robu
             raise DuplicateEdge(f"edge {i} repeats pair {key}")
         seen.add(key)
         edges.append(Edge(u, v, i))
-    return EdgeStream(tuple(edges), orientation)
+    return EdgeStream(tuple(edges))
 
 
 # the line breaks of str.splitlines that are ASCII
@@ -117,7 +109,7 @@ def parse_stream(text: str) -> EdgeStream:
 
 
 def serialize_stream(stream: EdgeStream, comments: Sequence[str] = ()) -> str:
-    """Inverse of parse_stream (up to comments and orientation metadata)."""
+    """Inverse of parse_stream (up to comments)."""
     lines = [f"# {c}" for c in comments]
     lines.extend(f"{e.u} {e.v}" for e in stream.edges)
     return "\n".join(lines) + "\n"
@@ -167,11 +159,11 @@ class Graph:
 
 @dataclass(frozen=True)
 class DegeneracyOrder:
-    """Vertex order where every vertex has at most d earlier neighbors."""
+    """A vertex order and each vertex's position in it; from degeneracy,
+    every vertex has at most d earlier neighbors."""
 
     order: tuple[int, ...]
     rank: Mapping[int, int]
-    d: int
 
 
 def degeneracy(g: Graph) -> tuple[int, DegeneracyOrder]:
@@ -214,7 +206,7 @@ def degeneracy(g: Graph) -> tuple[int, DegeneracyOrder]:
                 push(heap, (r, w))
     order = tuple(reversed(peeled))
     rank = {v: i for i, v in enumerate(order)}
-    return d, DegeneracyOrder(order, rank, d)
+    return d, DegeneracyOrder(order, rank)
 
 
 @dataclass(frozen=True)
@@ -224,7 +216,6 @@ class EdgeClassification:
 
     front: Sequence[int]
     back: Sequence[int]
-    front_degree: Mapping[int, int]
     back_degree: Mapping[int, int]
 
 
@@ -236,16 +227,14 @@ def classify(g: Graph, order: DegeneracyOrder) -> EdgeClassification:
             raise PreconditionViolated(f"vertex {v} missing from order")
     front: list[int] = []
     back: list[int] = []
-    front_degree = dict.fromkeys(g.vertices, 0)
     back_degree = dict.fromkeys(g.vertices, 0)
     for u, v in g.ends:
         if rank[u] > rank[v]:
             u, v = v, u
         front.append(u)
         back.append(v)
-        front_degree[u] += 1
         back_degree[v] += 1
-    return EdgeClassification(front, back, front_degree, back_degree)
+    return EdgeClassification(front, back, back_degree)
 
 
 def bipartition(g: Graph) -> tuple[set[int], set[int]]:
@@ -277,16 +266,12 @@ def is_bipartite(g: Graph) -> bool:
     return True
 
 
-def _assignment(coloring) -> Mapping[Pair, int]:
-    return getattr(coloring, "assignment", coloring)
-
-
 def is_proper(g: Graph, coloring) -> bool:
     """True when no two colored edges of equal color share an endpoint.
 
-    Accepts partial colorings: uncolored edges are ignored.
+    Accepts a partial coloring: uncolored edges are ignored.
     """
-    colors = _assignment(coloring)
+    colors: Mapping[Pair, int] = getattr(coloring, "assignment", coloring)
     seen: dict[int, set[int]] = {v: set() for v in g.vertices}
     for u, v in g.ends:
         c = colors.get(edge_pair(u, v))
@@ -297,10 +282,6 @@ def is_proper(g: Graph, coloring) -> bool:
         seen[u].add(c)
         seen[v].add(c)
     return True
-
-
-def colors_used(coloring) -> int:
-    return len(set(_assignment(coloring).values()))
 
 
 def is_forest(g: Graph) -> bool:

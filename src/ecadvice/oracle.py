@@ -19,14 +19,13 @@ class of a graph with max_degree < 2*degeneracy.
 
 The oracle works on edge ids (see graphs): it reads the optimal coloring
 by id, splits literal from subset edges by id, and the partition keeps
-per-id arrays over the residual subgraph.  The pair-keyed views of
-PartitionTrace (`assignments`, `fronts`) are built on first access; the
-pipeline never reads them.
+per-id arrays over the residual subgraph.  The plan it hands on is one
+EdgeAdvice per edge (mode, color, subset, rank, front) plus the bundles'
+member edges.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from .advice import AdviceRecord, pack_record, pad_degeneracy
@@ -39,16 +38,7 @@ from .coloring import (
     vizing_plus_one,
 )
 from .errors import NotBipartite, PreconditionViolated
-from .graphs import (
-    DegeneracyOrder,
-    Edge,
-    EdgeStream,
-    Graph,
-    Pair,
-    classify,
-    degeneracy,
-    edge_pair,
-)
+from .graphs import DegeneracyOrder, Edge, EdgeStream, Graph, classify, degeneracy
 
 
 @dataclass(frozen=True)
@@ -66,31 +56,16 @@ class EdgeAdvice:
 class PartitionTrace:
     """Everything the subset partition decided.
 
-    subset, rank, front and color are indexed by edge id of `graph`, the
-    partitioned graph; color is the edge's color inside its subset.
+    subset, rank, front and color are indexed by edge id of the partitioned
+    graph; color is the edge's color inside its subset.  partition maps
+    each subset index to its member edges in arrival order.
     """
 
-    d: int
-    order: DegeneracyOrder
-    graph: Graph
     subset: list[int]
     rank: list[int]
     front: list[int]
     color: list[int]
     partition: dict[int, list[Edge]]
-    colorings: dict[int, Coloring]
-
-    @cached_property
-    def assignments(self) -> dict[Pair, tuple[int, int]]:
-        """pair -> (subset index, rank)"""
-        return {
-            edge_pair(u, v): (j, r)
-            for (u, v), j, r in zip(self.graph.ends, self.subset, self.rank)
-        }
-
-    @cached_property
-    def fronts(self) -> dict[Pair, int]:
-        return {edge_pair(u, v): f for (u, v), f in zip(self.graph.ends, self.front)}
 
 
 def build_partition(
@@ -169,7 +144,6 @@ def build_partition(
 
     color = [0] * g.m
     partition: dict[int, list[Edge]] = {}
-    colorings: dict[int, Coloring] = {}
     for j, ids in members.items():
         ids.sort(key=arrival.__getitem__)
         partition[j] = [edges[i] for i in ids]
@@ -177,18 +151,16 @@ def build_partition(
         sub = Graph(partition[j])
         if sub.max_degree > 2 * d:
             raise AssertionError(f"subset {j} reached degree {sub.max_degree}")
-        col = colorings[j] = color_degenerate(sub, d)
-        for i, c in zip(ids, col.by_id):
+        for i, c in zip(ids, color_degenerate(sub, d).by_id):
             color[i] = c
-    return PartitionTrace(d, order, g, subset, rank, front, color, partition, colorings)
+    return PartitionTrace(subset, rank, front, color, partition)
 
 
 @dataclass
 class OracleResult:
-    """Records plus the full decision trace, including the replay stream."""
+    """Records plus the plan behind them, including the replay stream."""
 
     d: int                      # padded bound actually encoded
-    requested_d: int            # bound before padding
     mode: str
     delta: int
     chromatic_index: int
@@ -196,12 +168,7 @@ class OracleResult:
     per_edge: list[EdgeAdvice]  # arrival-indexed
     stream: EdgeStream          # what the consumer should replay
     optimal: Coloring
-    partition_trace: Optional[PartitionTrace]
-
-    @property
-    def partition(self) -> dict[int, list[Edge]]:
-        """Bundle index -> member edges; empty when every record is literal."""
-        return self.partition_trace.partition if self.partition_trace else {}
+    partition: dict[int, list[Edge]]  # bundle -> members; {} when every record is literal
 
 
 def _contiguous(col: Coloring) -> Coloring:
@@ -274,9 +241,7 @@ def build_advice(
     edges = stream.edges
     if not edges:
         dd = pad_degeneracy(d if d is not None else 1)
-        return OracleResult(
-            dd, d if d is not None else 1, mode, 0, 0, [], [], stream, Coloring({}), None
-        )
+        return OracleResult(dd, mode, 0, 0, [], [], stream, Coloring({}), {})
     g = Graph.from_stream(stream)
     dgn, _ = degeneracy(g)
     requested = dgn if d is None else d
@@ -321,17 +286,6 @@ def build_advice(
             records[i] = record
             if not robust and f != u:
                 oriented[i] = Edge(v, u, i)
-    out_stream = stream if robust else EdgeStream(tuple(oriented), "strict")
-
-    return OracleResult(
-        dd,
-        requested,
-        mode,
-        delta,
-        chi,
-        records,
-        per_edge,
-        out_stream,
-        opt,
-        trace,
-    )
+    out_stream = stream if robust else EdgeStream(tuple(oriented))
+    partition = trace.partition if trace is not None else {}
+    return OracleResult(dd, mode, delta, chi, records, per_edge, out_stream, opt, partition)

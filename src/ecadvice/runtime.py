@@ -276,7 +276,8 @@ class Referee:
         edge not colored before that joins two distinct vertices; raise
         otherwise."""
         pair = edge.pair
-        if not isinstance(color, int) or color < 1:
+        # bool is an int subclass, but True is not a color
+        if type(color) is not int or color < 1:
             raise ImproperColoring(f"edge {pair}: color {color!r} is not a positive int")
         if pair in self.assignment:
             raise RecoloringAttempt(f"edge {pair} colored twice")

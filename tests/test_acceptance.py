@@ -16,7 +16,6 @@ from ecadvice import (
     GreedyVariant,
     build_permutation_instance,
     ceil_log2,
-    colors_used,
     elimination_game,
     exact_color,
     gen_d_degenerate,
@@ -194,8 +193,8 @@ def test_criterion_7_permutation_instances():
         if not is_bipartite(g) or set(g.degree.values()) != {delta}:
             failures.append(f"delta={delta}: not bipartite delta-regular")
         col = konig_color(g)
-        if not is_proper(g, col) or colors_used(col) != delta:
-            failures.append(f"delta={delta}: konig used {colors_used(col)}")
+        if not is_proper(g, col) or len(col.palette) != delta:
+            failures.append(f"delta={delta}: konig used {len(col.palette)}")
         res = permutation_game(delta, Greedy)
         if not res.forced:
             failures.append(f"delta={delta}: greedy not forced past delta")
@@ -231,11 +230,11 @@ def test_criterion_8_offline_cross_validation():
                 if brute_force_colorable(g, k) != product_colorable(g, k):
                     failures.append(f"m={g.m}: pruned recursion vs literal k^m scan at k={k}")
         viz = vizing_plus_one(g, check=True)
-        if not is_proper(g, viz) or colors_used(viz) > g.max_degree + 1:
+        if not is_proper(g, viz) or len(viz.palette) > g.max_degree + 1:
             failures.append(f"m={g.m}: fan recoloring broke the delta+1 bound")
         if is_bipartite(g):
             kc = konig_color(g)
-            if not is_proper(g, kc) or colors_used(kc) != g.max_degree:
+            if not is_proper(g, kc) or len(kc.palette) != g.max_degree:
                 failures.append(f"m={g.m}: konig missed delta")
     _verdict(
         "8 offline cross-validation",

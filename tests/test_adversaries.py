@@ -18,7 +18,6 @@ from ecadvice import (
     is_forest,
     is_proper,
     konig_color,
-    colors_used,
     permutation_game,
     pigeonhole_thresholds,
     prefix_family,
@@ -118,7 +117,7 @@ def test_permutation_instance_shape(delta):
     assert is_bipartite(g)
     assert set(g.degree.values()) == {delta}
     col = konig_color(g)
-    assert is_proper(g, col) and colors_used(col) == delta
+    assert is_proper(g, col) and len(col.palette) == delta
 
 
 def test_permutation_instance_rejects_non_permutation():

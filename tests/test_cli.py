@@ -127,18 +127,12 @@ def test_run_budget_exhaustion_exits_three(tmp_path, capsys):
     assert "resource limit" in stderr
 
 
-@pytest.mark.parametrize("how", ["flag", "env"])
-def test_negative_budget_is_a_usage_error(tmp_path, capsys, monkeypatch, how):
+def test_negative_budget_is_a_usage_error(tmp_path, capsys):
     from .conftest import star_pairs
 
     # a star needs no search at all, so only the budget check can refuse it
     path = write_stream(tmp_path, star_pairs(4))
-    if how == "flag":
-        argv = ["run", path, "--alg", "advice", "--budget", "-1"]
-    else:
-        monkeypatch.setenv("ECADVICE_NODE_BUDGET", "-1")
-        argv = ["run", path, "--alg", "advice"]
-    code, stdout, stderr = run_cli(capsys, *argv)
+    code, stdout, stderr = run_cli(capsys, "run", path, "--alg", "advice", "--budget", "-1")
     assert code == 2
     assert stdout == ""
     assert "budget" in stderr

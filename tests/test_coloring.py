@@ -16,7 +16,6 @@ from ecadvice import (
     build_coupled_pair,
     chromatic_index,
     color_degenerate,
-    colors_used,
     degeneracy,
     edge_pair,
     exact_color,
@@ -85,7 +84,7 @@ def test_exact_color_matches_brute_force(pairs):
         assert (witness is not None) == (k >= chi)
         if witness is not None:
             assert is_proper(g, witness)
-            assert colors_used(witness) <= k
+            assert len(witness.palette) <= k
 
 
 def test_chromatic_index_frozen_values():
@@ -146,7 +145,7 @@ def test_exact_color_budget_trips(case):
 def test_exact_color_has_no_depth_limit():
     g = graph(path_pairs(5000))
     col = exact_color(g, 2)
-    assert col is not None and is_proper(g, col) and colors_used(col) == 2
+    assert col is not None and is_proper(g, col) and len(col.palette) == 2
 
 
 @given(random_pair_lists(max_vertices=8, max_edges=10))
@@ -166,7 +165,7 @@ def test_vizing_frozen(pairs, expected):
     g = graph(pairs)
     col = vizing_plus_one(g, check=True)
     assert is_proper(g, col)
-    assert colors_used(col) == expected
+    assert len(col.palette) == expected
 
 
 @given(random_pair_lists(max_vertices=14, max_edges=20))
@@ -178,7 +177,7 @@ def test_vizing_proper_within_delta_plus_one(pairs):
     col = vizing_plus_one(g, check=True)
     assert is_proper(g, col)
     assert len(col) == g.m
-    assert colors_used(col) <= g.max_degree + 1
+    assert len(col.palette) <= g.max_degree + 1
     assert max(col.palette) <= g.max_degree + 1
 
 
@@ -186,14 +185,14 @@ def test_vizing_on_sparse_random_graph():
     g = graph(gnp_pairs(200, 0.05, 11))
     col = vizing_plus_one(g, check=True)
     assert is_proper(g, col) and len(col) == g.m
-    assert colors_used(col) <= g.max_degree + 1
+    assert len(col.palette) <= g.max_degree + 1
 
 
 def test_konig_even_cycle_and_biclique():
     col = konig_color(graph(cycle_pairs(6)))
-    assert colors_used(col) == 2
+    assert len(col.palette) == 2
     col = konig_color(graph(biclique_pairs(3, 3)))
-    assert colors_used(col) == 3
+    assert len(col.palette) == 3
 
 
 def test_konig_rejects_odd_cycle():
@@ -213,14 +212,14 @@ def test_konig_uses_exactly_delta(a, b, seed):
         return
     col = konig_color(g)
     assert is_proper(g, col) and len(col) == g.m
-    assert colors_used(col) == g.max_degree
+    assert len(col.palette) == g.max_degree
 
 
 def test_color_degenerate_star():
     g = graph(star_pairs(4))
     col = color_degenerate(g, 1)
     assert is_proper(g, col)
-    assert colors_used(col) == 4
+    assert len(col.palette) == 4
 
 
 def test_color_degenerate_preconditions():
@@ -264,7 +263,7 @@ def test_color_degenerate_matches_brute_force(g):
         assert is_proper(g, col) and len(col) == g.m
         assert col.palette <= set(range(1, max(g.max_degree, 2 * d) + 1))
         if g.max_degree >= 2 * d:
-            assert colors_used(col) == brute_force_chromatic_index(g) == g.max_degree
+            assert len(col.palette) == brute_force_chromatic_index(g) == g.max_degree
 
 
 def tight_pairs(n: int, d: int, seed: int) -> list[tuple[int, int]]:
@@ -305,7 +304,7 @@ def test_color_degenerate_random_forests(n, seed):
         return
     col = color_degenerate(g, 1)
     assert is_proper(g, col)
-    assert colors_used(col) == g.max_degree
+    assert len(col.palette) == g.max_degree
 
 
 @given(st.integers(min_value=4, max_value=24), st.integers(min_value=0, max_value=300))

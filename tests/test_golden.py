@@ -22,16 +22,22 @@ def _items(coloring) -> list:
     return sorted([list(pair), c] for pair, c in coloring.assignment.items())
 
 
+def _bundles(oracle) -> list:
+    """Each bundle's coloring, from the subset and color of its mode-1 edges."""
+    bundles: dict[int, list] = {}
+    for e, adv in zip(oracle.stream.edges, oracle.per_edge):
+        if adv.mode == 1:
+            bundles.setdefault(adv.subset, []).append([list(e.pair), adv.color])
+    return [[j, sorted(items)] for j, items in sorted(bundles.items())]
+
+
 def run_digest(stream, d: int, mode: str, model: str) -> str:
     run = run_advice(stream, d, mode=mode, model=model)
-    trace = run.oracle.partition_trace
     return _sha(
         {
             "records": [r.bits for r in run.oracle.records],
             "optimal": _items(run.oracle.optimal),
-            "bundles": [] if trace is None else [
-                [j, _items(c)] for j, c in sorted(trace.colorings.items())
-            ],
+            "bundles": _bundles(run.oracle),
             "coloring": _items(run.report.coloring),
         }
     )

@@ -14,7 +14,6 @@ from ecadvice import (
     build_advice,
     build_partition,
     classify,
-    colors_used,
     degeneracy,
     gen_d_degenerate,
     gen_forest,
@@ -36,15 +35,27 @@ from .conftest import (
 )
 
 
-CENTER_FIRST = DegeneracyOrder((0, 1, 2, 3, 4, 5), {v: v for v in range(6)}, 1)
+CENTER_FIRST = DegeneracyOrder((0, 1, 2, 3, 4, 5), {v: v for v in range(6)})
+
+
+def _views(g, trace):
+    """build_partition's id arrays over g, keyed by pair: (subset, rank),
+    front and color inside the subset."""
+    pairs = [e.pair for e in g.edges]
+    return (
+        {p: (j, r) for p, j, r in zip(pairs, trace.subset, trace.rank)},
+        dict(zip(pairs, trace.front)),
+        dict(zip(pairs, trace.color)),
+    )
 
 
 def test_partition_star_frozen():
     # K_{1,4}, d=1, center first: arrivals fill subset 1 then subset 2,
     # and every rank is 0 because the center is the front of every edge
-    s = gen_star(4)
-    trace = build_partition(Graph.from_stream(s), 1, CENTER_FIRST)
-    assert trace.assignments == {
+    g = Graph.from_stream(gen_star(4))
+    trace = build_partition(g, 1, CENTER_FIRST)
+    assignments, _, colors = _views(g, trace)
+    assert assignments == {
         (0, 1): (1, 0),
         (0, 2): (1, 0),
         (0, 3): (2, 0),
@@ -52,15 +63,15 @@ def test_partition_star_frozen():
     }
     assert sorted(trace.partition) == [1, 2]
     assert all(len(v) == 2 for v in trace.partition.values())
-    for j, col in trace.colorings.items():
-        sub = Graph(trace.partition[j])
-        assert is_proper(sub, col)
-        assert colors_used(col) <= 2
+    for members in trace.partition.values():
+        col = {e.pair: colors[e.pair] for e in members}
+        assert is_proper(Graph(members), col)
+        assert len(set(col.values())) <= 2
 
 
 def test_partition_rejects_bad_order():
     s = gen_star(4)
-    center_last = DegeneracyOrder((1, 2, 3, 4, 0), {1: 0, 2: 1, 3: 2, 4: 3, 0: 4}, 1)
+    center_last = DegeneracyOrder((1, 2, 3, 4, 0), {1: 0, 2: 1, 3: 2, 4: 3, 0: 4})
     with pytest.raises(PreconditionViolated):
         build_partition(Graph.from_stream(s), 1, center_last)  # back-degree 4 at the center
 
@@ -71,7 +82,7 @@ def test_partition_rejects_non_multiple_degree():
 
 
 def test_partition_rejects_missing_vertex():
-    order = DegeneracyOrder((0, 1), {0: 0, 1: 1}, 1)
+    order = DegeneracyOrder((0, 1), {0: 0, 1: 1})
     with pytest.raises(PreconditionViolated):
         build_partition(Graph.from_stream(gen_star(2)), 1, order)
 
@@ -103,20 +114,21 @@ def _rescan_partition(g, d, order):
             fronts[e.pair] = v
             partition.setdefault(target, []).append(e)
             incident[v].append((e.arrival, target))
-            incident[e.other(v)].append((e.arrival, target))
+            incident[e.v if e.u == v else e.u].append((e.arrival, target))
     for members in partition.values():
         members.sort(key=lambda e: e.arrival)
     return assignments, fronts, partition
 
 
-def _order(vertices, d):
-    return DegeneracyOrder(tuple(vertices), {v: i for i, v in enumerate(vertices)}, d)
+def _order(vertices):
+    return DegeneracyOrder(tuple(vertices), {v: i for i, v in enumerate(vertices)})
 
 
 def _assert_partition_matches_rescan(g, d, order):
     trace = build_partition(g, d, order)
-    assert (trace.assignments, trace.fronts, trace.partition) == _rescan_partition(g, d, order)
-    assert all(rank <= d for _, rank in trace.assignments.values())
+    assignments, fronts, _ = _views(g, trace)
+    assert (assignments, fronts, trace.partition) == _rescan_partition(g, d, order)
+    assert all(rank <= d for rank in trace.rank)
     return trace
 
 
@@ -128,12 +140,18 @@ def test_partition_matches_rescan_on_residual_subgraphs(kind, seed):
         s = gen_forest(40 + seed % 120, seed)
     else:
         s = gen_d_degenerate(20 + seed % 50, int(kind), seed)
-    trace = build_advice(s).partition_trace
-    if trace is None:
+    res = build_advice(s)
+    if not res.partition:
         return
-    members = sorted((e for part in trace.partition.values() for e in part), key=lambda e: e.arrival)
-    again = _assert_partition_matches_rescan(Graph(members), trace.d, trace.order)
-    assert again.assignments == trace.assignments
+    members = sorted((e for part in res.partition.values() for e in part), key=lambda e: e.arrival)
+    g = Graph(members)
+    again = _assert_partition_matches_rescan(g, res.d, degeneracy(g)[1])
+    plan = [res.per_edge[e.arrival] for e in members]
+    assert _views(g, again) == (
+        {e.pair: (adv.subset, adv.rank) for e, adv in zip(members, plan)},
+        {e.pair: adv.front for e, adv in zip(members, plan)},
+        {e.pair: adv.color for e, adv in zip(members, plan)},
+    )
 
 
 @given(
@@ -148,7 +166,7 @@ def test_partition_matches_rescan_on_stars(d, blocks, data):
     g = Graph.from_stream(gen_star(2 * d * blocks))
     leaves = data.draw(st.permutations(range(1, g.n)))
     at = data.draw(st.integers(min_value=0, max_value=d))
-    _assert_partition_matches_rescan(g, d, _order((*leaves[:at], 0, *leaves[at:]), d))
+    _assert_partition_matches_rescan(g, d, _order((*leaves[:at], 0, *leaves[at:])))
     _assert_partition_matches_rescan(g, d, degeneracy(g)[1])
 
 
@@ -164,8 +182,8 @@ def test_partition_matches_rescan_at_rank_d(d):
     pairs += [(0, x) for x in range(leaf, leaf + 2 * d * (d + 2) - d)]
     pairs += [(hub, 0) for hub in range(1, d + 1)]
     g = graph(pairs)
-    trace = _assert_partition_matches_rescan(g, d, _order((*range(1, d + 1), 0, *range(d + 1, g.n)), d))
-    assert max(rank for _, rank in trace.assignments.values()) == d
+    trace = _assert_partition_matches_rescan(g, d, _order((*range(1, d + 1), 0, *range(d + 1, g.n))))
+    assert max(trace.rank) == d
 
 
 def test_optimal_coloring_contiguous_palette():
@@ -182,7 +200,7 @@ def test_build_advice_literal_regime():
     assert res.delta == 2 and res.chromatic_index == 3
     assert all(adv.mode == 0 for adv in res.per_edge)
     assert sorted(adv.color for adv in res.per_edge) == [1, 2, 3]
-    assert res.partition == {} and res.partition_trace is None
+    assert res.partition == {}
     assert sum(adv.mode == 0 for adv in res.per_edge) == 3
 
 
@@ -208,7 +226,7 @@ def test_build_advice_subset_regime_with_remainder():
 
 def test_build_advice_pads_requested_bound():
     res = build_advice(stream(cycle_pairs(3)), 5)
-    assert res.requested_d == 5 and res.d == 7
+    assert res.d == 7
     assert all(len(r) == bits_per_edge(7, "robust") for r in res.records)
 
 
@@ -229,7 +247,6 @@ def test_build_advice_empty_stream():
 
 def test_strict_mode_orients_subset_edges():
     res = build_advice(gen_star(4), 1, mode="strict")
-    assert res.stream.orientation == "strict"
     for e, adv in zip(res.stream.edges, res.per_edge):
         if adv.mode == 1:
             assert e.u == adv.front
@@ -271,7 +288,7 @@ def test_partition_invariants_on_generated_streams(n, d, seed):
     assert dd == pad_degeneracy(d)
     assert len(res.records) == s.m
     assert all(len(r) == bits_per_edge(dd, "robust") for r in res.records)
-    if res.partition_trace is None:
+    if not res.partition:
         assert res.delta < 2 * dd
         return
     a, b = divmod(res.delta, 2 * dd)
@@ -281,14 +298,16 @@ def test_partition_invariants_on_generated_streams(n, d, seed):
     for j, members in res.partition.items():
         sub = Graph(members)
         assert sub.max_degree <= 2 * dd
-        col = res.partition_trace.colorings[j]
+        assert all(res.per_edge[e.arrival].subset == j for e in members)
+        col = {e.pair: res.per_edge[e.arrival].color for e in members}
         assert is_proper(sub, col)
-        assert col.palette <= frozenset(range(1, 2 * dd + 1))
+        assert set(col.values()) <= set(range(1, 2 * dd + 1))
         covered += len(members)
     assert covered + literal == s.m
-    for subset, rank in res.partition_trace.assignments.values():
-        assert 1 <= subset
-        assert 0 <= rank <= dd
+    for adv in res.per_edge:
+        if adv.mode == 1:
+            assert 1 <= adv.subset
+            assert 0 <= adv.rank <= dd
 
 
 @given(degenerate_streams(max_n=30, max_d=3), st.sampled_from(["strict", "robust"]))

@@ -116,6 +116,11 @@ class _Broken(OnlineAlgorithm):
         return 0
 
 
+class _Boolean(OnlineAlgorithm):
+    def step(self, edge, advice=None):
+        return True
+
+
 def test_simulate_rejects_improper_step():
     with pytest.raises(ImproperColoring):
         simulate(gen_star(2), _Constant())
@@ -124,6 +129,10 @@ def test_simulate_rejects_improper_step():
 def test_simulate_rejects_non_positive_color():
     with pytest.raises(ImproperColoring):
         simulate(gen_star(1), _Broken())
+    # bool is an int subclass: two disjoint edges both colored True once
+    # passed as a proper coloring
+    with pytest.raises(ImproperColoring, match="not a positive int"):
+        simulate(stream([(0, 1), (2, 3)]), _Boolean())
 
 
 @given(random_pair_lists(max_vertices=12, max_edges=24), st.text("01", max_size=4))
