@@ -13,7 +13,7 @@ and reuses the result for every edge that carries it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import MalformedAdvice, MalformedTape, PreconditionViolated
 
@@ -109,8 +109,7 @@ def degeneracy_from_length(length: int, mode: str = "strict") -> int:
     raise MalformedAdvice(f"no degeneracy bound has {length}-bit records")
 
 
-@dataclass(frozen=True)
-class RecordFields:
+class RecordFields(NamedTuple):
     mode_flag: int          # 0: take the color field literally; 1: subset route
     front_flag: Optional[int]  # robust layout only; 0 means min-label endpoint is front
     color: int              # 1..2d

@@ -20,13 +20,13 @@ class of a graph with max_degree < 2*degeneracy.
 The oracle works on edge ids (see graphs): it reads the optimal coloring
 by id, splits literal from subset edges by id, and the partition keeps
 per-id arrays over the residual subgraph.  The plan it hands on is one
-EdgeAdvice per edge (mode, color, subset, rank, front) plus the bundles'
-member edges.
+EdgeAdvice named tuple per edge (mode, color, subset, rank, front) plus
+the bundles' member edges; literal edges of one color share one tuple.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .advice import AdviceRecord, pack_record, pad_degeneracy
 from .coloring import (
@@ -41,9 +41,10 @@ from .errors import NotBipartite, PreconditionViolated
 from .graphs import DegeneracyOrder, Edge, EdgeStream, Graph, classify, degeneracy
 
 
-@dataclass(frozen=True)
-class EdgeAdvice:
-    """Oracle-side view of one record, before bit packing."""
+class EdgeAdvice(NamedTuple):
+    """Oracle-side view of one record, before bit packing.  A named tuple:
+    one is built per subset edge, and a tuple builds at a third of a frozen
+    dataclass's cost."""
 
     mode: int
     color: int

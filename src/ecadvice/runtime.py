@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .advice import (
     AdviceRecord,
@@ -120,8 +120,13 @@ class GreedyVariant(OnlineAlgorithm):
         i = self._step
         self._step = i + 1
         bits = self.bits
-        au = self._used.setdefault(edge.u, set())
-        av = self._used.setdefault(edge.v, set())
+        used = self._used
+        au = used.get(edge.u)
+        if au is None:
+            au = used[edge.u] = set()
+        av = used.get(edge.v)
+        if av is None:
+            av = used[edge.v] = set()
         c = 1
         while c in au or c in av:
             c += 1
@@ -141,9 +146,10 @@ class Greedy(GreedyVariant):
         super().__init__("")
 
 
-@dataclass(frozen=True)
-class DecodedStep:
-    """What the decoder extracted for one edge (kept for cross-checks)."""
+class DecodedStep(NamedTuple):
+    """What the decoder extracted for one edge, kept for cross-checks.  A
+    named tuple: one is built per edge, and a tuple builds at a third of a
+    frozen dataclass's cost."""
 
     arrival: int
     mode: int
@@ -170,8 +176,10 @@ class AdviceAlgorithm(OnlineAlgorithm):
         self.d: Optional[int] = None
         self.record_length: Optional[int] = None
         self._counts: dict[int, dict[int, int]] = {}
-        self._rename: dict[tuple[int, int], int] = {}
-        self._next_color = 1
+        # provisional color -> final color, numbered in order of first
+        # appearance; a literal record's provisional color is -color, a
+        # subset record's (subset - 1) * 2d + color
+        self._rename: dict[int, int] = {}
         # record bits -> parsed fields; d and mode are fixed once the first
         # record is read, and a record that fails to parse is never stored
         self._fields: dict[str, RecordFields] = {}
@@ -192,8 +200,10 @@ class AdviceAlgorithm(OnlineAlgorithm):
         return advice.read(self.record_length)
 
     def _locate_subset(self, front: int, rank: int) -> int:
+        counts = self._counts.get(front)
+        if counts is None:
+            return rank + 1  # every subset is open at a vertex not seen yet
         cap = 2 * self.d - 1
-        counts = self._counts.get(front, {})
         j, seen = 1, 0
         while True:
             if counts.get(j, 0) <= cap:
@@ -207,29 +217,32 @@ class AdviceAlgorithm(OnlineAlgorithm):
         fields = self._fields.get(bits)
         if fields is None:
             fields = self._fields[bits] = unpack_record(bits, self.d, self.mode)
-        if fields.mode_flag == 0:
-            provisional = (0, fields.color)
-            self.decoded.append(DecodedStep(edge.arrival, 0, None, None, fields.color))
+        mode_flag, front_flag, color, rank = fields
+        if mode_flag == 0:
+            provisional = -color
+            self.decoded.append(DecodedStep(edge.arrival, 0, None, None, color))
         else:
+            u, v = edge.u, edge.v
             if self.mode == "strict":
-                front = edge.u
-            elif fields.front_flag == 0:
-                front = min(edge.u, edge.v)
+                front = u
+            elif front_flag == 0:
+                front = u if u < v else v
             else:
-                front = max(edge.u, edge.v)
-            subset = self._locate_subset(front, fields.rank)
-            for v in (edge.u, edge.v):
-                per = self._counts.setdefault(v, {})
-                per[subset] = per.get(subset, 0) + 1
-            provisional = (1, (subset - 1) * 2 * self.d + fields.color)
-            self.decoded.append(
-                DecodedStep(edge.arrival, 1, subset, fields.rank, fields.color)
-            )
-        final = self._rename.get(provisional)
+                front = v if u < v else u
+            subset = self._locate_subset(front, rank)
+            counts = self._counts
+            for w in (u, v):
+                per = counts.get(w)
+                if per is None:
+                    counts[w] = {subset: 1}
+                else:
+                    per[subset] = per.get(subset, 0) + 1
+            provisional = (subset - 1) * 2 * self.d + color
+            self.decoded.append(DecodedStep(edge.arrival, 1, subset, rank, color))
+        rename = self._rename
+        final = rename.get(provisional)
         if final is None:
-            final = self._next_color
-            self._next_color += 1
-            self._rename[provisional] = final
+            final = rename[provisional] = len(rename) + 1
         return final
 
 
@@ -275,19 +288,26 @@ class Referee:
         """Accept a positive int color that is new at both endpoints for an
         edge not colored before that joins two distinct vertices; raise
         otherwise."""
-        pair = edge.pair
+        u, v = edge.u, edge.v
+        pair = (u, v) if u < v else (v, u)
         # bool is an int subclass, but True is not a color
         if type(color) is not int or color < 1:
             raise ImproperColoring(f"edge {pair}: color {color!r} is not a positive int")
-        if pair in self.assignment:
+        assignment = self.assignment
+        if pair in assignment:
             raise RecoloringAttempt(f"edge {pair} colored twice")
-        if edge.u == edge.v:
-            raise SelfLoop(f"edge {edge.arrival} joins {edge.u} to itself")
-        au = self.used.setdefault(edge.u, set())
-        av = self.used.setdefault(edge.v, set())
+        if u == v:
+            raise SelfLoop(f"edge {edge.arrival} joins {u} to itself")
+        used = self.used
+        au = used.get(u)
+        if au is None:
+            au = used[u] = set()
+        av = used.get(v)
+        if av is None:
+            av = used[v] = set()
         if color in au or color in av:
             raise ImproperColoring(f"edge {pair}: color {color} already present")
-        self.assignment[pair] = color
+        assignment[pair] = color
         au.add(color)
         av.add(color)
 

@@ -1,5 +1,4 @@
 import copy
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,7 +37,8 @@ from ecadvice import (
     verify_run,
 )
 from ecadvice.advice import ceil_log2, encode_int
-from ecadvice.runtime import OnlineAlgorithm
+from ecadvice.oracle import EdgeAdvice
+from ecadvice.runtime import DecodedStep, OnlineAlgorithm
 
 from .conftest import degenerate_streams, path_pairs, random_pair_lists, stream
 
@@ -222,6 +222,74 @@ def test_decoder_matches_oracle_subsets(mode):
     assert verify_run(run) == []
 
 
+class _ReferenceDecoder:
+    """The decode rule written plainly: a rename keyed by (mode, value)
+    tuples, per-vertex subset counts built with setdefault, and a scan for
+    the rank-th open subset at the front endpoint even where it has no
+    counts yet."""
+
+    def __init__(self, d, mode):
+        self.d, self.mode = d, mode
+        self.counts = {}
+        self.rename = {}
+        self.decoded = []
+
+    def step(self, edge, fields):
+        if fields.mode_flag == 0:
+            key = (0, fields.color)
+            self.decoded.append((edge.arrival, 0, None, None, fields.color))
+        else:
+            if self.mode == "strict":
+                front = edge.u
+            elif fields.front_flag == 0:
+                front = min(edge.u, edge.v)
+            else:
+                front = max(edge.u, edge.v)
+            counts = self.counts.get(front, {})
+            j, seen = 1, 0
+            while True:
+                if counts.get(j, 0) <= 2 * self.d - 1:
+                    if seen == fields.rank:
+                        break
+                    seen += 1
+                j += 1
+            for v in (edge.u, edge.v):
+                per = self.counts.setdefault(v, {})
+                per[j] = per.get(j, 0) + 1
+            key = (1, (j - 1) * 2 * self.d + fields.color)
+            self.decoded.append((edge.arrival, 1, j, fields.rank, fields.color))
+        return self.rename.setdefault(key, len(self.rename) + 1)
+
+
+@given(
+    random_pair_lists(max_vertices=8, max_edges=24),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from(["robust", "strict"]),
+    st.sampled_from(["request", "tape"]),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_decoder_matches_reference_rule_on_any_valid_records(pairs, k, mode, model, data):
+    # records the oracle never emits too: any flags, colors 1..2d and ranks
+    # 0..d, such as a nonzero rank at a front endpoint seen for the first time
+    d = pad_degeneracy(k)
+    flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    s = stream([(v, u) if flip else (u, v) for (u, v), flip in zip(pairs, flips)])
+    record = st.tuples(
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=1, max_value=2 * d),
+        st.integers(min_value=0, max_value=d),
+        st.integers(min_value=0, max_value=1),
+    )
+    keys = data.draw(st.lists(record, min_size=s.m, max_size=s.m), label="records")
+    records = [pack_record(d, mode, *key) for key in keys]
+    src = RequestSource(records) if model == "request" else TapeSource(encode_tape(records, d))
+    alg, ref = AdviceAlgorithm(mode), _ReferenceDecoder(d, mode)
+    for e, rec in zip(s.edges, records):
+        assert alg.step(e, src) == ref.step(e, unpack_record(rec.bits, d, mode))
+    assert alg.decoded == ref.decoded
+
+
 def test_truncated_request_records_exhaust():
     oracle = build_advice(gen_star(4), 1)
     src = RequestSource(oracle.records[:-1])
@@ -343,8 +411,8 @@ def _set_chi(run, chi):
 def _rank_above_d(run):
     i = next(i for i, adv in enumerate(run.oracle.per_edge) if adv.mode == 1)
     rank = run.oracle.d + 1
-    run.oracle.per_edge[i] = replace(run.oracle.per_edge[i], rank=rank)
-    run.algorithm.decoded[i] = replace(run.algorithm.decoded[i], rank=rank)
+    run.oracle.per_edge[i] = run.oracle.per_edge[i]._replace(rank=rank)
+    run.algorithm.decoded[i] = run.algorithm.decoded[i]._replace(rank=rank)
 
 
 def _dense_bundle(run):
@@ -362,7 +430,7 @@ def _bump(obj, name):
 def _move_decoded_subset(run):
     decoded = run.algorithm.decoded
     i = next(i for i, step in enumerate(decoded) if step.mode == 1)
-    decoded[i] = replace(decoded[i], subset=decoded[i].subset + 1)
+    decoded[i] = decoded[i]._replace(subset=decoded[i].subset + 1)
 
 
 TAMPERED = {
@@ -389,6 +457,18 @@ def test_verify_run_reports_each_tampered_property(request, case):
     tamper(run)
     problems = verify_run(run)
     assert [p.split(":", 1)[0] for p in problems] == [prop], problems
+
+
+def test_plan_and_decoded_steps_are_immutable(bundled_run):
+    # checks and benchmarks read these fields by name
+    assert EdgeAdvice._fields == ("mode", "color", "subset", "rank", "front")
+    assert EdgeAdvice(0, 3) == EdgeAdvice(0, 3, None, None, None)
+    assert DecodedStep._fields == ("arrival", "mode", "subset", "rank", "color")
+    adv = next(a for a in bundled_run.oracle.per_edge if a.mode == 1)
+    step = bundled_run.algorithm.decoded[0]
+    for obj, name in ((adv, "subset"), (adv, "rank"), (step, "subset"), (step, "color")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
 
 
 def _corrupt(bits, d, mode, kind, data):
