@@ -24,7 +24,7 @@ beside it in `Coloring.by_id` for the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import PreconditionViolated, ResourceLimit
 from .graphs import Graph, Pair, bipartition, edge_pair, is_proper
@@ -64,12 +64,13 @@ class Coloring:
         return len(self.assignment)
 
 
-def _coloring(g: Graph, color: Mapping[int, int]) -> Coloring:
-    """The pair-keyed coloring of g from edge-id colors, in `color`'s order."""
+def _coloring(g: Graph, color: Mapping[int, int], ids: Optional[Sequence[int]] = None) -> Coloring:
+    """The pair-keyed coloring of g from edge-id colors, in `color`'s order;
+    by_id lists the colors of `ids`, every edge of g when None."""
     ends = map(g.ends.__getitem__, color)
     return Coloring(
         {(u, v) if u < v else (v, u): c for (u, v), c in zip(ends, color.values())},
-        [color[i] for i in range(g.m)],
+        [color[i] for i in (range(g.m) if ids is None else ids)],
     )
 
 
@@ -191,14 +192,14 @@ class _Ledger:
     edges got colored), at[v][c] the id of the edge holding color c at v, and
     used[v] the same colors as a bitmask (bit c set when c is present at v).
     Bit 0 is always set, so the smallest free color at v is the lowest zero
-    bit."""
+    bit.  It covers `vertices`, those of the edges it will color."""
 
-    def __init__(self, g: Graph, k: int):
+    def __init__(self, ends: Sequence[Pair], vertices: Iterable[int], k: int):
         self.k = k
-        self.ends = g.ends
+        self.ends = ends
         self.color: dict[int, int] = {}
-        self.at: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
-        self.used: dict[int, int] = dict.fromkeys(g.vertices, 1)
+        self.at: dict[int, dict[int, int]] = {v: {} for v in vertices}
+        self.used: dict[int, int] = dict.fromkeys(self.at, 1)
 
     def free(self, v: int) -> int:
         """Smallest color in 1..k absent at v."""
@@ -300,7 +301,7 @@ def vizing_plus_one(g: Graph, *, check: bool = False) -> Coloring:
     by tests).
     """
     k = g.max_degree + 1
-    ledger = _Ledger(g, k)
+    ledger = _Ledger(g.ends, g.vertices, k)
     ends, at, used = g.ends, ledger.at, ledger.used
 
     for i, (u, v) in enumerate(ends):
@@ -346,7 +347,7 @@ def konig_color(g: Graph) -> Coloring:
     two-colored alternating path to make one free.  Raises NotBipartite.
     """
     bipartition(g)  # raises on odd cycles
-    ledger = _Ledger(g, g.max_degree)
+    ledger = _Ledger(g.ends, g.vertices, g.max_degree)
     used = ledger.used
 
     for i, (u, v) in enumerate(g.ends):
@@ -368,8 +369,13 @@ def konig_color(g: Graph) -> Coloring:
     return _coloring(g, ledger.color)
 
 
-def color_degenerate(g: Graph, d: int) -> Coloring:
+def color_degenerate(g: Graph, d: int, ids: Optional[Sequence[int]] = None) -> Coloring:
     """Proper coloring with colors 1..max(max_degree, 2d) when degeneracy <= d.
+
+    With `ids`, only the subgraph of those edges is colored, exactly as
+    color_degenerate(Graph([g.edges[i] for i in ids]), d) colors it, with
+    max_degree and degeneracy taken in the subgraph; its by_id lists the
+    colors in `ids` order.
 
     Peel: repeatedly remove an edge xy where deg(y) <= d and x has at most
     k - deg(y) neighbors of degree k, with k = max(max_degree, 2d).  By
@@ -390,10 +396,19 @@ def color_degenerate(g: Graph, d: int) -> Coloring:
     """
     if d < 0:
         raise PreconditionViolated("d must be nonnegative")
-    k = max(g.max_degree, 2 * d)
-    # vertices in sorted-label order: the peel order depends on it
-    nbrs = {v: dict(g.nbrs[v]) for v in g.vertices}
-    deg = dict(g.degree)
+    # vertices in sorted-label order, each one's edges in edge order: the
+    # peel order depends on both
+    if ids is None:
+        nbrs = {v: dict(g.nbrs[v]) for v in g.vertices}
+    else:
+        sub: dict[int, dict[int, int]] = {}
+        for i in ids:
+            u, v = g.ends[i]
+            sub.setdefault(u, {})[v] = i
+            sub.setdefault(v, {})[u] = i
+        nbrs = {v: sub[v] for v in sorted(sub)}
+    deg = {v: len(ws) for v, ws in nbrs.items()}
+    k = max(max(deg.values(), default=0), 2 * d)
     major = dict.fromkeys(nbrs, 0)  # neighbors of degree k
     for v, ws in nbrs.items():
         if deg[v] == k:
@@ -430,10 +445,10 @@ def color_degenerate(g: Graph, d: int) -> Coloring:
                 todo.append(x)
         if at_y and deg[y] < start:
             todo.append(y)  # edges parked above waited for the old deg[y]
-    if len(peeled) < g.m:
+    if len(peeled) < (g.m if ids is None else len(ids)):
         raise PreconditionViolated(f"degeneracy exceeds {d}")
 
-    ledger = _Ledger(g, k)
+    ledger = _Ledger(g.ends, nbrs, k)
     ends, at, used = g.ends, ledger.at, ledger.used
     full = (2 << k) - 2  # colors 1..k
     for x, y, i in reversed(peeled):
@@ -481,4 +496,4 @@ def color_degenerate(g: Graph, d: int) -> Coloring:
             path.append(z)
         path.reverse()
         ledger.rotate(x, path, [via[w] for w in path], alpha)
-    return _coloring(g, ledger.color)
+    return _coloring(g, ledger.color, ids)

@@ -171,8 +171,16 @@ def degeneracy(g: Graph) -> tuple[int, DegeneracyOrder]:
 
     The returned order is the reverse peeling sequence, so each vertex sees
     at most d neighbors before itself.  d is the largest residual minimum
-    degree observed while peeling.  A heap on (residual, label) finds each
-    minimum, so the peel costs O(m log n).
+    degree observed while peeling.
+
+    The minimum comes from a bucket queue (Matula and Beck): bucket[r] is a
+    heap of the labels whose residual was r when they were pushed, and an
+    entry whose vertex has since been peeled or has fallen lower is stale
+    and skipped.  A peel lowers each neighbor's residual by one, so the
+    scan pointer steps back by one per peel and moves O(n + max_degree)
+    times in all.  Each edge pushes at most one entry and each entry pops
+    once, so the peel makes O(n + m) heap steps, O((n + m) log n) time at
+    worst, on heaps that each hold one residual's labels.
 
     >>> g = Graph.from_stream(stream_from_pairs([(2, 0), (2, 1), (3, 4)]))
     >>> d, order = degeneracy(g)
@@ -183,27 +191,30 @@ def degeneracy(g: Graph) -> tuple[int, DegeneracyOrder]:
         raise PreconditionViolated("degeneracy of an empty graph is undefined")
     nbrs = g.nbrs
     residual = dict(g.degree)  # alive vertices only
-    heap = [(r, v) for v, r in residual.items()]
-    heapq.heapify(heap)
+    bucket: list[list[int]] = [[] for _ in range(g.max_degree + 1)]
+    for v in g.vertices:  # sorted labels, so every bucket starts as a heap
+        bucket[residual[v]].append(v)
     pop, push = heapq.heappop, heapq.heappush
     peeled: list[int] = []
-    d = 0
-    while heap:
-        r, v = pop(heap)
-        # residuals only fall, so v's newest entry pops before its older
-        # ones: the first pop of v carries its current residual and any
-        # later pop finds v already peeled
-        if v not in residual:
-            continue
+    d = r = 0  # no alive vertex has a residual below r
+    for _ in range(g.n):
+        while True:
+            while not bucket[r]:
+                r += 1
+            v = pop(bucket[r])
+            if residual.get(v) == r:
+                break
         del residual[v]
         if r > d:
             d = r
         peeled.append(v)
         for w in nbrs[v]:
             if w in residual:
-                r = residual[w] - 1
-                residual[w] = r
-                push(heap, (r, w))
+                x = residual[w] - 1
+                residual[w] = x
+                push(bucket[x], w)
+        if r:
+            r -= 1
     order = tuple(reversed(peeled))
     rank = {v: i for i, v in enumerate(order)}
     return d, DegeneracyOrder(order, rank)

@@ -15,11 +15,15 @@ Two regimes, split on the (padded) degeneracy bound d:
 A graph of degeneracy <= d with max_degree >= 2d is class 1, and
 color_degenerate builds both the max_degree coloring and every subset's
 2d-coloring without search.  The exact search runs only to decide the
-class of a graph with max_degree < 2*degeneracy.
+class of a graph with max_degree < 2*degeneracy that the fan coloring
+does not settle and that is not overfull.
 
 The oracle works on edge ids (see graphs): it reads the optimal coloring
 by id, splits literal from subset edges by id, and the partition keeps
-per-id arrays over the residual subgraph.  The plan it hands on is one
+per-id arrays over the residual subgraph.  When b = 0 the residual is the
+whole graph, so its Graph and degeneracy order are reused; otherwise the
+residual is built and peeled once.  Each subset is colored over the
+residual's edge ids, with no Graph of its own.  The plan it hands on is one
 EdgeAdvice named tuple per edge (mode, color, subset, rank, front) plus
 the bundles' member edges; literal edges of one color share one tuple.
 """
@@ -84,7 +88,10 @@ def build_partition(
     exceeds d.
 
     Each subset is a subgraph of g, so its degeneracy is at most d and
-    color_degenerate gives it a 2d-coloring without search.
+    color_degenerate gives it a 2d-coloring without search; it colors the
+    subset's edge ids over g, so no subset is rebuilt as a Graph.  The
+    per-vertex subset counts that steer the placement also guard the
+    bound: no subset may reach degree above 2d at any vertex.
 
     Requires max degree to be a positive multiple of 2d.
     """
@@ -143,16 +150,17 @@ def build_partition(
             at_w[target] = at_w.get(target, 0) + 1
             back[w].append((arrival[i], target))
 
+    for v, at_v in placed.items():
+        for j, k in at_v.items():
+            if k > 2 * d:
+                raise AssertionError(f"subset {j} reached degree {k} at vertex {v}")
     color = [0] * g.m
     partition: dict[int, list[Edge]] = {}
     for j, ids in members.items():
         ids.sort(key=arrival.__getitem__)
         partition[j] = [edges[i] for i in ids]
     for j, ids in sorted(members.items()):
-        sub = Graph(partition[j])
-        if sub.max_degree > 2 * d:
-            raise AssertionError(f"subset {j} reached degree {sub.max_degree}")
-        for i, c in zip(ids, color_degenerate(sub, d).by_id):
+        for i, c in zip(ids, color_degenerate(g, d, ids).by_id):
             color[i] = c
     return PartitionTrace(subset, rank, front, color, partition)
 
@@ -190,7 +198,10 @@ def optimal_coloring(
 
     `dgn` is g's degeneracy, computed when not given.  Bipartite graphs and
     graphs with max_degree >= 2*dgn are class 1 and get a max_degree
-    coloring by construction; only the rest reach the exact search.
+    coloring by construction.  Of the rest, a fan coloring on max_degree
+    colors settles class 1 and an overfull graph (more than
+    max_degree*(n//2) edges) is class 2; only the others reach the exact
+    search.
     """
     if g.m == 0:
         return 0, Coloring({}, [])
@@ -209,6 +220,10 @@ def optimal_coloring(
     fan = vizing_plus_one(g)
     if len(set(fan.assignment.values())) == delta:
         return delta, _contiguous(fan)
+    if g.m > delta * (g.n // 2):
+        # overfull: a color class is a matching of at most n//2 edges, so
+        # delta classes cannot hold every edge
+        return delta + 1, _contiguous(fan)
     witness = exact_color(g, delta, budget=budget)
     if witness is not None:
         return delta, witness
@@ -244,7 +259,7 @@ def build_advice(
         dd = pad_degeneracy(d if d is not None else 1)
         return OracleResult(dd, mode, 0, 0, [], [], stream, Coloring({}), {})
     g = Graph.from_stream(stream)
-    dgn, _ = degeneracy(g)
+    dgn, order = degeneracy(g)
     requested = dgn if d is None else d
     if dgn > requested:
         raise PreconditionViolated(f"stream has degeneracy {dgn}, above {requested}")
@@ -260,10 +275,14 @@ def build_advice(
         if chi != delta:
             raise AssertionError("a degenerate graph with max_degree >= 2d must be class 1")
         rest = [i for i, c in enumerate(colors) if c > b]
-        sub = Graph([edges[i] for i in rest])
-        if sub.max_degree != a * 2 * dd:
-            raise AssertionError("residual subgraph lost the expected max degree")
-        _, sub_order = degeneracy(sub)
+        if b:
+            sub = Graph([edges[i] for i in rest])
+            if sub.max_degree != a * 2 * dd:
+                raise AssertionError("residual subgraph lost the expected max degree")
+            _, sub_order = degeneracy(sub)
+        else:
+            # nothing ships literally: the residual is g, edge for edge
+            sub, sub_order = g, order
         trace = build_partition(sub, dd, sub_order)
 
     # few distinct records exist, so each is packed once and shared; a key

@@ -151,6 +151,22 @@ def test_zero_budget_runs_without_search(tmp_path, capsys):
     assert json.loads(stdout)["optimal"] is True
 
 
+def test_zero_budget_overfull_and_even_order_class_2(tmp_path, capsys):
+    from .conftest import petersen_pairs
+
+    # K5 is overfull, so no search decides its class; Petersen (n = 10) is
+    # not, so it still needs the search and runs out of a zero budget
+    code, stdout, _ = run_cli(capsys, "gen", "d-degenerate", "--n", "5", "--d", "4")
+    assert code == 0
+    k5 = tmp_path / "k5.stream"
+    k5.write_text(stdout)
+    code, stdout, _ = run_cli(capsys, "run", str(k5), "--budget", "0")
+    assert code == 0
+    assert json.loads(stdout)["chromatic_index"] == 5
+    path = write_stream(tmp_path, petersen_pairs())
+    assert run_cli(capsys, "run", path, "--alg", "advice", "--budget", "0")[0] == 3
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "bipartite", "--p", "2"],
     ["gen", "bipartite", "--a", "-1"],

@@ -266,6 +266,26 @@ def test_color_degenerate_matches_brute_force(g):
             assert len(col.palette) == brute_force_chromatic_index(g) == g.max_degree
 
 
+@given(
+    st.integers(min_value=2, max_value=40),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=10_000),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_color_degenerate_on_ids_matches_rebuilt_subgraph(n, d, seed, data):
+    g = Graph.from_stream(gen_d_degenerate(n, d, seed))
+    ids = data.draw(st.one_of(
+        st.just([]),
+        st.just(list(range(g.m))),
+        st.lists(st.sampled_from(range(g.m)), unique=True).map(sorted) if g.m else st.just([]),
+    ))
+    col = color_degenerate(g, d, ids)
+    ref = color_degenerate(Graph([g.edges[i] for i in ids]), d)
+    assert list(col.by_id) == list(ref.by_id)
+    assert list(col.assignment.items()) == list(ref.assignment.items())
+
+
 def tight_pairs(n: int, d: int, seed: int) -> list[tuple[int, int]]:
     """A d-degenerate graph packed with degree-2d vertices: each new vertex
     joins the d earlier vertices of highest degree below 2d."""
@@ -317,6 +337,23 @@ def test_chromatic_index_random_degenerate(n, seed):
     assert chi in (g.max_degree, g.max_degree + 1)
     witness = exact_color(g, chi)
     assert witness is not None and is_proper(g, witness)
+
+
+def test_overfull_certificate_agrees_with_exact_search():
+    # an overfull graph is class 2, so it needs no search budget
+    overfull = 0
+    for n in range(5, 10):
+        for d in range(3, 6):
+            for seed in range(4):
+                g = Graph.from_stream(gen_d_degenerate(n, d, seed))
+                delta = g.max_degree
+                colorable = exact_color(g, delta) is not None
+                assert chromatic_index(g) == (delta if colorable else delta + 1)
+                if g.m > delta * (g.n // 2):
+                    overfull += 1
+                    assert not colorable
+                    assert chromatic_index(g, budget=0) == delta + 1
+    assert overfull >= 10
 
 
 # Reference copies of the fan and König passes as they stood before the

@@ -69,6 +69,11 @@ GOLDEN_RUNS = [
         lambda: gen_forest(450, 1), 1, "strict", "tape",
         "9550b04b9dee43ec19870edffc93c7a8eaff730b5401f2d83aa73b3e2a801927",
     ),
+    # max degree 8 = 4*2d: no color ships literally, the residual is the graph
+    (
+        lambda: gen_forest(450, 2), 1, "robust", "request",
+        "4ced5de1b22780b11f9ef0631ce3a3fc0c9e869358da062938beacba8a27240e",
+    ),
     # Konig, every record literal: max degree 15 < 2*8
     (
         lambda: gen_bipartite(20, 20, 0.5, 1), 8, "robust", "request",
@@ -101,6 +106,7 @@ GOLDEN_RUNS = [
     GOLDEN_RUNS,
     ids=[
         "deg5-n45", "deg5-n55", "deg5-n65", "deg5-n75", "deg5-n85", "forest-n450",
+        "forest-n450-b0",
         "bipartite-20x20", "deg3-n6-fan", "deg5-n8-exact", "deg2-n150", "deg3-n150",
     ],
 )

@@ -194,7 +194,26 @@ def tied_pair_lists(draw):
     return draw(st.permutations([(label[u], label[v]) for u, v in pairs]))
 
 
-@given(st.one_of(random_pair_lists(max_vertices=16, max_edges=40), tied_pair_lists()))
+@st.composite
+def hub_pair_lists(draw):
+    """Stars whose leaves are chained into paths, the centers joined in a
+    path: each hub's residual falls one step per peeled leaf, so its stale
+    queue entries span many residuals."""
+    pairs, centers, base = [], [], 0
+    for size in draw(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4)):
+        leaves = range(base + 1, base + 1 + size)
+        pairs += [(base, x) for x in leaves]
+        pairs += [(x, x + 1) for x in leaves[:-1]]
+        centers.append(base)
+        base += size + 1
+    pairs += list(zip(centers, centers[1:]))
+    label = draw(st.permutations(range(base)))
+    return draw(st.permutations([(label[u], label[v]) for u, v in pairs]))
+
+
+@given(st.one_of(
+    random_pair_lists(max_vertices=16, max_edges=40), tied_pair_lists(), hub_pair_lists()
+))
 @settings(max_examples=200)
 def test_degeneracy_matches_quadratic_peel(pairs):
     if not pairs:

@@ -194,6 +194,14 @@ def test_optimal_coloring_contiguous_palette():
         assert col.palette == frozenset(range(1, chi + 1))
 
 
+def test_overfull_graph_settles_without_search():
+    # K5 has 10 edges > max degree 4 * (5 // 2), so it is class 2
+    g = graph(complete_pairs(5))
+    chi, col = optimal_coloring(g, budget=0)
+    assert chi == 5 and is_proper(g, col)
+    assert col.palette == frozenset(range(1, 6))
+
+
 def test_build_advice_literal_regime():
     # triangle with d=2: max degree 2 < 2d, so every record is a literal color
     res = build_advice(stream(cycle_pairs(3)), 2)
