@@ -53,7 +53,6 @@ from .generators import (
     gen_star,
 )
 from .graphs import (
-    DegeneracyOrder,
     Edge,
     EdgeStream,
     Graph,

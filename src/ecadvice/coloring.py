@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import PreconditionViolated, ResourceLimit
-from .graphs import Graph, Pair, bipartition, edge_pair, is_proper
+from .graphs import Graph, Pair, bipartition
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -292,13 +292,12 @@ class _Ledger:
         self.set(ids[end], c)
 
 
-def vizing_plus_one(g: Graph, *, check: bool = False) -> Coloring:
+def vizing_plus_one(g: Graph) -> Coloring:
     """Proper coloring with at most max_degree+1 colors in polynomial time.
 
     Fan recoloring: each uncolored edge grows a maximal fan around one
     endpoint, a two-color alternating path is flipped, and a prefix of the
-    fan is rotated.  `check` re-verifies properness after every edge (used
-    by tests).
+    fan is rotated.
     """
     k = g.max_degree + 1
     ledger = _Ledger(g.ends, g.vertices, k)
@@ -335,8 +334,6 @@ def vizing_plus_one(g: Graph, *, check: bool = False) -> Coloring:
         # Some prefix of the fan now ends at a vertex missing b and is still
         # a valid fan.
         ledger.rotate(anchor, fan, ids, b)
-        if check and not is_proper(g, {edge_pair(*ends[j]): c for j, c in ledger.color.items()}):
-            raise AssertionError("fan step broke properness")
     return _coloring(g, ledger.color)
 
 

@@ -157,21 +157,12 @@ class Graph:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class DegeneracyOrder:
-    """A vertex order and each vertex's position in it; from degeneracy,
-    every vertex has at most d earlier neighbors."""
-
-    order: tuple[int, ...]
-    rank: Mapping[int, int]
-
-
-def degeneracy(g: Graph) -> tuple[int, DegeneracyOrder]:
+def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Min-degree peeling; ties broken by smallest label.
 
-    The returned order is the reverse peeling sequence, so each vertex sees
-    at most d neighbors before itself.  d is the largest residual minimum
-    degree observed while peeling.
+    Returns d and the vertex order, the reverse peeling sequence, so each
+    vertex sees at most d neighbors before itself.  d is the largest
+    residual minimum degree observed while peeling.
 
     The minimum comes from a bucket queue (Matula and Beck): bucket[r] is a
     heap of the labels whose residual was r when they were pushed, and an
@@ -183,8 +174,7 @@ def degeneracy(g: Graph) -> tuple[int, DegeneracyOrder]:
     worst, on heaps that each hold one residual's labels.
 
     >>> g = Graph.from_stream(stream_from_pairs([(2, 0), (2, 1), (3, 4)]))
-    >>> d, order = degeneracy(g)
-    >>> d, order.order  # 0, 1, 3 and 4 tie at residual 1: 0 is peeled first
+    >>> degeneracy(g)  # 0, 1, 3 and 4 tie at residual 1: 0 is peeled first
     (1, (4, 3, 2, 1, 0))
     """
     if g.n == 0:
@@ -215,24 +205,25 @@ def degeneracy(g: Graph) -> tuple[int, DegeneracyOrder]:
                 push(bucket[x], w)
         if r:
             r -= 1
-    order = tuple(reversed(peeled))
-    rank = {v: i for i, v in enumerate(order)}
-    return d, DegeneracyOrder(order, rank)
+    return d, tuple(reversed(peeled))
 
 
 @dataclass(frozen=True)
 class EdgeClassification:
-    """front[i] is the endpoint of edge i whose rank is lower; back[i] the
-    other.  Both are indexed by edge id."""
+    """front[i] is the endpoint of edge i that comes first in the order;
+    back[i] the other.  Both are indexed by edge id."""
 
     front: Sequence[int]
     back: Sequence[int]
     back_degree: Mapping[int, int]
 
 
-def classify(g: Graph, order: DegeneracyOrder) -> EdgeClassification:
-    """Split each edge into its front (earlier) and back (later) endpoint."""
-    rank = order.rank
+def classify(g: Graph, order: Sequence[int]) -> EdgeClassification:
+    """Split each edge into its front (earlier) and back (later) endpoint
+    in `order`, which lists each vertex of g once and may list others."""
+    rank = {v: i for i, v in enumerate(order)}
+    if len(rank) != len(order):
+        raise PreconditionViolated("order lists a vertex twice")
     for v in g.vertices:
         if v not in rank:
             raise PreconditionViolated(f"vertex {v} missing from order")

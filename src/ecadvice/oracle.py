@@ -19,18 +19,19 @@ class of a graph with max_degree < 2*degeneracy that the fan coloring
 does not settle and that is not overfull.
 
 The oracle works on edge ids (see graphs): it reads the optimal coloring
-by id, splits literal from subset edges by id, and the partition keeps
-per-id arrays over the residual subgraph.  When b = 0 the residual is the
-whole graph, so its Graph and degeneracy order are reused; otherwise the
+by id, splits literal from subset edges by id, and the partition places
+the residual subgraph's edges by id.  When b = 0 the residual is the whole
+graph, so its Graph and degeneracy order are reused; otherwise the
 residual is built and peeled once.  Each subset is colored over the
-residual's edge ids, with no Graph of its own.  The plan it hands on is one
-EdgeAdvice named tuple per edge (mode, color, subset, rank, front) plus
-the bundles' member edges; literal edges of one color share one tuple.
+residual's edge ids, with no Graph of its own.  The partition hands back
+its plan, one EdgeAdvice named tuple per edge (mode, color, subset, rank,
+front), plus the bundles' member edges; build_advice copies the plan into
+per_edge, where literal edges of one color share one tuple.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .advice import AdviceRecord, pack_record, pad_degeneracy
 from .coloring import (
@@ -42,7 +43,7 @@ from .coloring import (
     vizing_plus_one,
 )
 from .errors import NotBipartite, PreconditionViolated
-from .graphs import DegeneracyOrder, Edge, EdgeStream, Graph, classify, degeneracy
+from .graphs import Edge, EdgeStream, Graph, classify, degeneracy
 
 
 class EdgeAdvice(NamedTuple):
@@ -57,27 +58,11 @@ class EdgeAdvice(NamedTuple):
     front: Optional[int] = None
 
 
-@dataclass
-class PartitionTrace:
-    """Everything the subset partition decided.
-
-    subset, rank, front and color are indexed by edge id of the partitioned
-    graph; color is the edge's color inside its subset.  partition maps
-    each subset index to its member edges in arrival order.
-    """
-
-    subset: list[int]
-    rank: list[int]
-    front: list[int]
-    color: list[int]
-    partition: dict[int, list[Edge]]
-
-
 def build_partition(
     g: Graph,
     d: int,
-    order: DegeneracyOrder,
-) -> PartitionTrace:
+    order: Sequence[int],
+) -> tuple[list[EdgeAdvice], dict[int, list[Edge]]]:
     """Assign every edge to a subset of max degree <= 2d, recording ranks.
 
     Vertices are visited in `order`; each vertex's front-edges are handled
@@ -93,9 +78,12 @@ def build_partition(
     per-vertex subset counts that steer the placement also guard the
     bound: no subset may reach degree above 2d at any vertex.
 
+    Returns the plan, plan[i] = EdgeAdvice(1, color in the subset, subset,
+    rank, front) for edge i of g, and each subset's members in arrival order.
+
     Requires max degree to be a positive multiple of 2d.
     """
-    sides = classify(g, order)  # raises when a vertex is missing from the order
+    sides = classify(g, order)  # raises when the order misses or repeats a vertex
     if max(sides.back_degree.values(), default=0) > d:
         raise PreconditionViolated(f"order has back-degree above {d}")
     delta = g.max_degree
@@ -113,11 +101,10 @@ def build_partition(
     # of v's back edges, all placed before v itself is visited.
     placed: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
     back: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
-    subset = [0] * g.m
     rank = [0] * g.m
     members: dict[int, list[int]] = {}
 
-    for v in order.order:
+    for v in order:
         if v not in front_edges:
             continue
         total = placed[v]
@@ -128,21 +115,12 @@ def build_partition(
             while total.get(target, 0) > cap:
                 target += 1
             if back_v:
-                # the placed edges at v that arrive after edge i are back edges
-                late: dict[int, int] = {}
+                # v's front edges only enter subsets holding <= 2d-1 edges
+                # at v, so each subset below target holds exactly 2d there;
+                # it looks open among earlier arrivals exactly when one of
+                # v's back edges in it arrives after edge i
                 t = arrival[i]
-                for s, j in back_v:
-                    if s > t:
-                        late[j] = late.get(j, 0) + 1
-                if total.get(target, 0) - late.get(target, 0) > cap:
-                    raise AssertionError("chosen subset not open among earlier arrivals")
-                # every subset below target is full, so it looks open among
-                # earlier arrivals only when late back edges hide enough of it
-                r = sum(1 for j, k in late.items() if j < target and total[j] - k <= cap)
-                if r > d:
-                    raise AssertionError(f"rank {r} exceeds back-degree bound {d}")
-                rank[i] = r
-            subset[i] = target
+                rank[i] = len({j for s, j in back_v if s > t and j < target})
             members.setdefault(target, []).append(i)
             total[target] = total.get(target, 0) + 1
             w = other[i]
@@ -154,15 +132,14 @@ def build_partition(
         for j, k in at_v.items():
             if k > 2 * d:
                 raise AssertionError(f"subset {j} reached degree {k} at vertex {v}")
-    color = [0] * g.m
+    plan: list = [None] * g.m  # every edge lands in exactly one subset
     partition: dict[int, list[Edge]] = {}
     for j, ids in members.items():
         ids.sort(key=arrival.__getitem__)
         partition[j] = [edges[i] for i in ids]
-    for j, ids in sorted(members.items()):
         for i, c in zip(ids, color_degenerate(g, d, ids).by_id):
-            color[i] = c
-    return PartitionTrace(subset, rank, front, color, partition)
+            plan[i] = EdgeAdvice(1, c, j, rank[i], front[i])
+    return plan, partition
 
 
 @dataclass
@@ -269,7 +246,9 @@ def build_advice(
 
     colors = opt.by_id
     b = chi  # colors 1..b are shipped literally
-    trace: Optional[PartitionTrace] = None
+    rest: list[int] = []  # ids of the edges the subsets take, in id order
+    plan: list[EdgeAdvice] = []  # rest[k]'s advice is plan[k]
+    partition: dict[int, list[Edge]] = {}
     if delta >= 2 * dd:
         a, b = divmod(delta, 2 * dd)
         if chi != delta:
@@ -283,7 +262,7 @@ def build_advice(
         else:
             # nothing ships literally: the residual is g, edge for edge
             sub, sub_order = g, order
-        trace = build_partition(sub, dd, sub_order)
+        plan, partition = build_partition(sub, dd, sub_order)
 
     # few distinct records exist, so each is packed once and shared; a key
     # holds only written fields, so a strict key's front flag is always 0
@@ -293,19 +272,16 @@ def build_advice(
     records = [literal_records.get(c) for c in colors]
     robust = mode == "robust"
     oriented = list(edges)  # strict mode lists each subset edge's front first
-    if trace is not None:
-        packed: dict[tuple[int, int, int], AdviceRecord] = {}
-        for i, (u, v), c, j, r, f in zip(
-            rest, sub.ends, trace.color, trace.subset, trace.rank, trace.front
-        ):
-            per_edge[i] = EdgeAdvice(1, c, j, r, f)
-            key = (c, r, int(robust and f != (u if u < v else v)))
-            record = packed.get(key)
-            if record is None:
-                record = packed[key] = pack_record(dd, mode, 1, *key)
-            records[i] = record
-            if not robust and f != u:
-                oriented[i] = Edge(v, u, i)
+    packed: dict[tuple[int, int, int], AdviceRecord] = {}
+    for i, adv in zip(rest, plan):
+        per_edge[i] = adv
+        (u, v), f = g.ends[i], adv.front
+        key = (adv.color, adv.rank, int(robust and f != (u if u < v else v)))
+        record = packed.get(key)
+        if record is None:
+            record = packed[key] = pack_record(dd, mode, 1, *key)
+        records[i] = record
+        if not robust and f != u:
+            oriented[i] = Edge(v, u, i)
     out_stream = stream if robust else EdgeStream(tuple(oriented))
-    partition = trace.partition if trace is not None else {}
     return OracleResult(dd, mode, delta, chi, records, per_edge, out_stream, opt, partition)

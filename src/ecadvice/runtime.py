@@ -32,6 +32,7 @@ from .errors import (
     SelfLoop,
 )
 from .graphs import Edge, EdgeStream, Graph, Pair, is_proper
+from .oracle import OracleResult, build_advice
 
 
 class RequestSource:
@@ -348,7 +349,7 @@ class AdviceRun:
     """Full oracle-to-decoder pipeline output."""
 
     report: RunReport
-    oracle: "OracleResult"  # noqa: F821  (import cycle; see oracle.py)
+    oracle: OracleResult
     algorithm: AdviceAlgorithm
     source: RequestSource | TapeSource
 
@@ -393,8 +394,6 @@ def run_advice(
     budget: Optional[int] = None,
 ) -> AdviceRun:
     """Oracle, then decoder, on the stream the oracle says to replay."""
-    from .oracle import build_advice
-
     if model not in ("request", "tape"):
         raise PreconditionViolated(f"unknown advice model {model!r}")
     oracle = build_advice(stream, d, mode=mode, budget=budget)

@@ -7,7 +7,8 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from ecadvice import EdgeStream, Graph, stream_from_pairs
+import ecadvice.coloring
+from ecadvice import Edge, EdgeStream, Graph, edge_pair, is_proper, stream_from_pairs, vizing_plus_one
 
 
 def stream(pairs) -> EdgeStream:
@@ -16,6 +17,28 @@ def stream(pairs) -> EdgeStream:
 
 def graph(pairs) -> Graph:
     return Graph.from_stream(stream_from_pairs(pairs))
+
+
+class CheckedLedger(ecadvice.coloring._Ledger):
+    """The recoloring ledger with properness re-checked on the colored
+    edges after every fan rotation; vizing_plus_one rotates once per edge."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.graph = Graph([Edge(u, v, i) for i, (u, v) in enumerate(self.ends)])
+
+    def rotate(self, *args) -> None:
+        super().rotate(*args)
+        colored = {edge_pair(*self.ends[j]): c for j, c in self.color.items()}
+        if not is_proper(self.graph, colored):
+            raise AssertionError("fan step broke properness")
+
+
+def checked_vizing(g: Graph):
+    """vizing_plus_one(g), with every fan step checked."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ecadvice.coloring, "_Ledger", CheckedLedger)
+        return vizing_plus_one(g)
 
 
 def about(problems: list[str], *properties: str) -> list[str]:

@@ -33,12 +33,11 @@ from ecadvice import (
     run_greedy,
     variant_family,
     verify_run,
-    vizing_plus_one,
 )
 from ecadvice.advice import bits_per_edge
 
 from .test_coloring import CORPUS, product_colorable
-from .conftest import about, brute_force_chromatic_index, brute_force_colorable, graph
+from .conftest import about, brute_force_chromatic_index, brute_force_colorable, checked_vizing, graph
 
 PER_CLASS = 200
 
@@ -229,7 +228,7 @@ def test_criterion_8_offline_cross_validation():
                 literal_checks += 1
                 if brute_force_colorable(g, k) != product_colorable(g, k):
                     failures.append(f"m={g.m}: pruned recursion vs literal k^m scan at k={k}")
-        viz = vizing_plus_one(g, check=True)
+        viz = checked_vizing(g)
         if not is_proper(g, viz) or len(viz.palette) > g.max_degree + 1:
             failures.append(f"m={g.m}: fan recoloring broke the delta+1 bound")
         if is_bipartite(g):

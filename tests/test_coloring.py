@@ -27,9 +27,11 @@ from ecadvice import (
 )
 
 from .conftest import (
+    CheckedLedger,
     biclique_pairs,
     brute_force_chromatic_index,
     brute_force_colorable,
+    checked_vizing,
     complete_pairs,
     cycle_pairs,
     gnp_pairs,
@@ -163,7 +165,7 @@ def test_exact_color_agrees_with_brute_force_random(pairs):
 @pytest.mark.parametrize("pairs,expected", [(cycle_pairs(5), 3), (star_pairs(5), 5)])
 def test_vizing_frozen(pairs, expected):
     g = graph(pairs)
-    col = vizing_plus_one(g, check=True)
+    col = checked_vizing(g)
     assert is_proper(g, col)
     assert len(col.palette) == expected
 
@@ -174,7 +176,7 @@ def test_vizing_proper_within_delta_plus_one(pairs):
     g = graph(pairs)
     if g.m == 0:
         return
-    col = vizing_plus_one(g, check=True)
+    col = checked_vizing(g)
     assert is_proper(g, col)
     assert len(col) == g.m
     assert len(col.palette) <= g.max_degree + 1
@@ -183,7 +185,7 @@ def test_vizing_proper_within_delta_plus_one(pairs):
 
 def test_vizing_on_sparse_random_graph():
     g = graph(gnp_pairs(200, 0.05, 11))
-    col = vizing_plus_one(g, check=True)
+    col = checked_vizing(g)
     assert is_proper(g, col) and len(col) == g.m
     assert len(col.palette) <= g.max_degree + 1
 
@@ -498,14 +500,14 @@ def ledger_graphs(draw):
 def test_bitmask_ledger_matches_slot_ledger(g):
     ledgers = []
 
-    class Recorded(ecadvice.coloring._Ledger):
+    class Recorded(CheckedLedger):
         def __init__(self, *args):
             super().__init__(*args)
             ledgers.append(self)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ecadvice.coloring, "_Ledger", Recorded)
-        fan = vizing_plus_one(g, check=True)
+        fan = vizing_plus_one(g)  # a Recorded ledger checks every fan step
         try:
             konig = konig_color(g)
         except NotBipartite:

@@ -98,6 +98,12 @@ GOLDEN_RUNS = [
         lambda: gen_d_degenerate(150, 3, 1), 3, "robust", "tape",
         "19fe7a893ec389bb9878500a067ecca7f8022fac1b6f42465c33b35826ea7a82",
     ),
+    # d = 4: max degree 20 = 2*2d + 4, so 4 colors ship literally and 2
+    # bundles take the rest; color and rank fields are 3 bits each
+    (
+        lambda: gen_d_degenerate(150, 4, 1), 4, "strict", "request",
+        "8b78d03961c7a71b109798271ef5a2178b2051dff40112f882b74a4efe9aa901",
+    ),
 ]
 
 
@@ -108,6 +114,7 @@ GOLDEN_RUNS = [
         "deg5-n45", "deg5-n55", "deg5-n65", "deg5-n75", "deg5-n85", "forest-n450",
         "forest-n450-b0",
         "bipartite-20x20", "deg3-n6-fan", "deg5-n8-exact", "deg2-n150", "deg3-n150",
+        "deg4-n150",
     ],
 )
 def test_records_and_colorings_are_pinned(make, d, mode, model, digest):

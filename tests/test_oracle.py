@@ -3,7 +3,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecadvice import (
-    DegeneracyOrder,
     DuplicateEdge,
     Edge,
     EdgeStream,
@@ -35,17 +34,18 @@ from .conftest import (
 )
 
 
-CENTER_FIRST = DegeneracyOrder((0, 1, 2, 3, 4, 5), {v: v for v in range(6)})
+CENTER_FIRST = (0, 1, 2, 3, 4, 5)
 
 
-def _views(g, trace):
-    """build_partition's id arrays over g, keyed by pair: (subset, rank),
-    front and color inside the subset."""
+def _views(g, plan):
+    """build_partition's plan over g, keyed by pair: (subset, rank), front
+    and color inside the subset."""
     pairs = [e.pair for e in g.edges]
+    assert all(adv.mode == 1 for adv in plan)
     return (
-        {p: (j, r) for p, j, r in zip(pairs, trace.subset, trace.rank)},
-        dict(zip(pairs, trace.front)),
-        dict(zip(pairs, trace.color)),
+        {p: (adv.subset, adv.rank) for p, adv in zip(pairs, plan)},
+        {p: adv.front for p, adv in zip(pairs, plan)},
+        {p: adv.color for p, adv in zip(pairs, plan)},
     )
 
 
@@ -53,17 +53,17 @@ def test_partition_star_frozen():
     # K_{1,4}, d=1, center first: arrivals fill subset 1 then subset 2,
     # and every rank is 0 because the center is the front of every edge
     g = Graph.from_stream(gen_star(4))
-    trace = build_partition(g, 1, CENTER_FIRST)
-    assignments, _, colors = _views(g, trace)
+    plan, partition = build_partition(g, 1, CENTER_FIRST)
+    assignments, _, colors = _views(g, plan)
     assert assignments == {
         (0, 1): (1, 0),
         (0, 2): (1, 0),
         (0, 3): (2, 0),
         (0, 4): (2, 0),
     }
-    assert sorted(trace.partition) == [1, 2]
-    assert all(len(v) == 2 for v in trace.partition.values())
-    for members in trace.partition.values():
+    assert sorted(partition) == [1, 2]
+    assert all(len(v) == 2 for v in partition.values())
+    for members in partition.values():
         col = {e.pair: colors[e.pair] for e in members}
         assert is_proper(Graph(members), col)
         assert len(set(col.values())) <= 2
@@ -71,7 +71,7 @@ def test_partition_star_frozen():
 
 def test_partition_rejects_bad_order():
     s = gen_star(4)
-    center_last = DegeneracyOrder((1, 2, 3, 4, 0), {1: 0, 2: 1, 3: 2, 4: 3, 0: 4})
+    center_last = (1, 2, 3, 4, 0)
     with pytest.raises(PreconditionViolated):
         build_partition(Graph.from_stream(s), 1, center_last)  # back-degree 4 at the center
 
@@ -82,9 +82,14 @@ def test_partition_rejects_non_multiple_degree():
 
 
 def test_partition_rejects_missing_vertex():
-    order = DegeneracyOrder((0, 1), {0: 0, 1: 1})
     with pytest.raises(PreconditionViolated):
-        build_partition(Graph.from_stream(gen_star(2)), 1, order)
+        build_partition(Graph.from_stream(gen_star(2)), 1, (0, 1))
+
+
+def test_partition_rejects_repeated_vertex():
+    # listing the center twice would otherwise put every edge in two subsets
+    with pytest.raises(PreconditionViolated):
+        build_partition(Graph.from_stream(gen_star(4)), 1, (0, 0, 1, 2, 3, 4))
 
 
 def _rescan_partition(g, d, order):
@@ -99,7 +104,7 @@ def _rescan_partition(g, d, order):
         group.sort(key=lambda e: e.arrival)
     incident = {v: [] for v in g.vertices}
     assignments, fronts, partition = {}, {}, {}
-    for v in order.order:
+    for v in order:
         for e in front_edges.get(v, ()):
             total, prev = {}, {}
             for arrival, j in incident[v]:
@@ -120,16 +125,12 @@ def _rescan_partition(g, d, order):
     return assignments, fronts, partition
 
 
-def _order(vertices):
-    return DegeneracyOrder(tuple(vertices), {v: i for i, v in enumerate(vertices)})
-
-
 def _assert_partition_matches_rescan(g, d, order):
-    trace = build_partition(g, d, order)
-    assignments, fronts, _ = _views(g, trace)
-    assert (assignments, fronts, trace.partition) == _rescan_partition(g, d, order)
-    assert all(rank <= d for rank in trace.rank)
-    return trace
+    plan, partition = build_partition(g, d, order)
+    assignments, fronts, _ = _views(g, plan)
+    assert (assignments, fronts, partition) == _rescan_partition(g, d, order)
+    assert all(adv.rank <= d for adv in plan)
+    return plan
 
 
 @given(st.sampled_from(["forest", "2", "3"]), st.integers(min_value=0, max_value=10_000))
@@ -166,7 +167,7 @@ def test_partition_matches_rescan_on_stars(d, blocks, data):
     g = Graph.from_stream(gen_star(2 * d * blocks))
     leaves = data.draw(st.permutations(range(1, g.n)))
     at = data.draw(st.integers(min_value=0, max_value=d))
-    _assert_partition_matches_rescan(g, d, _order((*leaves[:at], 0, *leaves[at:])))
+    _assert_partition_matches_rescan(g, d, (*leaves[:at], 0, *leaves[at:]))
     _assert_partition_matches_rescan(g, d, degeneracy(g)[1])
 
 
@@ -182,8 +183,8 @@ def test_partition_matches_rescan_at_rank_d(d):
     pairs += [(0, x) for x in range(leaf, leaf + 2 * d * (d + 2) - d)]
     pairs += [(hub, 0) for hub in range(1, d + 1)]
     g = graph(pairs)
-    trace = _assert_partition_matches_rescan(g, d, _order((*range(1, d + 1), 0, *range(d + 1, g.n))))
-    assert max(trace.rank) == d
+    plan = _assert_partition_matches_rescan(g, d, (*range(1, d + 1), 0, *range(d + 1, g.n)))
+    assert max(adv.rank for adv in plan) == d
 
 
 def test_optimal_coloring_contiguous_palette():
