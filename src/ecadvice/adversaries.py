@@ -276,7 +276,7 @@ def rigidity_check(n: int, *, budget: Optional[int] = None) -> bool:
     does.  Joining the two pendant leaves into one vertex makes the pendant
     edges adjacent, so a coloring of the joined graph is exactly a
     coloring of the gadget that separates them: the search must find no
-    (n+1)-coloring of it, and the fan construction (Vizing's theorem) an
+    (n+1)-coloring of it, and vizing_plus_one (Vizing's theorem) an
     (n+2)-coloring.
     """
     stream, e_l, e_r = build_coupled_pair(n)

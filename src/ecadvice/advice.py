@@ -187,13 +187,6 @@ def unpack_record(bits: str, d: int, mode: str) -> RecordFields:
     return RecordFields(mode_flag, front_flag, color, rank)
 
 
-@dataclass(frozen=True)
-class AdviceTape:
-    """Append-only bit string: header then records in arrival order."""
-
-    bits: str
-
-
 def encode_header(d: int) -> str:
     """Self-delimiting d: ceil(log2(d)) ones, a zero, then d in that many bits.
 
@@ -232,9 +225,10 @@ def read_header(bits: str, pos: int = 0) -> tuple[int, int]:
     return d, pos + width
 
 
-def encode_tape(records: Iterable[AdviceRecord], d: int) -> AdviceTape:
-    """Header for d followed by the concatenated records."""
-    return AdviceTape(encode_header(d) + "".join(r.bits for r in records))
+def encode_tape(records: Iterable[AdviceRecord], d: int) -> str:
+    """The tape's bit string: the header for d, then the records in
+    arrival order."""
+    return encode_header(d) + "".join(r.bits for r in records)
 
 
 def header_bits(d: int) -> int:

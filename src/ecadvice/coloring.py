@@ -9,13 +9,18 @@ one job, deciding whether a graph is k-edge-colorable: the class of a
 graph with max_degree < 2*degeneracy, and the rigidity gadget with its
 pendant leaves joined (see adversaries).
 
-The polynomial constructions need no search: vizing_plus_one gives
-max_degree+1 colors, konig_color max_degree colors on a bipartite graph,
-and color_degenerate max(max_degree, 2d) colors on a graph of degeneracy
-<= d (Vizing's adjacency lemma).  They share one recoloring ledger (per
-vertex, a bitmask of the colors present plus a slot naming the edge that
-holds each one, so the smallest free color is the lowest zero bit) and its
-one alternating-path flip and one fan rotation.
+The polynomial constructions need no search: konig_color gives
+max_degree colors on a bipartite graph, and one peel and re-add engine
+(Vizing's adjacency lemma) gives the rest.  It takes the eligibility
+threshold and the palette floor apart: color_degenerate is the engine with
+threshold d and floor 2d, max(max_degree, 2d) colors on a graph of
+degeneracy <= d; vizing_plus_one is threshold max_degree and floor
+max_degree+1, where the peel cannot get stuck; and with both at
+max_degree, a complete peel is a max_degree coloring, the oracle's
+class-1 certificate.  They share one recoloring ledger (per vertex, a
+bitmask of the colors present plus a slot naming the edge that holds each
+one, so the smallest free color is the lowest zero bit) and its one
+alternating-path flip and one fan rotation.
 
 Every engine works on edge ids (positions in `g.edges`, see graphs) and
 builds its pair-keyed Coloring once, at the end, keeping the colors by id
@@ -187,12 +192,12 @@ def exact_color(g: Graph, k: int, *, budget: Optional[int] = None) -> Optional[C
 
 
 class _Ledger:
-    """Recoloring state shared by the fan, König and degenerate
-    constructions, on edge ids: color[i] the color of edge i (in the order
-    edges got colored), at[v][c] the id of the edge holding color c at v, and
-    used[v] the same colors as a bitmask (bit c set when c is present at v).
-    Bit 0 is always set, so the smallest free color at v is the lowest zero
-    bit.  It covers `vertices`, those of the edges it will color."""
+    """Recoloring state shared by the König and peel constructions, on
+    edge ids: color[i] the color of edge i (in the order edges got colored),
+    at[v][c] the id of the edge holding color c at v, and used[v] the same
+    colors as a bitmask (bit c set when c is present at v).  Bit 0 is always
+    set, so the smallest free color at v is the lowest zero bit.  It covers
+    `vertices`, those of the edges it will color."""
 
     def __init__(self, ends: Sequence[Pair], vertices: Iterable[int], k: int):
         self.k = k
@@ -292,51 +297,6 @@ class _Ledger:
         self.set(ids[end], c)
 
 
-def vizing_plus_one(g: Graph) -> Coloring:
-    """Proper coloring with at most max_degree+1 colors in polynomial time.
-
-    Fan recoloring: each uncolored edge grows a maximal fan around one
-    endpoint, a two-color alternating path is flipped, and a prefix of the
-    fan is rotated.
-    """
-    k = g.max_degree + 1
-    ledger = _Ledger(g.ends, g.vertices, k)
-    ends, at, used = g.ends, ledger.at, ledger.used
-
-    for i, (u, v) in enumerate(ends):
-        anchor, tip = (u, v) if u < v else (v, u)
-        at_anchor = at[anchor]
-        # Maximal fan: each next edge's color is free at the previous vertex;
-        # among the candidates the smallest label wins.
-        fan = [tip]
-        ids = [i]
-        in_fan = {tip}
-        while True:
-            candidate = None
-            options = used[anchor] & ~used[fan[-1]]
-            while options:
-                low = options & -options
-                options ^= low
-                j = at_anchor[low.bit_length() - 1]
-                x, y = ends[j]
-                z = x if y == anchor else y
-                if z not in in_fan and (candidate is None or z < candidate):
-                    candidate, via = z, j
-            if candidate is None:
-                break
-            fan.append(candidate)
-            ids.append(via)
-            in_fan.add(candidate)
-        a = ledger.free(anchor)
-        b = ledger.free(fan[-1])
-        if used[anchor] >> b & 1:
-            ledger.flip(anchor, b, a)
-        # Some prefix of the fan now ends at a vertex missing b and is still
-        # a valid fan.
-        ledger.rotate(anchor, fan, ids, b)
-    return _coloring(g, ledger.color)
-
-
 def konig_color(g: Graph) -> Coloring:
     """Exactly max_degree colors on a bipartite graph.
 
@@ -366,19 +326,46 @@ def konig_color(g: Graph) -> Coloring:
     return _coloring(g, ledger.color)
 
 
+def vizing_plus_one(g: Graph) -> Coloring:
+    """Proper coloring with at most max_degree+1 colors in polynomial time.
+
+    The adjacency-lemma peel of color_degenerate with every vertex eligible
+    and k = max_degree+1: no vertex has degree k, so every edge is eligible
+    and the peel never gets stuck (Vizing's theorem).
+    """
+    col = _peel_color(g, g.max_degree, g.max_degree + 1)
+    if col is None:
+        raise AssertionError("the max_degree+1 peel got stuck")
+    return col
+
+
 def color_degenerate(g: Graph, d: int, ids: Optional[Sequence[int]] = None) -> Coloring:
     """Proper coloring with colors 1..max(max_degree, 2d) when degeneracy <= d.
 
     With `ids`, only the subgraph of those edges is colored, exactly as
     color_degenerate(Graph([g.edges[i] for i in ids]), d) colors it, with
     max_degree and degeneracy taken in the subgraph; its by_id lists the
-    colors in `ids` order.
+    colors in `ids` order.  By Vizing's adjacency lemma the peel of
+    _peel_color never gets stuck on a graph of degeneracy <= d while
+    k >= 2d, so a stuck peel proves the degeneracy exceeds d
+    (PreconditionViolated).
+    """
+    if d < 0:
+        raise PreconditionViolated("d must be nonnegative")
+    col = _peel_color(g, d, 2 * d, ids)
+    if col is None:
+        raise PreconditionViolated(f"degeneracy exceeds {d}")
+    return col
+
+
+def _peel_color(
+    g: Graph, d: int, floor: int, ids: Optional[Sequence[int]] = None
+) -> Optional[Coloring]:
+    """Proper coloring with colors 1..k, k = max(max_degree, floor), or None
+    when the peel gets stuck; `ids` as in color_degenerate.
 
     Peel: repeatedly remove an edge xy where deg(y) <= d and x has at most
-    k - deg(y) neighbors of degree k, with k = max(max_degree, 2d).  By
-    Vizing's adjacency lemma such an edge exists in every graph of
-    degeneracy <= d while k >= 2d, so a stuck peel proves the degeneracy
-    exceeds d (PreconditionViolated).  Degrees and degree-k counts only
+    k - deg(y) neighbors of degree k.  Degrees and degree-k counts only
     fall, so an edge once eligible stays eligible, and an edge that is not
     yet eligible is looked at again only when deg(y) falls or x's count
     reaches the value the edge waits for: the peel costs O(m*d).
@@ -389,10 +376,10 @@ def color_degenerate(g: Graph, d: int, ids: Optional[Sequence[int]] = None) -> C
     when two fan vertices miss one color beta, the alpha/beta chain is
     flipped from the one that is not the far end of x's chain, and the
     shortest still-valid prefix ending at a vertex missing alpha rotates.
-    The same lemma says one of these always applies, so a failure is a bug.
+    Vizing's adjacency lemma says one of these always applies to an edge
+    that met the peel condition, for any k >= max_degree, so a failure is
+    a bug.
     """
-    if d < 0:
-        raise PreconditionViolated("d must be nonnegative")
     # vertices in sorted-label order, each one's edges in edge order: the
     # peel order depends on both
     if ids is None:
@@ -405,7 +392,7 @@ def color_degenerate(g: Graph, d: int, ids: Optional[Sequence[int]] = None) -> C
             sub.setdefault(v, {})[u] = i
         nbrs = {v: sub[v] for v in sorted(sub)}
     deg = {v: len(ws) for v, ws in nbrs.items()}
-    k = max(max(deg.values(), default=0), 2 * d)
+    k = max(max(deg.values(), default=0), floor)
     major = dict.fromkeys(nbrs, 0)  # neighbors of degree k
     for v, ws in nbrs.items():
         if deg[v] == k:
@@ -443,7 +430,7 @@ def color_degenerate(g: Graph, d: int, ids: Optional[Sequence[int]] = None) -> C
         if at_y and deg[y] < start:
             todo.append(y)  # edges parked above waited for the old deg[y]
     if len(peeled) < (g.m if ids is None else len(ids)):
-        raise PreconditionViolated(f"degeneracy exceeds {d}")
+        return None
 
     ledger = _Ledger(g.ends, nbrs, k)
     ends, at, used = g.ends, ledger.at, ledger.used

@@ -15,8 +15,9 @@ Two regimes, split on the (padded) degeneracy bound d:
 A graph of degeneracy <= d with max_degree >= 2d is class 1, and
 color_degenerate builds both the max_degree coloring and every subset's
 2d-coloring without search.  The exact search runs only to decide the
-class of a graph with max_degree < 2*degeneracy that the fan coloring
-does not settle and that is not overfull.
+class of a graph with max_degree < 2*degeneracy that neither the
+max_degree peel nor the max_degree+1 coloring settles and that is not
+overfull.
 
 The oracle works on edge ids (see graphs): it reads the optimal coloring
 by id, splits literal from subset edges by id, and the partition places
@@ -36,6 +37,7 @@ from typing import NamedTuple, Optional, Sequence
 from .advice import AdviceRecord, pack_record, pad_degeneracy
 from .coloring import (
     Coloring,
+    _peel_color,
     color_degenerate,
     exact_color,
     konig_color,
@@ -175,10 +177,10 @@ def optimal_coloring(
 
     `dgn` is g's degeneracy, computed when not given.  Bipartite graphs and
     graphs with max_degree >= 2*dgn are class 1 and get a max_degree
-    coloring by construction.  Of the rest, a fan coloring on max_degree
-    colors settles class 1 and an overfull graph (more than
-    max_degree*(n//2) edges) is class 2; only the others reach the exact
-    search.
+    coloring by construction.  Of the rest, a complete max_degree peel or a
+    max_degree+1 coloring that lands on max_degree colors settles class 1,
+    and an overfull graph (more than max_degree*(n//2) edges) is class 2;
+    only the others reach the exact search.
     """
     if g.m == 0:
         return 0, Coloring({}, [])
@@ -192,19 +194,22 @@ def optimal_coloring(
     if delta >= 2 * dgn:
         # a vertex of degree delta sees every color, so the palette is 1..delta
         return delta, color_degenerate(g, dgn)
-    # fan recoloring sometimes lands on delta distinct colors, which settles
-    # the class-1 question without touching the exact search
-    fan = vizing_plus_one(g)
-    if len(set(fan.assignment.values())) == delta:
-        return delta, _contiguous(fan)
+    # the peel at k = delta with every vertex eligible certifies class 1
+    # whenever it does not get stuck; the palette is 1..delta as above
+    peeled = _peel_color(g, delta, delta)
+    if peeled is not None:
+        return delta, peeled
+    plus = _contiguous(vizing_plus_one(g))
+    if len(plus.palette) == delta:
+        return delta, plus
     if g.m > delta * (g.n // 2):
         # overfull: a color class is a matching of at most n//2 edges, so
         # delta classes cannot hold every edge
-        return delta + 1, _contiguous(fan)
+        return delta + 1, plus
     witness = exact_color(g, delta, budget=budget)
     if witness is not None:
         return delta, witness
-    return delta + 1, _contiguous(fan)
+    return delta + 1, plus
 
 
 def chromatic_index(g: Graph, *, budget: Optional[int] = None) -> int:

@@ -12,7 +12,6 @@ from typing import Iterable, NamedTuple, Optional
 
 from .advice import (
     AdviceRecord,
-    AdviceTape,
     RecordFields,
     bits_per_edge,
     degeneracy_from_length,
@@ -65,8 +64,8 @@ class TapeSource:
 
     model = "tape"
 
-    def __init__(self, tape: AdviceTape | str):
-        self._bits = tape.bits if isinstance(tape, AdviceTape) else tape
+    def __init__(self, tape: str):
+        self._bits = tape
         self._pos = 0
         self.bits_read = 0
 

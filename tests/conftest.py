@@ -21,7 +21,8 @@ def graph(pairs) -> Graph:
 
 class CheckedLedger(ecadvice.coloring._Ledger):
     """The recoloring ledger with properness re-checked on the colored
-    edges after every fan rotation; vizing_plus_one rotates once per edge."""
+    edges after every fan rotation; the peel's re-add rotates each edge
+    that finds no color free at both of its ends."""
 
     def __init__(self, *args):
         super().__init__(*args)

@@ -230,7 +230,7 @@ def test_criterion_8_offline_cross_validation():
                     failures.append(f"m={g.m}: pruned recursion vs literal k^m scan at k={k}")
         viz = checked_vizing(g)
         if not is_proper(g, viz) or len(viz.palette) > g.max_degree + 1:
-            failures.append(f"m={g.m}: fan recoloring broke the delta+1 bound")
+            failures.append(f"m={g.m}: vizing_plus_one broke the delta+1 bound")
         if is_bipartite(g):
             kc = konig_color(g)
             if not is_proper(g, kc) or len(kc.palette) != g.max_degree:

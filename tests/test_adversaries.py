@@ -208,7 +208,7 @@ def test_rigidity_decides_the_separating_colorings(n, monkeypatch):
 
 
 def test_rigidity_needs_the_wider_coloring(monkeypatch):
-    # a fan construction that overshot n + 2 colors would leave rigidity unproved
+    # a coloring that overshot n + 2 colors would leave rigidity unproved
     wide = Coloring({(0, i): i for i in range(1, 6)})
     monkeypatch.setattr(adversaries, "vizing_plus_one", lambda g: wide)
     assert not rigidity_check(2)

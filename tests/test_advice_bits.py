@@ -212,9 +212,9 @@ def test_header_truncation_raises(bits):
 def test_tape_layout():
     recs = [pack_record(5, "strict", 0, c, 0) for c in (1, 2, 3)]
     tape = encode_tape(recs, 7)
-    assert tape.bits.startswith(encode_header(7))
-    assert len(tape.bits) == header_bits(7) + 3 * bits_per_edge(5, "strict")
-    d, pos = read_header(tape.bits)
+    assert tape.startswith(encode_header(7))
+    assert len(tape) == header_bits(7) + 3 * bits_per_edge(5, "strict")
+    d, pos = read_header(tape)
     assert d == 7
-    first = unpack_record(tape.bits[pos : pos + bits_per_edge(7)], 7, "strict")
+    first = unpack_record(tape[pos : pos + bits_per_edge(7)], 7, "strict")
     assert first.color == 1

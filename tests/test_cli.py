@@ -127,6 +127,18 @@ def test_run_budget_exhaustion_exits_three(tmp_path, capsys):
     assert "resource limit" in stderr
 
 
+def test_run_property_violation_exits_one(tmp_path, capsys, monkeypatch):
+    from ecadvice.runtime import AdviceAlgorithm
+
+    # a decoder that gives every edge color 1 repeats it at vertex 1
+    monkeypatch.setattr(AdviceAlgorithm, "step", lambda self, edge, advice: 1)
+    path = write_stream(tmp_path, [(0, 1), (1, 2)])
+    code, stdout, stderr = run_cli(capsys, "run", path, "--alg", "advice")
+    assert code == 1
+    assert stdout == ""
+    assert "property violation: ImproperColoring" in stderr
+
+
 def test_negative_budget_is_a_usage_error(tmp_path, capsys):
     from .conftest import star_pairs
 

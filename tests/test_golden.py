@@ -1,8 +1,7 @@
 """Golden outputs: records, colorings and CLI stdout pinned by digest.
 
-The constructive engines' peel and fan orders decide which optimal
-coloring is found, so any drift in those orders shows up here as a changed
-digest.
+The constructive engines' peel orders decide which optimal coloring is
+found, so any drift in those orders shows up here as a changed digest.
 """
 
 import hashlib
@@ -10,8 +9,17 @@ import json
 
 import pytest
 
-from ecadvice import gen_bipartite, gen_d_degenerate, gen_forest, run_advice, serialize_stream
+from ecadvice import (
+    gen_bipartite,
+    gen_d_degenerate,
+    gen_forest,
+    run_advice,
+    serialize_stream,
+    stream_from_pairs,
+)
 from ecadvice.cli import main
+
+from .conftest import petersen_pairs
 
 
 def _sha(doc) -> str:
@@ -79,15 +87,26 @@ GOLDEN_RUNS = [
         lambda: gen_bipartite(20, 20, 0.5, 1), 8, "robust", "request",
         "f8de4e2edb04fc88ca727d794d1fd49d56f981bacd022ef55114ec798d137f70",
     ),
-    # the fan coloring lands on max degree colors and settles chi
+    # the max degree peel settles chi
     (
         lambda: gen_d_degenerate(6, 3, 0), 3, "strict", "tape",
-        "2cc618a2d4763a04d117e384c113dbfd2e38d47577aeb9828649c6c306fd447d",
+        "1e749031f96dd0f73a1c4be719413e764dfc349b2aa8d3fc0945cbf56c87a054",
     ),
-    # the exact search settles chi
+    # the max degree + 1 coloring lands on max degree colors and settles chi
     (
         lambda: gen_d_degenerate(8, 5, 0), 5, "robust", "tape",
-        "941d6c93206cdde6fa177946b5d631ca37d763ea938fb326ea54a02a0147d1be",
+        "0a17e4a241b1fbac2fb40085a6e7582666cd6feff7325294ffe56a739b5d81c7",
+    ),
+    # the exact search finds the class 1 witness
+    (
+        lambda: gen_d_degenerate(6, 4, 0), 4, "robust", "request",
+        "17abf95aa80cc39c478b29b3fbf8b8979a4a66a919067aedbd3483e0a603be51",
+    ),
+    # the exact search proves class 2: 3-regular, so the peel cannot start,
+    # and 15 = 3*(10//2) edges is not overfull
+    (
+        lambda: stream_from_pairs(petersen_pairs()), 3, "strict", "tape",
+        "b71f48358ef51341df86b6fcb7e355333b06b3f7e5954721a60bf19a451fcaf0",
     ),
     # d = 2 and d = 3 bundles
     (
@@ -113,8 +132,8 @@ GOLDEN_RUNS = [
     ids=[
         "deg5-n45", "deg5-n55", "deg5-n65", "deg5-n75", "deg5-n85", "forest-n450",
         "forest-n450-b0",
-        "bipartite-20x20", "deg3-n6-fan", "deg5-n8-exact", "deg2-n150", "deg3-n150",
-        "deg4-n150",
+        "bipartite-20x20", "deg3-n6-peel", "deg5-n8-lands", "deg4-n6-exact",
+        "petersen-class2", "deg2-n150", "deg3-n150", "deg4-n150",
     ],
 )
 def test_records_and_colorings_are_pinned(make, d, mode, model, digest):

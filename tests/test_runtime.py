@@ -300,7 +300,7 @@ def test_truncated_request_records_exhaust():
 def test_truncated_tape_exhausts():
     oracle = build_advice(gen_star(4), 1)
     tape = encode_tape(oracle.records, oracle.d)
-    src = TapeSource(tape.bits[:-1])
+    src = TapeSource(tape[:-1])
     with pytest.raises(AdviceExhausted):
         simulate(oracle.stream, AdviceAlgorithm("robust"), src)
 
@@ -317,7 +317,7 @@ def test_leftover_advice_raises():
     assert read[-1] != records[-1]
     premise = simulate(oracle.stream, AdviceAlgorithm("robust"), RequestSource(read))
     assert is_proper(Graph.from_stream(oracle.stream), premise.coloring)
-    tape = encode_tape([], oracle.d).bits + "".join(shifted)
+    tape = encode_tape([], oracle.d) + "".join(shifted)
     with pytest.raises(MalformedTape):
         simulate(oracle.stream, AdviceAlgorithm("robust"), TapeSource(tape))
     with pytest.raises(MalformedAdvice):
@@ -538,7 +538,7 @@ def test_consumer_fuzz_corrupt_records(n, k, extra, seed, mode, model, kind, dat
     def source():
         if model == "request":
             return RequestSource(records)
-        return TapeSource(encode_tape([], oracle.d).bits + "".join(records))
+        return TapeSource(encode_tape([], oracle.d) + "".join(records))
 
     # a whole run reproduces the oracle's coloring or fails in a defined way
     try:
