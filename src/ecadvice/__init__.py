@@ -35,7 +35,6 @@ from .adversaries import (
     rounds_to_extinction,
     select_same_colored_stars,
     variant_family,
-    prefix_family,
 )
 from .coloring import (
     Coloring,
@@ -46,7 +45,6 @@ from .coloring import (
 )
 from .generators import (
     build_coupled_pair,
-    build_coupler,
     gen_bipartite,
     gen_d_degenerate,
     gen_forest,

@@ -226,7 +226,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         else:  # forest; argparse restricts the choices
             stream, d = gen_forest(args.n, seed), None
         run = run_advice(stream, d, mode=args.mode, model=args.model, budget=args.budget)
-        failures.extend(f"seed={seed}: {problem}" for problem in verify_run(run))
+        problems = verify_run(run, budget=args.budget)
+        failures.extend(f"seed={seed}: {problem}" for problem in problems)
     _emit(
         {
             "check": "invariants",

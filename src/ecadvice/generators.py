@@ -86,22 +86,6 @@ def coupler_edges(n: int, left_hub: int, right_hub: int, base: int) -> list[tupl
     return edges
 
 
-def build_coupler(n: int) -> tuple[EdgeStream, int, int]:
-    """Standalone coupler on fresh labels; returns (stream, left hub, right hub).
-
-    It has n*n + 2n edges; both hubs have degree n, every core vertex degree
-    n + 1.  Any proper (n+1)-edge-coloring forces a pendant edge at the left
-    hub and one at the right hub to share a color, which is what the coupled
-    pair below exploits.
-    """
-    left_hub, right_hub = 0, 2 * n + 1
-    return (
-        stream_from_pairs(coupler_edges(n, left_hub, right_hub, 1)),
-        left_hub,
-        right_hub,
-    )
-
-
 def build_coupled_pair(n: int) -> tuple[EdgeStream, Edge, Edge]:
     """Coupler plus one pendant edge at each hub; returns (stream, e_l, e_r).
 

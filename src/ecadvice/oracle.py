@@ -21,16 +21,16 @@ overfull.
 
 The oracle works on edge ids (see graphs): it reads the optimal coloring
 by id, splits literal from subset edges by id, and the partition places
-the residual subgraph's edges by id.  When b = 0 the residual is the whole
-graph, so its Graph and degeneracy order are reused; otherwise the
-residual is built and peeled once.  Each subset is colored over the
-residual's edge ids, with no Graph of its own.  The partition hands back
-its plan, one EdgeAdvice named tuple per edge (mode, color, subset, rank,
-front), plus the bundles' member edges; build_advice copies the plan into
-per_edge, where literal edges of one color share one tuple.
+the residual subgraph's edges, and colors each subset, by g's edge ids.
+g's one degeneracy order serves the residual too, since restricting an
+order to a subgraph can only lower back-degrees.  The partition hands back
+its plan, one EdgeAdvice named tuple per residual edge (mode, color,
+subset, rank, front), plus the bundles' member edges; build_advice copies
+the plan into per_edge, where literal edges of one color share one tuple.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -64,15 +64,16 @@ def build_partition(
     g: Graph,
     d: int,
     order: Sequence[int],
-) -> tuple[list[EdgeAdvice], dict[int, list[Edge]]]:
-    """Assign every edge to a subset of max degree <= 2d, recording ranks.
+    ids: Sequence[int],
+) -> tuple[list[Optional[EdgeAdvice]], dict[int, list[Edge]]]:
+    """Assign g's edges `ids` to subsets of max degree <= 2d, recording ranks.
 
-    Vertices are visited in `order`; each vertex's front-edges are handled
-    in arrival order.  An edge goes to the lowest-indexed subset holding at
-    most 2d-1 edges at its front endpoint; the recorded rank counts, below
-    that index, the subsets that look open when only earlier arrivals at
-    the front endpoint are visible.  With back-degree <= d the rank never
-    exceeds d.
+    Vertices are visited in `order`, a vertex order of g; each vertex's
+    front-edges among `ids` are handled in arrival order.  An edge goes to the
+    lowest-indexed subset holding at most 2d-1 edges at its front endpoint;
+    the recorded rank counts, below that index, the subsets that look open
+    when only earlier arrivals at the front endpoint are visible.  With
+    back-degree <= d the rank never exceeds d.
 
     Each subset is a subgraph of g, so its degeneracy is at most d and
     color_degenerate gives it a 2d-coloring without search; it colors the
@@ -80,29 +81,33 @@ def build_partition(
     per-vertex subset counts that steer the placement also guard the
     bound: no subset may reach degree above 2d at any vertex.
 
-    Returns the plan, plan[i] = EdgeAdvice(1, color in the subset, subset,
-    rank, front) for edge i of g, and each subset's members in arrival order.
+    Returns the plan by g's edge ids, plan[i] = EdgeAdvice(1, color in the
+    subset, subset, rank, front) for i in `ids` and None for other edges,
+    and each subset's members in arrival order.
 
-    Requires max degree to be a positive multiple of 2d.
+    Requires back-degree <= d over all of g, and the max degree of the
+    subgraph of the edges `ids` to be a positive multiple of 2d.
     """
     sides = classify(g, order)  # raises when the order misses or repeats a vertex
     if max(sides.back_degree.values(), default=0) > d:
         raise PreconditionViolated(f"order has back-degree above {d}")
-    delta = g.max_degree
+    edges, front, other = g.edges, sides.front, sides.back
+    degree = Counter(map(front.__getitem__, ids))
+    degree.update(map(other.__getitem__, ids))
+    delta = max(degree.values(), default=0)
     if delta == 0 or delta % (2 * d) != 0:
         raise PreconditionViolated(f"max degree {delta} is not a positive multiple of {2 * d}")
 
     cap = 2 * d - 1
-    edges, front, other = g.edges, sides.front, sides.back
     arrival = [e.arrival for e in edges]
     front_edges: dict[int, list[int]] = {}
-    for i in sorted(range(g.m), key=arrival.__getitem__):
+    for i in sorted(ids, key=arrival.__getitem__):
         front_edges.setdefault(front[i], []).append(i)
 
     # placed[v][j]: edges at v already in subset j.  back[v]: (arrival, j)
     # of v's back edges, all placed before v itself is visited.
-    placed: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
-    back: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
+    placed: dict[int, dict[int, int]] = {v: {} for v in degree}
+    back: dict[int, list[tuple[int, int]]] = {v: [] for v in degree}
     rank = [0] * g.m
     members: dict[int, list[int]] = {}
 
@@ -134,12 +139,12 @@ def build_partition(
         for j, k in at_v.items():
             if k > 2 * d:
                 raise AssertionError(f"subset {j} reached degree {k} at vertex {v}")
-    plan: list = [None] * g.m  # every edge lands in exactly one subset
+    plan: list[Optional[EdgeAdvice]] = [None] * g.m  # each of ids lands in one subset
     partition: dict[int, list[Edge]] = {}
-    for j, ids in members.items():
-        ids.sort(key=arrival.__getitem__)
-        partition[j] = [edges[i] for i in ids]
-        for i, c in zip(ids, color_degenerate(g, d, ids).by_id):
+    for j, sub in members.items():
+        sub.sort(key=arrival.__getitem__)
+        partition[j] = [edges[i] for i in sub]
+        for i, c in zip(sub, color_degenerate(g, d, sub).by_id):
             plan[i] = EdgeAdvice(1, c, j, rank[i], front[i])
     return plan, partition
 
@@ -252,22 +257,19 @@ def build_advice(
     colors = opt.by_id
     b = chi  # colors 1..b are shipped literally
     rest: list[int] = []  # ids of the edges the subsets take, in id order
-    plan: list[EdgeAdvice] = []  # rest[k]'s advice is plan[k]
+    plan: list[Optional[EdgeAdvice]] = []  # by edge id, set on rest
     partition: dict[int, list[Edge]] = {}
     if delta >= 2 * dd:
         a, b = divmod(delta, 2 * dd)
         if chi != delta:
             raise AssertionError("a degenerate graph with max_degree >= 2d must be class 1")
-        rest = [i for i, c in enumerate(colors) if c > b]
-        if b:
-            sub = Graph([edges[i] for i in rest])
-            if sub.max_degree != a * 2 * dd:
-                raise AssertionError("residual subgraph lost the expected max degree")
-            _, sub_order = degeneracy(sub)
-        else:
-            # nothing ships literally: the residual is g, edge for edge
-            sub, sub_order = g, order
-        plan, partition = build_partition(sub, dd, sub_order)
+        rest = [i for i, c in enumerate(colors) if c > b]  # every id when b = 0
+        # a vertex of degree delta sees every color, so it keeps a*2dd
+        # residual edges; in a proper coloring none keeps more
+        top = max(g.vertices, key=g.degree.__getitem__)
+        if sum(colors[i] > b for i in g.nbrs[top].values()) != a * 2 * dd:
+            raise AssertionError("residual subgraph lost the expected max degree")
+        plan, partition = build_partition(g, dd, order, rest)
 
     # few distinct records exist, so each is packed once and shared; a key
     # holds only written fields, so a strict key's front flag is always 0
@@ -278,8 +280,8 @@ def build_advice(
     robust = mode == "robust"
     oriented = list(edges)  # strict mode lists each subset edge's front first
     packed: dict[tuple[int, int, int], AdviceRecord] = {}
-    for i, adv in zip(rest, plan):
-        per_edge[i] = adv
+    for i in rest:
+        adv = per_edge[i] = plan[i]
         (u, v), f = g.ends[i], adv.front
         key = (adv.color, adv.rank, int(robust and f != (u if u < v else v)))
         record = packed.get(key)

@@ -6,6 +6,7 @@ advice consumption is metered by the source.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, NamedTuple, Optional
@@ -20,7 +21,7 @@ from .advice import (
     read_header,
     unpack_record,
 )
-from .coloring import Coloring
+from .coloring import Coloring, exact_color, node_budget
 from .errors import (
     AdviceExhausted,
     ImproperColoring,
@@ -353,12 +354,16 @@ class AdviceRun:
     source: RequestSource | TapeSource
 
 
-def verify_run(run: AdviceRun) -> list[str]:
+def verify_run(run: AdviceRun, *, budget: Optional[int] = None) -> list[str]:
     """Check the paper's guarantees on one oracle-to-decoder run: one message
     per violated property, [] when all hold.  A message is led by its
-    property: proper, optimal (with max_degree <= chi <= max_degree + 1, and
-    chi == max_degree once max_degree >= 2d), bits (exact, with the header on
-    a non-empty tape), rank (<= d), bundles (max degree <= 2d) or decoder."""
+    property: proper, optimal (with max_degree <= chi <= max_degree + 1,
+    chi == max_degree once max_degree >= 2d, and chi == max_degree + 1 only
+    when the graph is overfull or exact_color finds no max_degree coloring;
+    ResourceLimit past `budget`), bits (exact, with the header on a
+    non-empty tape), rank (<= d), bundles (max degree <= 2d) or decoder.
+    """
+    node_budget(budget)  # refused here even when no search runs
     report, oracle = run.report, run.oracle
     d, m, chi, used = oracle.d, oracle.stream.m, oracle.chromatic_index, report.colors_used
     g = Graph.from_stream(oracle.stream)
@@ -366,11 +371,14 @@ def verify_run(run: AdviceRun) -> list[str]:
     per, read = bits_per_edge(d, oracle.mode), report.advice_bits_read
     expected = m * per + (header_bits(d) if m and report.model == "tape" else 0)
     rank = max((adv.rank for adv in oracle.per_edge if adv.mode == 1), default=0)
-    degree = max((Graph(b).max_degree for b in oracle.partition.values()), default=0)
+    ends = (Counter(w for e in b for w in (e.u, e.v)) for b in oracle.partition.values())
+    degree = max((max(at.values(), default=0) for at in ends), default=0)
     planned = [(adv.mode, adv.subset, adv.rank) for adv in oracle.per_edge]
     decoded = [(step.mode, step.subset, step.rank) for step in run.algorithm.decoded]
     diverged = [i for i, (a, b) in enumerate(zip_longest(planned, decoded)) if a != b]
-    chi_fits = delta <= chi <= delta + 1 and (chi == delta or delta < 2 * d)
+    # chi = delta + 1 needs delta < 2d, and g overfull or not delta-colorable
+    chi_fits = delta <= chi <= delta + 1 and (chi == delta or (delta < 2 * d and (
+        g.m > delta * (g.n // 2) or exact_color(g, delta, budget=budget) is None)))
     checks = [
         ("proper", colored == m and proper, f"{colored} of {m} edges colored, no clash: {proper}"),
         ("optimal", used == chi and report.optimal and chi_fits,

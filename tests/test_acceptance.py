@@ -26,7 +26,6 @@ from ecadvice import (
     konig_color,
     permutation_game,
     pigeonhole_thresholds,
-    prefix_family,
     rigidity_check,
     rounds_to_extinction,
     run_advice,
@@ -35,6 +34,7 @@ from ecadvice import (
     verify_run,
 )
 from ecadvice.advice import bits_per_edge
+from ecadvice.adversaries import prefix_family
 
 from .test_coloring import CORPUS, product_colorable
 from .conftest import about, brute_force_chromatic_index, brute_force_colorable, checked_vizing, graph

@@ -20,7 +20,6 @@ from ecadvice import (
     konig_color,
     permutation_game,
     pigeonhole_thresholds,
-    prefix_family,
     rigidity_check,
     rounds_to_extinction,
     run_advice,
@@ -28,7 +27,7 @@ from ecadvice import (
     variant_family,
 )
 from ecadvice import adversaries
-from ecadvice.adversaries import _Member
+from ecadvice.adversaries import _Member, prefix_family
 from ecadvice.runtime import OnlineAlgorithm
 
 

@@ -6,7 +6,6 @@ from ecadvice import (
     Graph,
     PreconditionViolated,
     build_coupled_pair,
-    build_coupler,
     degeneracy,
     gen_bipartite,
     gen_d_degenerate,
@@ -83,12 +82,15 @@ def test_gen_star_shape():
 
 
 def test_coupler_frozen_shape():
-    # n=2: 4 core + 2 + 2 pendant-side edges, core vertices at degree 3
-    s, left_hub, right_hub = build_coupler(2)
+    # n=2: 4 core edges, 2 at each hub and a pendant edge at each hub; the
+    # hubs and the core vertices have degree n+1 = 3, the pendant leaves 1
+    s, e_l, e_r = build_coupled_pair(2)
     g = Graph.from_stream(s)
-    assert g.m == 8
-    assert g.degree[left_hub] == 2 and g.degree[right_hub] == 2
-    core = [v for v in g.vertices if v not in (left_hub, right_hub)]
+    left_hub, right_hub = e_l.v, e_r.v
+    assert g.m == 10
+    assert g.degree[left_hub] == 3 and g.degree[right_hub] == 3
+    assert g.degree[e_l.u] == 1 and g.degree[e_r.u] == 1
+    core = [v for v in g.vertices if v not in (left_hub, right_hub, e_l.u, e_r.u)]
     assert [g.degree[v] for v in core] == [3, 3, 3, 3]
     assert is_bipartite(g)
 
@@ -104,8 +106,6 @@ def test_forest_and_star_reject_negative_sizes():
 def test_coupled_pair_rejects_negative_size():
     with pytest.raises(PreconditionViolated):
         build_coupled_pair(-1)
-    with pytest.raises(PreconditionViolated):
-        build_coupler(-1)
 
 
 @pytest.mark.parametrize("n,m", [(1, 5), (2, 10), (3, 17), (4, 26)])

@@ -55,7 +55,7 @@ GOLDEN_RUNS = [
     # (generator, d, mode, model, digest)
     (
         lambda: gen_d_degenerate(45, 5, 1), 5, "robust", "request",
-        "7d33347342995847b87e7042897cb07028b377189ec76742231eba3205c26223",
+        "9514fb02e82af5d4b6e8cb98a28f814c7b90d51d29a399263d23af56829f6963",
     ),
     (
         lambda: gen_d_degenerate(55, 5, 2), 5, "strict", "tape",
@@ -63,7 +63,7 @@ GOLDEN_RUNS = [
     ),
     (
         lambda: gen_d_degenerate(65, 5, 3), 5, "robust", "tape",
-        "99e54e933579d48afd2d7f98d341f1d53caa9190ff19f78692963274698772bc",
+        "baf7ab0a248f0e272d9000852fa90a123d8320bafef52216f8849126bc465bfd",
     ),
     (
         lambda: gen_d_degenerate(75, 5, 4), 5, "strict", "request",
@@ -71,11 +71,11 @@ GOLDEN_RUNS = [
     ),
     (
         lambda: gen_d_degenerate(85, 5, 5), 5, "robust", "request",
-        "5bf78a89e57e9d90c3d0ce86845166618caff9c8fda598a2e8f23c71d36b3988",
+        "0104da50926c6a655fd02c75de0b1cf5d0448a1372c53a962630094d6454d83b",
     ),
     (
         lambda: gen_forest(450, 1), 1, "strict", "tape",
-        "9550b04b9dee43ec19870edffc93c7a8eaff730b5401f2d83aa73b3e2a801927",
+        "a5c8d54d5ed50f75a3ab8894d93e38775bbeffa71c0eae6cb9d98eeca05f2c90",
     ),
     # max degree 8 = 4*2d: no color ships literally, the residual is the graph
     (
@@ -111,17 +111,17 @@ GOLDEN_RUNS = [
     # d = 2 and d = 3 bundles
     (
         lambda: gen_d_degenerate(150, 2, 1), 2, "strict", "request",
-        "ca8b17c77654dda991c47eb5df456097eb3bb94528f3522a0082c9b64c671acc",
+        "17eb2bbeb6d63502bccd9b4fa3db5752db2a228cea049c44ab82cc822fb85587",
     ),
     (
         lambda: gen_d_degenerate(150, 3, 1), 3, "robust", "tape",
-        "19fe7a893ec389bb9878500a067ecca7f8022fac1b6f42465c33b35826ea7a82",
+        "81c2838477c393ea49da666f7c9651676d5aaf095cd4a1345d02bb22fe1d6025",
     ),
     # d = 4: max degree 20 = 2*2d + 4, so 4 colors ship literally and 2
     # bundles take the rest; color and rank fields are 3 bits each
     (
         lambda: gen_d_degenerate(150, 4, 1), 4, "strict", "request",
-        "8b78d03961c7a71b109798271ef5a2178b2051dff40112f882b74a4efe9aa901",
+        "9531572e8eebf3bee27c0631c40f60bf19ae11036436446ddb1cfd6c4b6b66b2",
     ),
 ]
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ecadvice.oracle
 from ecadvice import (
     DuplicateEdge,
     Edge,
@@ -53,7 +54,7 @@ def test_partition_star_frozen():
     # K_{1,4}, d=1, center first: arrivals fill subset 1 then subset 2,
     # and every rank is 0 because the center is the front of every edge
     g = Graph.from_stream(gen_star(4))
-    plan, partition = build_partition(g, 1, CENTER_FIRST)
+    plan, partition = build_partition(g, 1, CENTER_FIRST, range(g.m))
     assignments, _, colors = _views(g, plan)
     assert assignments == {
         (0, 1): (1, 0),
@@ -72,24 +73,30 @@ def test_partition_star_frozen():
 def test_partition_rejects_bad_order():
     s = gen_star(4)
     center_last = (1, 2, 3, 4, 0)
+    g = Graph.from_stream(s)
     with pytest.raises(PreconditionViolated):
-        build_partition(Graph.from_stream(s), 1, center_last)  # back-degree 4 at the center
+        build_partition(g, 1, center_last, range(g.m))  # back-degree 4 at the center
 
 
 def test_partition_rejects_non_multiple_degree():
+    g = Graph.from_stream(gen_star(4))
     with pytest.raises(PreconditionViolated):
-        build_partition(Graph.from_stream(gen_star(3)), 1, CENTER_FIRST)
+        build_partition(g, 1, CENTER_FIRST, range(3))  # max degree 3 over the ids
+    with pytest.raises(PreconditionViolated):
+        build_partition(g, 1, CENTER_FIRST, [])
 
 
 def test_partition_rejects_missing_vertex():
+    g = Graph.from_stream(gen_star(2))
     with pytest.raises(PreconditionViolated):
-        build_partition(Graph.from_stream(gen_star(2)), 1, (0, 1))
+        build_partition(g, 1, (0, 1), range(g.m))
 
 
 def test_partition_rejects_repeated_vertex():
     # listing the center twice would otherwise put every edge in two subsets
+    g = Graph.from_stream(gen_star(4))
     with pytest.raises(PreconditionViolated):
-        build_partition(Graph.from_stream(gen_star(4)), 1, (0, 0, 1, 2, 3, 4))
+        build_partition(g, 1, (0, 0, 1, 2, 3, 4), range(g.m))
 
 
 def _rescan_partition(g, d, order):
@@ -126,7 +133,7 @@ def _rescan_partition(g, d, order):
 
 
 def _assert_partition_matches_rescan(g, d, order):
-    plan, partition = build_partition(g, d, order)
+    plan, partition = build_partition(g, d, order, range(g.m))
     assignments, fronts, _ = _views(g, plan)
     assert (assignments, fronts, partition) == _rescan_partition(g, d, order)
     assert all(adv.rank <= d for adv in plan)
@@ -136,7 +143,8 @@ def _assert_partition_matches_rescan(g, d, order):
 @given(st.sampled_from(["forest", "2", "3"]), st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40, deadline=None)
 def test_partition_matches_rescan_on_residual_subgraphs(kind, seed):
-    # build_advice's own residual subgraph and order, partitioned again
+    # build_advice's own plan against a rescan of its residual subgraph in
+    # the whole graph's degeneracy order
     if kind == "forest":
         s = gen_forest(40 + seed % 120, seed)
     else:
@@ -145,14 +153,38 @@ def test_partition_matches_rescan_on_residual_subgraphs(kind, seed):
     if not res.partition:
         return
     members = sorted((e for part in res.partition.values() for e in part), key=lambda e: e.arrival)
-    g = Graph(members)
-    again = _assert_partition_matches_rescan(g, res.d, degeneracy(g)[1])
+    order = degeneracy(Graph.from_stream(s))[1]
+    assignments, fronts, partition = _rescan_partition(Graph(members), res.d, order)
     plan = [res.per_edge[e.arrival] for e in members]
-    assert _views(g, again) == (
+    assert (assignments, fronts, partition) == (
         {e.pair: (adv.subset, adv.rank) for e, adv in zip(members, plan)},
         {e.pair: adv.front for e, adv in zip(members, plan)},
-        {e.pair: adv.color for e, adv in zip(members, plan)},
+        res.partition,
     )
+    assert all(adv.rank <= res.d for adv in plan)
+
+
+@pytest.mark.parametrize("seed,b", [(1, 1), (2, 0)], ids=["b-nonzero", "b-zero"])
+def test_build_advice_builds_one_graph_and_one_order(monkeypatch, seed, b):
+    # b colors ship literally, the rest form the residual subgraph: with
+    # b > 0 it is a proper subgraph, and it still needs no Graph or order
+    s = gen_forest(450, seed)
+    calls = {"Graph": 0, "degeneracy": 0}
+    init, peel = Graph.__init__, ecadvice.oracle.degeneracy
+
+    def counted_init(self, edges):
+        calls["Graph"] += 1
+        init(self, edges)
+
+    def counted_peel(g):
+        calls["degeneracy"] += 1
+        return peel(g)
+
+    monkeypatch.setattr(Graph, "__init__", counted_init)
+    monkeypatch.setattr(ecadvice.oracle, "degeneracy", counted_peel)
+    res = build_advice(s, 1)
+    assert res.partition and res.delta % (2 * res.d) == b
+    assert calls == {"Graph": 1, "degeneracy": 1}
 
 
 @given(

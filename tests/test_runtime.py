@@ -40,7 +40,14 @@ from ecadvice.advice import ceil_log2, encode_int
 from ecadvice.oracle import EdgeAdvice
 from ecadvice.runtime import DecodedStep, OnlineAlgorithm
 
-from .conftest import degenerate_streams, path_pairs, random_pair_lists, stream
+from .conftest import (
+    complete_pairs,
+    degenerate_streams,
+    path_pairs,
+    petersen_pairs,
+    random_pair_lists,
+    stream,
+)
 
 
 def test_greedy_path_colors():
@@ -306,7 +313,7 @@ def test_truncated_tape_exhausts():
 
 
 def test_leftover_advice_raises():
-    oracle = build_advice(gen_d_degenerate(12, 2, 12), 2)
+    oracle = build_advice(gen_d_degenerate(12, 2, 18), 2)
     records = [r.bits for r in oracle.records]
     # one bit slipped in before the last record: every record still reads
     # in full and the shifted last one yields another proper coloring, so
@@ -389,6 +396,32 @@ def triangle_run():
     return run
 
 
+@pytest.fixture(scope="module")
+def k4_run():
+    # K4: max degree 3 < 2d = 6 and class 1, every record literal
+    run = run_advice(stream(complete_pairs(4)), 3)
+    assert run.oracle.chromatic_index == 3 and verify_run(run) == []
+    return run
+
+
+@pytest.fixture(scope="module")
+def peel_run():
+    # 3-degenerate with max degree 5 < 2d = 6: class 1, and 12 edges are
+    # not overfull, so only a search can refute a class-2 claim
+    run = run_advice(gen_d_degenerate(6, 3, 0), 3)
+    assert (run.oracle.delta, run.oracle.chromatic_index, run.oracle.stream.m) == (5, 5, 12)
+    assert verify_run(run) == []
+    return run
+
+
+def test_class2_claim_verifies_on_petersen():
+    # 3-regular and 15 = 3*(10//2) edges, not overfull: the search must
+    # refute every 3-coloring before the honest chi = 4 passes
+    run = run_advice(stream(petersen_pairs()), 3)
+    assert (run.oracle.delta, run.oracle.chromatic_index) == (3, 4)
+    assert verify_run(run) == []
+
+
 def _share_color(run):
     edges = run.oracle.stream.edges
     a, b = next((e, f) for e in edges for f in edges if e != f and {e.u, e.v} & {f.u, f.v})
@@ -442,6 +475,8 @@ TAMPERED = {
     ),
     "chi-above-delta-plus-one": ("triangle_run", lambda r: _set_chi(r, 4), "optimal"),
     "chi-delta-plus-one-on-class-1": ("bundled_run", lambda r: _set_chi(r, 5), "optimal"),
+    "chi-delta-plus-one-on-k4": ("k4_run", lambda r: _set_chi(r, 4), "optimal"),
+    "chi-delta-plus-one-below-2d": ("peel_run", lambda r: _set_chi(r, 6), "optimal"),
     "bits-read-plus-one": ("bundled_run", lambda r: _bump(r.report, "advice_bits_read"), "bits"),
     "record-length-plus-one": ("bundled_run", lambda r: _bump(r.report, "per_edge_bits"), "bits"),
     "rank-above-d": ("bundled_run", _rank_above_d, "rank"),
