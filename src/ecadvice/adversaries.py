@@ -191,6 +191,14 @@ class PermutationInstance:
     y_star: list[Pair]
 
 
+def _stars(delta: int) -> tuple[list[Pair], list[Pair]]:
+    """The two delta-stars a permutation instance opens with, as (center,
+    leaf) pairs in reveal order: center 0 with leaves 1..delta, then center
+    delta+1 with leaves delta+2..2*delta+1."""
+    x, y = 0, delta + 1
+    return [(x, 1 + i) for i in range(delta)], [(y, delta + 2 + j) for j in range(delta)]
+
+
 def build_permutation_instance(delta: int, pi: Optional[Sequence[int]] = None) -> PermutationInstance:
     """Two delta-stars whose rays are joined through couplers along pi.
 
@@ -206,24 +214,14 @@ def build_permutation_instance(delta: int, pi: Optional[Sequence[int]] = None) -
     pi = tuple(pi)
     if sorted(pi) != list(range(delta)):
         raise PreconditionViolated(f"{pi} is not a permutation of 0..{delta - 1}")
-    x, y = 0, delta + 1
-    x_leaf = [1 + i for i in range(delta)]
-    y_leaf = [delta + 2 + j for j in range(delta)]
-    pairs: list[tuple[int, int]] = [(x, leaf) for leaf in x_leaf]
-    pairs += [(y, leaf) for leaf in y_leaf]
+    x_star, y_star = _stars(delta)
+    pairs = x_star + y_star
     label = 2 * delta + 2
     n = delta - 1
     for i in range(delta):
-        pairs += coupler_edges(n, x_leaf[i], y_leaf[pi[i]], label)
+        pairs += coupler_edges(n, x_star[i][1], y_star[pi[i]][1], label)
         label += 2 * n
-    stream = stream_from_pairs(pairs)
-    return PermutationInstance(
-        stream,
-        delta,
-        pi,
-        [edge_pair(x, leaf) for leaf in x_leaf],
-        [edge_pair(y, leaf) for leaf in y_leaf],
-    )
+    return PermutationInstance(stream_from_pairs(pairs), delta, pi, x_star, y_star)
 
 
 @dataclass
@@ -249,13 +247,10 @@ def permutation_game(
     """
     if delta < 2:
         raise PreconditionViolated("need delta >= 2")
-    probe_instance = build_permutation_instance(delta)
-    star_edges = probe_instance.stream.edges[: 2 * delta]
-    probe_stream = EdgeStream(star_edges)
-    probe = make_alg()
-    probe_report = simulate(probe_stream, probe)
-    x_colors = [probe_report.coloring[p] for p in probe_instance.x_star]
-    y_colors = [probe_report.coloring[p] for p in probe_instance.y_star]
+    x_star, y_star = _stars(delta)
+    probe_report = simulate(stream_from_pairs(x_star + y_star), make_alg())
+    x_colors = [probe_report.coloring[p] for p in x_star]
+    y_colors = [probe_report.coloring[p] for p in y_star]
     if x_colors == y_colors:
         pi = tuple([1, 0] + list(range(2, delta)))
     else:

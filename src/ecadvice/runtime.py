@@ -103,6 +103,13 @@ class GreedyVariant(OnlineAlgorithm):
     """Greedy nudged by a bit string: bit 1 takes the second-smallest legal
     color instead of the smallest.
 
+    Each vertex keeps its colors as a bitmask, as the recoloring ledger
+    does: bit c is set when color c is present, and bit 0 is always set (a
+    vertex not seen yet has mask 1).  The smallest legal color is the lowest
+    zero bit of the two endpoints' masks OR-ed together; a 1 in the string
+    sets that bit and takes the next zero bit.  Colors stay at most
+    2 * max_degree, so the masks stay small ints.
+
     With cycle=True the string repeats forever; otherwise it is consumed
     once and the tail behaves like plain greedy.  The string is baked in at
     construction, so each string is a distinct deterministic algorithm,
@@ -115,29 +122,24 @@ class GreedyVariant(OnlineAlgorithm):
         self.bits = bits
         self.cycle = cycle
         self._step = 0
-        self._used: dict[int, set[int]] = {}
+        self._used: dict[int, int] = {}
 
     def step(self, edge: Edge, advice=None) -> int:
         i = self._step
         self._step = i + 1
         bits = self.bits
         used = self._used
-        au = used.get(edge.u)
-        if au is None:
-            au = used[edge.u] = set()
-        av = used.get(edge.v)
-        if av is None:
-            av = used[edge.v] = set()
-        c = 1
-        while c in au or c in av:
-            c += 1
+        u, v = edge.u, edge.v
+        au = used.get(u, 1)
+        av = used.get(v, 1)
+        taken = au | av
+        bit = ~taken & (taken + 1)  # the lowest zero bit
         if bits and (self.cycle or i < len(bits)) and bits[i % len(bits)] == "1":
-            c += 1
-            while c in au or c in av:
-                c += 1
-        au.add(c)
-        av.add(c)
-        return c
+            taken |= bit
+            bit = ~taken & (taken + 1)
+        used[u] = au | bit
+        used[v] = av | bit
+        return bit.bit_length() - 1
 
 
 class Greedy(GreedyVariant):

@@ -1,7 +1,10 @@
-"""Golden outputs: records, colorings and CLI stdout pinned by digest.
+"""Golden outputs: records, colorings, game transcripts and CLI stdout
+pinned by digest.
 
 The constructive engines' peel orders decide which optimal coloring is
 found, so any drift in those orders shows up here as a changed digest.
+The greedy family's colors decide every adversary game, so a change to
+how greedy finds a free color shows up in the game pins.
 """
 
 import hashlib
@@ -10,13 +13,17 @@ import json
 import pytest
 
 from ecadvice import (
+    Greedy,
+    GreedyVariant,
     gen_bipartite,
     gen_d_degenerate,
     gen_forest,
     run_advice,
+    run_greedy,
     serialize_stream,
     stream_from_pairs,
 )
+from ecadvice.adversaries import elimination_game, permutation_game, variant_family
 from ecadvice.cli import main
 
 from .conftest import petersen_pairs
@@ -138,6 +145,49 @@ GOLDEN_RUNS = [
 )
 def test_records_and_colorings_are_pinned(make, d, mode, model, digest):
     assert run_digest(make(), d, mode, model) == digest
+
+
+@pytest.mark.parametrize(
+    "make_family,digest",
+    [
+        (
+            lambda: variant_family(2),
+            "9de56e61a5d83cc3c07be0b5e9eb2e4a64498749fb3d73cecb487d6c63b27e9b",
+        ),
+        # the one-shot strings survive the first round: two rounds are played
+        (
+            lambda: variant_family(2) + variant_family(2, cycle=False),
+            "e7577acfa47427a238306704d425d6db55344245dbac820af7f64ac5c93ee37f",
+        ),
+    ],
+    ids=["variants2", "variants2-cycle-and-once"],
+)
+def test_elimination_transcript_is_pinned(make_family, digest):
+    t = elimination_game(3, make_family(), 60)
+    assert _sha(
+        {
+            "colors_used": t.colors_used,
+            "selected": [list(r.selected) for r in t.rounds],
+            "pairs": [list(e.pair) for e in t.stream.edges],
+        }
+    ) == digest
+
+
+def test_permutation_games_are_pinned():
+    games = []
+    for delta in range(3, 7):
+        for make in (Greedy, lambda: GreedyVariant("10"), lambda: GreedyVariant("011", cycle=False)):
+            result = permutation_game(delta, make)
+            arrivals = result.report.coloring.assignment.items()  # in arrival order
+            games.append([delta, list(result.pi), [[list(p), c] for p, c in arrivals]])
+    assert _sha(games) == "b51ab3b19f047a6b64d6f90bde6f5edda3e262b58aa0b984a56e89908ad86ede"
+
+
+def test_greedy_forest_coloring_is_pinned():
+    report = run_greedy(gen_forest(10000, 1))
+    assert _sha(_items(report.coloring)) == (
+        "5a2f30245523fbadbb766000f55f35539f0e3db6a39707d2a75ab57d4efd6339"
+    )
 
 
 GOLDEN_STDOUT = (

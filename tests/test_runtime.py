@@ -1,4 +1,5 @@
 import copy
+from itertools import count
 
 import pytest
 from hypothesis import example, given, settings
@@ -90,6 +91,36 @@ def test_variant_prefix_reverts_to_greedy(bits, cycle, colors):
     pairs = path_pairs(4)
     report = simulate(stream(pairs), GreedyVariant(bits, cycle=cycle))
     assert [report.coloring[p] for p in pairs] == [int(c) for c in colors]
+
+
+def _reference_greedy(pairs, bits, cycle):
+    """Per-vertex color sets and a counting scan: the greedy family written
+    the plain way, with a 1 in the string skipping to the second-smallest
+    legal color."""
+    used: dict[int, set[int]] = {}
+    colors = []
+    for i, (u, v) in enumerate(pairs):
+        au, av = used.setdefault(u, set()), used.setdefault(v, set())
+        legal = (c for c in count(1) if c not in au and c not in av)
+        c = next(legal)
+        if bits and (cycle or i < len(bits)) and bits[i % len(bits)] == "1":
+            c = next(legal)
+        au.add(c)
+        av.add(c)
+        colors.append(c)
+    return colors
+
+
+@given(
+    random_pair_lists(max_vertices=14, max_edges=40),
+    st.text(alphabet="01", max_size=8),
+    st.booleans(),
+)
+@settings(max_examples=150)
+@example(pairs=[], bits="", cycle=True)
+def test_variant_matches_set_based_reference(pairs, bits, cycle):
+    report = simulate(stream(pairs), GreedyVariant(bits, cycle=cycle))
+    assert [report.coloring[p] for p in pairs] == _reference_greedy(pairs, bits, cycle)
 
 
 def test_variant_rejects_junk():
