@@ -17,22 +17,22 @@ threshold d and floor 2d, max(max_degree, 2d) colors on a graph of
 degeneracy <= d; vizing_plus_one is threshold max_degree and floor
 max_degree+1, where the peel cannot get stuck; and with both at
 max_degree, a complete peel is a max_degree coloring, the oracle's
-class-1 certificate.  They share one recoloring ledger (per vertex, a
-bitmask of the colors present plus a slot naming the edge that holds each
-one, so the smallest free color is the lowest zero bit) and its one
-alternating-path flip and one fan rotation.
+class-1 certificate.  They share one recoloring ledger (per vertex index,
+a bitmask of the colors present, so the smallest free color is the lowest
+zero bit, plus a list of k+1 slots, slot c naming the edge that holds
+color c while bit c is set) and its one alternating-path flip and one fan
+rotation.
 
-Every engine works on edge ids (positions in `g.edges`, see graphs) and
-builds its pair-keyed Coloring once, at the end, keeping the colors by id
-beside it in `Coloring.by_id` for the oracle.
+Every engine works on edge ids and vertex indices (see graphs).  Its
+Coloring keeps the colors by id in `Coloring.by_id`, which is all the
+oracle reads, and builds the pair-keyed assignment only on first access.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import PreconditionViolated, ResourceLimit
-from .graphs import Graph, Pair, bipartition
+from .graphs import Graph, Pair, two_color
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -47,36 +47,67 @@ def node_budget(budget: Optional[int]) -> int:
     return budget
 
 
-@dataclass(frozen=True)
 class Coloring:
     """Proper edge coloring keyed by normalized endpoint pair.
 
     An engine also leaves `by_id`, the colors in edge-id order of the graph
-    it colored; a coloring built from pairs has None there.
+    it colored (of the ids it was given, when it colored a subgraph); a
+    coloring built from pairs has None there.  An engine's coloring keeps
+    its colors by id and builds `assignment` on first access, in the order
+    the edges got colored.
     """
 
-    assignment: Mapping[Pair, int]
-    by_id: Optional[Sequence[int]] = field(default=None, compare=False, repr=False)
+    __slots__ = ("_assignment", "by_id", "_edges", "_color")
+
+    def __init__(
+        self, assignment: Optional[Mapping[Pair, int]], by_id: Optional[Sequence[int]] = None
+    ):
+        self._assignment = assignment
+        self.by_id = by_id
+
+    @property
+    def assignment(self) -> Mapping[Pair, int]:
+        if self._assignment is None:
+            edges = self._edges
+            self._assignment = {edges[i].pair: c for i, c in self._color.items()}
+        return self._assignment
 
     @property
     def palette(self) -> frozenset[int]:
-        return frozenset(self.assignment.values())
+        return frozenset(self.assignment.values() if self.by_id is None else self.by_id)
 
     def __getitem__(self, pair: Pair) -> int:
         return self.assignment[pair]
 
     def __len__(self) -> int:
-        return len(self.assignment)
+        return len(self.assignment if self.by_id is None else self.by_id)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Coloring):
+            return NotImplemented
+        return self.assignment == other.assignment
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Coloring(assignment={self.assignment!r})"
 
 
 def _coloring(g: Graph, color: Mapping[int, int], ids: Optional[Sequence[int]] = None) -> Coloring:
-    """The pair-keyed coloring of g from edge-id colors, in `color`'s order;
-    by_id lists the colors of `ids`, every edge of g when None."""
-    ends = map(g.ends.__getitem__, color)
-    return Coloring(
-        {(u, v) if u < v else (v, u): c for (u, v), c in zip(ends, color.values())},
-        [color[i] for i in (range(g.m) if ids is None else ids)],
-    )
+    """An engine's coloring of g from edge-id colors, `color` holding them
+    in the order the edges got colored; by_id lists the colors of `ids`,
+    every edge of g when None."""
+    col = Coloring(None, [color[i] for i in (range(g.m) if ids is None else ids)])
+    col._edges = g.edges
+    col._color = color
+    return col
+
+
+def _contiguous(g: Graph, col: Coloring) -> Coloring:
+    """An engine's coloring of every edge of g, its colors renamed to 1..k
+    in ascending order of their values."""
+    rename = {c: r for r, c in enumerate(sorted(set(col.by_id)), start=1)}
+    return _coloring(g, {i: rename[c] for i, c in col._color.items()})
 
 
 def exact_color(g: Graph, k: int, *, budget: Optional[int] = None) -> Optional[Coloring]:
@@ -107,14 +138,13 @@ def exact_color(g: Graph, k: int, *, budget: Optional[int] = None) -> Optional[C
     # so exact ties keep g.edges order).  Rank r is bit r of the saturation
     # buckets, so the lowest bit of a bucket is its preferred edge.
     def rank_key(i: int) -> tuple[int, int]:
-        u, v = g.ends[i]
-        return g.degree[u] + g.degree[v], -g.edges[i].arrival
+        u, v = g.uv[i]
+        return g.deg[u] + g.deg[v], -g.edges[i].arrival
 
     order = sorted(range(g.m), key=rank_key, reverse=True)
-    index = {v: i for i, v in enumerate(g.vertices)}
-    ends = [(index[u], index[v]) for u, v in map(g.ends.__getitem__, order)]
+    ends = [g.uv[i] for i in order]
     # Per-vertex color sets are bitmasks: bit c set when color c is present.
-    used = [0] * len(index)
+    used = [0] * g.n
     incident: list[list[tuple[int, int]]] = [[] for _ in used]  # (rank, far end)
     for r, (u, v) in enumerate(ends):
         incident[u].append((r, v))
@@ -192,26 +222,31 @@ def exact_color(g: Graph, k: int, *, budget: Optional[int] = None) -> Optional[C
 
 
 class _Ledger:
-    """Recoloring state shared by the König and peel constructions, on
-    edge ids: color[i] the color of edge i (in the order edges got colored),
-    at[v][c] the id of the edge holding color c at v, and used[v] the same
-    colors as a bitmask (bit c set when c is present at v).  Bit 0 is always
-    set, so the smallest free color at v is the lowest zero bit.  It covers
-    `vertices`, those of the edges it will color."""
+    """Recoloring state shared by the König and peel constructions, on edge
+    ids and vertex indices: color[i] the color of edge i (in the order edges
+    got colored), used[v] the colors present at v as a bitmask (bit c set
+    when c is present), and at[v][c] the id of the edge holding color c at
+    v, valid while bit c of used[v] is set.  Bit 0 is always set, so the
+    smallest free color at v is the lowest zero bit.  at[v] is a list of
+    k+1 slots for each v of `vertices`, those of the edges it will color,
+    and None elsewhere."""
 
-    def __init__(self, ends: Sequence[Pair], vertices: Iterable[int], k: int):
+    def __init__(self, g: Graph, vertices: Iterable[int], k: int):
         self.k = k
-        self.ends = ends
+        self.ends = g.uv
+        self.labels = g.vertices
         self.color: dict[int, int] = {}
-        self.at: dict[int, dict[int, int]] = {v: {} for v in vertices}
-        self.used: dict[int, int] = dict.fromkeys(self.at, 1)
+        self.used = [1] * g.n
+        self.at: list[Optional[list[int]]] = [None] * g.n
+        for v in vertices:
+            self.at[v] = [0] * (k + 1)
 
     def free(self, v: int) -> int:
         """Smallest color in 1..k absent at v."""
         used = self.used[v]
         c = (~used & (used + 1)).bit_length() - 1
         if c > self.k:
-            raise AssertionError(f"palette 1..{self.k} exhausted at vertex {v}")
+            raise AssertionError(f"palette 1..{self.k} exhausted at vertex {self.labels[v]}")
         return c
 
     def set(self, i: int, c: int) -> None:
@@ -225,8 +260,6 @@ class _Ledger:
     def unset(self, i: int) -> int:
         u, v = self.ends[i]
         c = self.color.pop(i)
-        del self.at[u][c]
-        del self.at[v][c]
         self.used[u] ^= 1 << c
         self.used[v] ^= 1 << c
         return c
@@ -234,11 +267,11 @@ class _Ledger:
     def chain(self, start: int, first: int, second: int) -> tuple[list[tuple[int, int]], int]:
         """The alternating first/second path that leaves start on first, as
         (edge id, color) steps, and its far end."""
-        at, ends = self.at, self.ends
+        at, used, ends = self.at, self.used, self.ends
         cur, want = start, first
         path: list[tuple[int, int]] = []
         seen = {start}
-        while want in at[cur]:
+        while used[cur] >> want & 1:
             i = at[cur][want]
             path.append((i, want))
             u, v = ends[i]
@@ -255,11 +288,9 @@ class _Ledger:
         at start."""
         at, color, ends = self.at, self.color, self.ends
         path, cur = self.chain(start, first, second)
-        # clear the path's slots first; color keeps its keys, and its order
-        for i, old in path:
-            u, v = ends[i]
-            del at[u][old]
-            del at[v][old]
+        # one pass of slot writes: an inner vertex's slot for the new color
+        # is rewritten by the next step, and each end's old slot goes stale
+        # as its used bit clears; color keeps its keys, and its order
         for i, old in path:
             new = second if old == first else first
             color[i] = new
@@ -303,11 +334,11 @@ def konig_color(g: Graph) -> Coloring:
     Each edge either takes a color free at both ends or flips one
     two-colored alternating path to make one free.  Raises NotBipartite.
     """
-    bipartition(g)  # raises on odd cycles
-    ledger = _Ledger(g.ends, g.vertices, g.max_degree)
+    two_color(g)  # raises on odd cycles
+    ledger = _Ledger(g, range(g.n), g.max_degree)
     used = ledger.used
 
-    for i, (u, v) in enumerate(g.ends):
+    for i, (u, v) in enumerate(g.uv):
         a = ledger.free(u)
         b = ledger.free(v)
         if a == b:
@@ -380,28 +411,40 @@ def _peel_color(
     that met the peel condition, for any k >= max_degree, so a failure is
     a bug.
     """
-    # vertices in sorted-label order, each one's edges in edge order: the
-    # peel order depends on both
+    # vertices in ascending index (so sorted-label) order, each one's edges
+    # in edge order: the peel order depends on both
+    nbrs: list[Optional[dict[int, int]]]
     if ids is None:
-        nbrs = {v: dict(g.nbrs[v]) for v in g.vertices}
+        nbrs = [dict(zip(a[::2], a[1::2])) for a in g.adj]
+        verts: Sequence[int] = range(g.n)
+        deg = list(g.deg)
     else:
-        sub: dict[int, dict[int, int]] = {}
+        # only the subgraph's vertices are visited, so a bundle costs no
+        # Python loop over all of g's vertices
+        nbrs = [None] * g.n
         for i in ids:
-            u, v = g.ends[i]
-            sub.setdefault(u, {})[v] = i
-            sub.setdefault(v, {})[u] = i
-        nbrs = {v: sub[v] for v in sorted(sub)}
-    deg = {v: len(ws) for v, ws in nbrs.items()}
-    k = max(max(deg.values(), default=0), floor)
-    major = dict.fromkeys(nbrs, 0)  # neighbors of degree k
-    for v, ws in nbrs.items():
+            u, v = g.uv[i]
+            at_u, at_v = nbrs[u], nbrs[v]
+            if at_u is None:
+                at_u = nbrs[u] = {}
+            if at_v is None:
+                at_v = nbrs[v] = {}
+            at_u[v] = i
+            at_v[u] = i
+        verts = sorted({v for i in ids for v in g.uv[i]})
+        deg = [0] * g.n
+        for v in verts:
+            deg[v] = len(nbrs[v])
+    k = max(max(deg, default=0), floor)
+    major = [0] * g.n  # neighbors of degree k
+    for v in verts:
         if deg[v] == k:
-            for w in ws:
+            for w in nbrs[v]:
                 major[w] += 1
 
     # todo holds small vertices whose edges may have become eligible; an
     # edge that is not yet eligible waits at x under the count x must fall to.
-    todo = [y for y in nbrs if deg[y] <= d]
+    todo = [y for y in verts if deg[y] <= d]
     waiting: dict[int, dict[int, list[int]]] = {}
     peeled: list[tuple[int, int, int]] = []  # (x, y, edge id)
     while todo:
@@ -432,8 +475,8 @@ def _peel_color(
     if len(peeled) < (g.m if ids is None else len(ids)):
         return None
 
-    ledger = _Ledger(g.ends, nbrs, k)
-    ends, at, used = g.ends, ledger.at, ledger.used
+    ledger = _Ledger(g, verts, k)
+    ends, at, used = g.uv, ledger.at, ledger.used
     full = (2 << k) - 2  # colors 1..k
     for x, y, i in reversed(peeled):
         free_x = ~used[x] & full
@@ -473,7 +516,7 @@ def _peel_color(
                     via[w] = j
                     fan.append(w)
         else:
-            raise AssertionError(f"maximal multi-fan at {x} breaks the adjacency lemma")
+            raise AssertionError(f"maximal multi-fan at {g.vertices[x]} breaks the adjacency lemma")
         path = [z]
         while z != y:
             z = parent[z]

@@ -4,12 +4,16 @@ Vertices are opaque integer labels; they exist only once an edge reveals
 them.  An edge stream fixes the arrival order, which is the only notion of
 time the online algorithms ever see.
 
-Inside a Graph an edge is named by its position in `edges`, its edge id:
-`ends[i]` holds edge i's endpoints as listed, and `nbrs[v]` maps each
-neighbor w of v to the id of edge vw, in edge order.  The engines, the
-partition and the oracle key their state on these ids; normalized endpoint
-pairs (`Edge.pair`, the keys of a Coloring) are built only at the API
-boundary.
+Inside a Graph an edge is named by its position in `edges`, its edge id,
+and a vertex by its position in `vertices`, its index: the labels sorted,
+so a tie broken by smallest index is broken by smallest label.  `uv[i]`
+holds edge i's endpoints as listed, by index, and `adj[v]` lists v's
+neighbors by index, each followed by the id of the edge to it, in edge
+order.  The degeneracy peel, the classification, the engines, the
+partition and the oracle run on these lists; labels appear only at the API
+boundary (the orders `degeneracy` returns and `classify` takes, error
+messages, the label views `ends`, `nbrs` and `degree`), and normalized
+endpoint pairs (`Edge.pair`, the keys of a Coloring) only when asked for.
 """
 from __future__ import annotations
 
@@ -116,7 +120,7 @@ def serialize_stream(stream: EdgeStream, comments: Sequence[str] = ()) -> str:
 
 
 class Graph:
-    """Static view of a stream: edge ids, neighbors, degrees, vertex set.
+    """Static view of a stream: edge ids, vertex indices, adjacency, degrees.
 
     Raises SelfLoop or DuplicateEdge (both ParseErrors) on a loop or a
     repeated pair, so no engine ever sees a multigraph.
@@ -124,25 +128,28 @@ class Graph:
 
     def __init__(self, edges: Sequence[Edge]):
         self.edges: tuple[Edge, ...] = tuple(edges)
-        self.ends: list[Pair] = [(e.u, e.v) for e in self.edges]
-        nbrs: dict[int, dict[int, int]] = {}
-        for i, (u, v) in enumerate(self.ends):
-            at_u = nbrs.get(u)
-            if at_u is None:
-                at_u = nbrs[u] = {}
-            if u == v:
-                raise SelfLoop(f"edge {self.edges[i].arrival} joins {u} to itself")
-            if v in at_u:
-                raise DuplicateEdge(f"edge {self.edges[i].arrival} repeats pair {edge_pair(u, v)}")
-            at_u[v] = i
-            at_v = nbrs.get(v)
-            if at_v is None:
-                at_v = nbrs[v] = {}
-            at_v[u] = i
-        self.nbrs = nbrs
-        self.vertices: tuple[int, ...] = tuple(sorted(nbrs))
-        self.degree = {v: len(nbrs[v]) for v in self.vertices}
-        self.max_degree = max(self.degree.values(), default=0)
+        us = [e.u for e in self.edges]
+        vs = [e.v for e in self.edges]
+        self.vertices: tuple[int, ...] = tuple(sorted({*us, *vs}))
+        n = len(self.vertices)
+        self.index: dict[int, int] = dict(zip(self.vertices, range(n)))
+        at = self.index.__getitem__
+        iu, iv = list(map(at, us)), list(map(at, vs))
+        self.uv: list[tuple[int, int]] = list(zip(iu, iv))
+        seen = set(self.uv)
+        if len(seen) < len(iu) or not seen.isdisjoint(zip(iv, iu)):
+            _reject(self.edges)  # a repeat, reversed or not; a loop is its own reverse
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for i, a, b in zip(range(len(iu)), iu, iv):
+            at_a = adj[a]
+            at_a.append(b)
+            at_a.append(i)
+            at_b = adj[b]
+            at_b.append(a)
+            at_b.append(i)
+        self.adj = adj
+        self.deg: list[int] = [len(a) >> 1 for a in adj]
+        self.max_degree = max(self.deg, default=0)
 
     @classmethod
     def from_stream(cls, stream: EdgeStream) -> "Graph":
@@ -156,22 +163,54 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
+    # Label views, built on each access for callers outside the engines.
+
+    @property
+    def ends(self) -> list[Pair]:
+        """Each edge's endpoint labels as listed, by edge id."""
+        return [(e.u, e.v) for e in self.edges]
+
+    @property
+    def nbrs(self) -> dict[int, dict[int, int]]:
+        """Label -> {neighbor label: edge id}, in edge order."""
+        labels = self.vertices
+        return {
+            labels[v]: {labels[w]: i for w, i in zip(a[::2], a[1::2])}
+            for v, a in enumerate(self.adj)
+        }
+
+    @property
+    def degree(self) -> dict[int, int]:
+        """Label -> degree."""
+        return dict(zip(self.vertices, self.deg))
+
+
+def _reject(edges: Sequence[Edge]) -> None:
+    """Raise for the first edge that is a loop or repeats an earlier pair."""
+    seen: set[Pair] = set()
+    for e in edges:
+        if e.u == e.v:
+            raise SelfLoop(f"edge {e.arrival} joins {e.u} to itself")
+        if e.pair in seen:
+            raise DuplicateEdge(f"edge {e.arrival} repeats pair {e.pair}")
+        seen.add(e.pair)
+
 
 def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Min-degree peeling; ties broken by smallest label.
 
-    Returns d and the vertex order, the reverse peeling sequence, so each
-    vertex sees at most d neighbors before itself.  d is the largest
+    Returns d and the vertex order (labels), the reverse peeling sequence,
+    so each vertex sees at most d neighbors before itself.  d is the largest
     residual minimum degree observed while peeling.
 
     The minimum comes from a bucket queue (Matula and Beck): bucket[r] is a
-    heap of the labels whose residual was r when they were pushed, and an
-    entry whose vertex has since been peeled or has fallen lower is stale
-    and skipped.  A peel lowers each neighbor's residual by one, so the
-    scan pointer steps back by one per peel and moves O(n + max_degree)
+    heap of the vertex indices whose residual was r when they were pushed,
+    and an entry whose vertex has since been peeled or has fallen lower is
+    stale and skipped.  A peel lowers each neighbor's residual by one, so
+    the scan pointer steps back by one per peel and moves O(n + max_degree)
     times in all.  Each edge pushes at most one entry and each entry pops
     once, so the peel makes O(n + m) heap steps, O((n + m) log n) time at
-    worst, on heaps that each hold one residual's labels.
+    worst, on heaps that each hold one residual's vertices.
 
     >>> g = Graph.from_stream(stream_from_pairs([(2, 0), (2, 1), (3, 4)]))
     >>> degeneracy(g)  # 0, 1, 3 and 4 tie at residual 1: 0 is peeled first
@@ -179,11 +218,11 @@ def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
     """
     if g.n == 0:
         raise PreconditionViolated("degeneracy of an empty graph is undefined")
-    nbrs = g.nbrs
-    residual = dict(g.degree)  # alive vertices only
+    adj = g.adj
+    residual = list(g.deg)  # -1 once peeled; an alive neighbor's is >= 1
     bucket: list[list[int]] = [[] for _ in range(g.max_degree + 1)]
-    for v in g.vertices:  # sorted labels, so every bucket starts as a heap
-        bucket[residual[v]].append(v)
+    for v, x in enumerate(residual):  # ascending, so every bucket starts as a heap
+        bucket[x].append(v)
     pop, push = heapq.heappop, heapq.heappush
     peeled: list[int] = []
     d = r = 0  # no alive vertex has a residual below r
@@ -192,20 +231,37 @@ def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
             while not bucket[r]:
                 r += 1
             v = pop(bucket[r])
-            if residual.get(v) == r:
+            if residual[v] == r:
                 break
-        del residual[v]
+        residual[v] = -1
         if r > d:
             d = r
         peeled.append(v)
-        for w in nbrs[v]:
-            if w in residual:
-                x = residual[w] - 1
+        for w in adj[v][::2]:
+            x = residual[w] - 1
+            if x >= 0:
                 residual[w] = x
                 push(bucket[x], w)
         if r:
             r -= 1
-    return d, tuple(reversed(peeled))
+    labels = g.vertices
+    return d, tuple([labels[v] for v in reversed(peeled)])
+
+
+def _positions(g: Graph, order: Sequence[int]) -> list[int]:
+    """pos[v], the position in `order` of the vertex with index v.  `order`
+    lists each vertex of g once, by label, and may list others."""
+    at = dict(zip(order, range(len(order))))
+    if len(at) != len(order):
+        seen: set[int] = set()
+        for label in order:
+            if label in seen:
+                raise PreconditionViolated(f"order lists vertex {label} twice")
+            seen.add(label)
+    pos = list(map(at.get, g.vertices))
+    if None in pos:
+        raise PreconditionViolated(f"vertex {g.vertices[pos.index(None)]} missing from order")
+    return pos
 
 
 @dataclass(frozen=True)
@@ -221,48 +277,54 @@ class EdgeClassification:
 def classify(g: Graph, order: Sequence[int]) -> EdgeClassification:
     """Split each edge into its front (earlier) and back (later) endpoint
     in `order`, which lists each vertex of g once and may list others."""
-    rank = {v: i for i, v in enumerate(order)}
-    if len(rank) != len(order):
-        raise PreconditionViolated("order lists a vertex twice")
-    for v in g.vertices:
-        if v not in rank:
-            raise PreconditionViolated(f"vertex {v} missing from order")
+    pos = _positions(g, order)
     front: list[int] = []
     back: list[int] = []
-    back_degree = dict.fromkeys(g.vertices, 0)
-    for u, v in g.ends:
-        if rank[u] > rank[v]:
-            u, v = v, u
-        front.append(u)
-        back.append(v)
-        back_degree[v] += 1
-    return EdgeClassification(front, back, back_degree)
+    back_degree = [0] * g.n
+    for (a, b), e in zip(g.uv, g.edges):
+        if pos[a] < pos[b]:
+            front.append(e.u)
+            back.append(e.v)
+            back_degree[b] += 1
+        else:
+            front.append(e.v)
+            back.append(e.u)
+            back_degree[a] += 1
+    return EdgeClassification(front, back, dict(zip(g.vertices, back_degree)))
 
 
-def bipartition(g: Graph) -> tuple[set[int], set[int]]:
-    """Two-color the vertices by BFS; raises NotBipartite on an odd cycle."""
-    nbrs = g.nbrs
-    side: dict[int, int] = {}
-    for start in g.vertices:
-        if start in side:
+def two_color(g: Graph) -> list[int]:
+    """side[v] in {0, 1} for each vertex index, by BFS from the smallest
+    uncolored index; raises NotBipartite on an odd cycle."""
+    adj, labels = g.adj, g.vertices
+    side = [-1] * g.n
+    for start in range(g.n):
+        if side[start] >= 0:
             continue
         side[start] = 0
         queue = deque([start])
         while queue:
             v = queue.popleft()
-            for w in nbrs[v]:
-                if w not in side:
-                    side[w] = 1 - side[v]
+            s = side[v]
+            for w in adj[v][::2]:
+                if side[w] < 0:
+                    side[w] = 1 - s
                     queue.append(w)
-                elif side[w] == side[v]:
-                    raise NotBipartite(f"odd cycle through {v} and {w}")
-    left = {v for v, s in side.items() if s == 0}
-    return left, set(side) - left
+                elif side[w] == s:
+                    raise NotBipartite(f"odd cycle through {labels[v]} and {labels[w]}")
+    return side
+
+
+def bipartition(g: Graph) -> tuple[set[int], set[int]]:
+    """Two-color the vertices by BFS; raises NotBipartite on an odd cycle."""
+    side = two_color(g)
+    left = {v for v, s in zip(g.vertices, side) if s == 0}
+    return left, set(g.vertices) - left
 
 
 def is_bipartite(g: Graph) -> bool:
     try:
-        bipartition(g)
+        two_color(g)
     except NotBipartite:
         return False
     return True
@@ -274,21 +336,22 @@ def is_proper(g: Graph, coloring) -> bool:
     Accepts a partial coloring: uncolored edges are ignored.
     """
     colors: Mapping[Pair, int] = getattr(coloring, "assignment", coloring)
-    seen: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for u, v in g.ends:
-        c = colors.get(edge_pair(u, v))
+    seen: list[set[int]] = [set() for _ in range(g.n)]
+    for (a, b), e in zip(g.uv, g.edges):
+        u, v = e.u, e.v
+        c = colors.get((u, v) if u < v else (v, u))
         if c is None:
             continue
-        if c in seen[u] or c in seen[v]:
+        if c in seen[a] or c in seen[b]:
             return False
-        seen[u].add(c)
-        seen[v].add(c)
+        seen[a].add(c)
+        seen[b].add(c)
     return True
 
 
 def is_forest(g: Graph) -> bool:
     """Acyclicity via union-find over the edge list."""
-    parent = {v: v for v in g.vertices}
+    parent = list(range(g.n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -296,7 +359,7 @@ def is_forest(g: Graph) -> bool:
             x = parent[x]
         return x
 
-    for u, v in g.ends:
+    for u, v in g.uv:
         ru, rv = find(u), find(v)
         if ru == rv:
             return False

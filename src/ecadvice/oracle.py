@@ -19,9 +19,12 @@ class of a graph with max_degree < 2*degeneracy that neither the
 max_degree peel nor the max_degree+1 coloring settles and that is not
 overfull.
 
-The oracle works on edge ids (see graphs): it reads the optimal coloring
-by id, splits literal from subset edges by id, and the partition places
-the residual subgraph's edges, and colors each subset, by g's edge ids.
+The oracle works on edge ids and vertex indices (see graphs): it reads
+the optimal coloring by id, splits literal from subset edges by id, and
+the partition places the residual subgraph's edges, and colors each
+subset, by g's edge ids, keeping its per-vertex state in lists by vertex
+index.  Labels appear only in the orders it passes and in each record's
+front endpoint.
 g's one degeneracy order serves the residual too, since restricting an
 order to a subgraph can only lower back-degrees.  The partition hands back
 its plan, one EdgeAdvice named tuple per residual edge (mode, color,
@@ -30,13 +33,13 @@ the plan into per_edge, where literal edges of one color share one tuple.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .advice import AdviceRecord, pack_record, pad_degeneracy
 from .coloring import (
     Coloring,
+    _contiguous,
     _peel_color,
     color_degenerate,
     exact_color,
@@ -51,7 +54,9 @@ from .graphs import Edge, EdgeStream, Graph, classify, degeneracy
 class EdgeAdvice(NamedTuple):
     """Oracle-side view of one record, before bit packing.  A named tuple:
     one is built per subset edge, and a tuple builds at a third of a frozen
-    dataclass's cost."""
+    dataclass's cost.  The partition builds it with tuple.__new__, which
+    skips the named tuple's Python-level __new__ and takes about half as
+    long."""
 
     mode: int
     color: int
@@ -68,12 +73,12 @@ def build_partition(
 ) -> tuple[list[Optional[EdgeAdvice]], dict[int, list[Edge]]]:
     """Assign g's edges `ids` to subsets of max degree <= 2d, recording ranks.
 
-    Vertices are visited in `order`, a vertex order of g; each vertex's
-    front-edges among `ids` are handled in arrival order.  An edge goes to the
-    lowest-indexed subset holding at most 2d-1 edges at its front endpoint;
-    the recorded rank counts, below that index, the subsets that look open
-    when only earlier arrivals at the front endpoint are visible.  With
-    back-degree <= d the rank never exceeds d.
+    Vertices are visited in `order`, a vertex order of g by label; each
+    vertex's front-edges among `ids` are handled in arrival order.  An edge
+    goes to the lowest-indexed subset holding at most 2d-1 edges at its
+    front endpoint; the recorded rank counts, below that index, the subsets
+    that look open when only earlier arrivals at the front endpoint are
+    visible.  With back-degree <= d the rank never exceeds d.
 
     Each subset is a subgraph of g, so its degeneracy is at most d and
     color_degenerate gives it a 2d-coloring without search; it colors the
@@ -91,35 +96,47 @@ def build_partition(
     sides = classify(g, order)  # raises when the order misses or repeats a vertex
     if max(sides.back_degree.values(), default=0) > d:
         raise PreconditionViolated(f"order has back-degree above {d}")
-    edges, front, other = g.edges, sides.front, sides.back
-    degree = Counter(map(front.__getitem__, ids))
-    degree.update(map(other.__getitem__, ids))
-    delta = max(degree.values(), default=0)
+    edges, labels, front = g.edges, g.vertices, sides.front
+    arrival = [e.arrival for e in edges]
+    # front_edges[v]: the edges of ids whose front end is vertex index v, in
+    # arrival order; other[i]: the index of edge i's back end
+    front_edges: dict[int, list[int]] = {}
+    other = [0] * g.m
+    degree = [0] * g.n
+    for i in sorted(ids, key=arrival.__getitem__):
+        a, b = g.uv[i]
+        if labels[a] != front[i]:
+            a, b = b, a
+        front_edges.setdefault(a, []).append(i)
+        other[i] = b
+        degree[a] += 1
+        degree[b] += 1
+    delta = max(degree, default=0)
     if delta == 0 or delta % (2 * d) != 0:
         raise PreconditionViolated(f"max degree {delta} is not a positive multiple of {2 * d}")
 
     cap = 2 * d - 1
-    arrival = [e.arrival for e in edges]
-    front_edges: dict[int, list[int]] = {}
-    for i in sorted(ids, key=arrival.__getitem__):
-        front_edges.setdefault(front[i], []).append(i)
-
-    # placed[v][j]: edges at v already in subset j.  back[v]: (arrival, j)
-    # of v's back edges, all placed before v itself is visited.
-    placed: dict[int, dict[int, int]] = {v: {} for v in degree}
-    back: dict[int, list[tuple[int, int]]] = {v: [] for v in degree}
+    # Fewer than delta edges are placed at a vertex before its last one, so
+    # fewer than delta/2d subsets are full there: subsets are 1..delta/2d.
+    # placed[v * stride + j]: edges at v already in subset j.  back[v]:
+    # (arrival, j) of v's back edges, all placed before v itself is visited.
+    stride = delta // (2 * d) + 1
+    placed = [0] * (g.n * stride)
+    back: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     rank = [0] * g.m
     members: dict[int, list[int]] = {}
 
-    for v in order:
+    index = g.index
+    for label in order:
+        v = index.get(label)
         if v not in front_edges:
             continue
-        total = placed[v]
+        base = v * stride
         back_v = back[v]
         target = 1
         for i in front_edges[v]:
             # subsets only fill up, so the lowest open index never falls
-            while total.get(target, 0) > cap:
+            while placed[base + target] > cap:
                 target += 1
             if back_v:
                 # v's front edges only enter subsets holding <= 2d-1 edges
@@ -129,23 +146,23 @@ def build_partition(
                 t = arrival[i]
                 rank[i] = len({j for s, j in back_v if s > t and j < target})
             members.setdefault(target, []).append(i)
-            total[target] = total.get(target, 0) + 1
+            placed[base + target] += 1
             w = other[i]
-            at_w = placed[w]
-            at_w[target] = at_w.get(target, 0) + 1
+            placed[w * stride + target] += 1
             back[w].append((arrival[i], target))
 
-    for v, at_v in placed.items():
-        for j, k in at_v.items():
-            if k > 2 * d:
-                raise AssertionError(f"subset {j} reached degree {k} at vertex {v}")
+    if max(placed) > 2 * d:
+        p = next(p for p, k in enumerate(placed) if k > 2 * d)
+        v, j = divmod(p, stride)
+        raise AssertionError(f"subset {j} reached degree {placed[p]} at vertex {labels[v]}")
     plan: list[Optional[EdgeAdvice]] = [None] * g.m  # each of ids lands in one subset
     partition: dict[int, list[Edge]] = {}
+    new = tuple.__new__  # skips the named tuple's Python-level __new__
     for j, sub in members.items():
         sub.sort(key=arrival.__getitem__)
         partition[j] = [edges[i] for i in sub]
         for i, c in zip(sub, color_degenerate(g, d, sub).by_id):
-            plan[i] = EdgeAdvice(1, c, j, rank[i], front[i])
+            plan[i] = new(EdgeAdvice, (1, c, j, rank[i], front[i]))
     return plan, partition
 
 
@@ -162,17 +179,6 @@ class OracleResult:
     stream: EdgeStream          # what the consumer should replay
     optimal: Coloring
     partition: dict[int, list[Edge]]  # bundle -> members; {} when every record is literal
-
-
-def _contiguous(col: Coloring) -> Coloring:
-    """Rename colors to 1..k in ascending order of their values."""
-    rename: dict[int, int] = {}
-    for c in sorted(set(col.assignment.values())):
-        rename[c] = len(rename) + 1
-    return Coloring(
-        {pair: rename[c] for pair, c in col.assignment.items()},
-        [rename[c] for c in col.by_id],
-    )
 
 
 def optimal_coloring(
@@ -204,7 +210,7 @@ def optimal_coloring(
     peeled = _peel_color(g, delta, delta)
     if peeled is not None:
         return delta, peeled
-    plus = _contiguous(vizing_plus_one(g))
+    plus = _contiguous(g, vizing_plus_one(g))
     if len(plus.palette) == delta:
         return delta, plus
     if g.m > delta * (g.n // 2):
@@ -266,8 +272,8 @@ def build_advice(
         rest = [i for i, c in enumerate(colors) if c > b]  # every id when b = 0
         # a vertex of degree delta sees every color, so it keeps a*2dd
         # residual edges; in a proper coloring none keeps more
-        top = max(g.vertices, key=g.degree.__getitem__)
-        if sum(colors[i] > b for i in g.nbrs[top].values()) != a * 2 * dd:
+        top = g.deg.index(delta)
+        if sum(colors[i] > b for i in g.adj[top][1::2]) != a * 2 * dd:
             raise AssertionError("residual subgraph lost the expected max degree")
         plan, partition = build_partition(g, dd, order, rest)
 
@@ -282,7 +288,8 @@ def build_advice(
     packed: dict[tuple[int, int, int], AdviceRecord] = {}
     for i in rest:
         adv = per_edge[i] = plan[i]
-        (u, v), f = g.ends[i], adv.front
+        e = edges[i]
+        u, v, f = e.u, e.v, adv.front
         key = (adv.color, adv.rank, int(robust and f != (u if u < v else v)))
         record = packed.get(key)
         if record is None:

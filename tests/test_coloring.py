@@ -519,6 +519,39 @@ def ledger_graphs(draw):
     )
 
 
+def assert_ledger_consistent(ledger):
+    """For every vertex, the used bits are exactly the colors of its colored
+    edges (plus bit 0), and each set bit's slot names the edge holding that
+    color there; a vertex the ledger does not cover has no slots and no
+    colored edge."""
+    held = [{} for _ in ledger.used]  # per vertex index: color -> edge id
+    for i, c in ledger.color.items():
+        for v in ledger.ends[i]:
+            assert c not in held[v]
+            held[v][c] = i
+    assert len(ledger.at) == len(ledger.used)
+    for v, slots in enumerate(ledger.at):
+        assert ledger.used[v] == sum(1 << c for c in held[v]) | 1
+        if slots is None:
+            assert not held[v]
+            continue
+        assert len(slots) == ledger.k + 1
+        for c in range(1, ledger.k + 1):
+            if ledger.used[v] >> c & 1:
+                i = slots[c]
+                assert ledger.color.get(i) == c and v in ledger.ends[i]
+
+
+def test_exhausted_palette_names_the_label():
+    g = graph([(10**12 + 5, 3), (10**12 + 5, 10**12 + 9)])
+    ledger = ecadvice.coloring._Ledger(g, range(g.n), 2)
+    center = g.index[10**12 + 5]
+    ledger.set(0, 1)
+    ledger.set(1, 2)
+    with pytest.raises(AssertionError, match=rf"1\.\.2 exhausted at vertex {10**12 + 5}$"):
+        ledger.free(center)
+
+
 @given(ledger_graphs())
 @settings(max_examples=300, deadline=None)
 def test_bitmask_ledger_matches_slot_ledger(g):
@@ -535,6 +568,7 @@ def test_bitmask_ledger_matches_slot_ledger(g):
             konig = konig_color(g)
         except NotBipartite:
             konig = None
+        vizing = vizing_plus_one(g)
 
     # same colors, inserted in the same order
     try:
@@ -542,8 +576,7 @@ def test_bitmask_ledger_matches_slot_ledger(g):
     except NotBipartite:
         expected = None
     assert (None if konig is None else list(konig.assignment.items())) == expected
-    assert len(ledgers) == (0 if konig is None else 1)
+    assert len(ledgers) == (1 if konig is None else 2)
     for ledger in ledgers:
-        assert ledger.used.keys() == ledger.at.keys()
-        for v, slots in ledger.at.items():
-            assert ledger.used[v] == sum(1 << c for c in slots) | 1
+        assert_ledger_consistent(ledger)
+    assert [vizing.by_id[i] for i in ledgers[-1].color] == list(vizing.assignment.values())

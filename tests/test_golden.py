@@ -200,6 +200,86 @@ GOLDEN_STDOUT = (
 GOLDEN_COLORS_SHA256 = "977672b7785da6a1a037106aae15ff26e1b2af5d0cb3e43345db77b1776700b6"
 
 
+def relabel(stream):
+    """The stream with every label v moved to (v * 7919) % 1009 + 10**12.
+
+    The map is one-to-one below 1009 and not monotone, so the sorted order
+    of the labels is not their order as generated, and no label is a small
+    integer: a vertex index taken for a label, or a label for an index,
+    shows up as a changed digest.
+    """
+    f = lambda v: (v * 7919) % 1009 + 10**12
+    return stream_from_pairs((f(e.u), f(e.v)) for e in stream.edges)
+
+
+def relabeled_digest(stream, d: int, mode: str, model: str) -> str:
+    """Records, chi, the optimal coloring (in its insertion order, and so
+    the order the engine colored the edges), the replay stream as oriented
+    and the consumer's coloring."""
+    run = run_advice(stream, d, mode=mode, model=model)
+    return _sha(
+        {
+            "records": [r.bits for r in run.oracle.records],
+            "chi": run.oracle.chromatic_index,
+            "stream": [[e.u, e.v] for e in run.oracle.stream.edges],
+            "optimal": [[list(p), c] for p, c in run.oracle.optimal.assignment.items()],
+            "bundles": _bundles(run.oracle),
+            "coloring": _items(run.report.coloring),
+        }
+    )
+
+
+RELABELED_RUNS = [
+    # (generator, d, mode, model, digest)
+    (
+        lambda: gen_forest(450, 3), 1, "strict", "tape",
+        "0815078e6dab55accbc4a4d9fa80ef846e86324b08335da3989558c7447ac678",
+    ),
+    (
+        lambda: gen_forest(450, 4), 1, "strict", "request",
+        "05dd603bb74a0a6195e9b1d96f371c79afd6bb9df1ea68876962f0db871c1721",
+    ),
+    (
+        lambda: gen_forest(450, 5), 1, "robust", "tape",
+        "f42cedb702fe1656c44df895358b56d56dafa65597ecc95758ccc5deb551e045",
+    ),
+    (
+        lambda: gen_forest(450, 6), 1, "robust", "request",
+        "d48d3cfacdaa68a821f8bfed32183043aadd95fcdb24fdc466918c3fafe40985",
+    ),
+    (
+        lambda: gen_d_degenerate(85, 5, 6), 5, "strict", "tape",
+        "e352c7c10f73e5ed5df6a00a3075592b925346923746bd3ce99f60b2686792df",
+    ),
+    (
+        lambda: gen_d_degenerate(85, 5, 7), 5, "strict", "request",
+        "c948215311bde2e0ef7ff1caf91460dffc182d00ff8f81d28483b7752b3082aa",
+    ),
+    (
+        lambda: gen_d_degenerate(85, 5, 8), 5, "robust", "tape",
+        "155515457c79b0a347f8ce844c355d882977acd3bdcf99fa9040c5b7fae52dd9",
+    ),
+    (
+        lambda: gen_d_degenerate(85, 5, 9), 5, "robust", "request",
+        "7ad6b8ac3e40faf749061b2a99650c4c98a39bc5e0500a1c82bd366d26d6fe73",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make,d,mode,model,digest",
+    RELABELED_RUNS,
+    ids=[
+        f"{kind}-{mode}-{model}"
+        for kind in ("forest-n450", "deg5-n85")
+        for mode in ("strict", "robust")
+        for model in ("tape", "request")
+    ],
+)
+def test_relabeled_runs_are_pinned(make, d, mode, model, digest):
+    assert relabeled_digest(relabel(make()), d, mode, model) == digest
+
+
 def test_cli_run_stdout_is_pinned(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d5.stream").write_text(serialize_stream(gen_d_degenerate(60, 5, 7)))
@@ -210,3 +290,26 @@ def test_cli_run_stdout_is_pinned(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert capsys.readouterr().out == GOLDEN_STDOUT
     assert hashlib.sha256((tmp_path / "d5.colors").read_bytes()).hexdigest() == GOLDEN_COLORS_SHA256
+
+
+RELABELED_STDOUT = (
+    '{"advice_bits_read": 1357, "chromatic_index": 8, "colors_used": 8, "config": '
+    '{"algorithm": "advice", "budget": null, "command": "run", "d": 1, "mode": "strict", '
+    '"model": "tape", "stream": "f.stream", "stream_sha256": '
+    '"d2fa259af49b3c0b05e3c3ff574930ad254b78cb6b332858598dabf8443a0ff3"}, "d": 1, '
+    '"delta": 8, "m": 452, "mode": "strict", "n": 477, "optimal": true, "per_edge_bits": 3}\n'
+)
+RELABELED_COLORS_SHA256 = "e465248239de09af892c9eea206e2ffec43c7626ca76bd97b24fbcbc14af3096"
+
+
+def test_cli_run_stdout_on_relabeled_stream_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.stream").write_text(serialize_stream(relabel(gen_forest(500, 2))))
+    code = main([
+        "run", "f.stream", "--d", "1", "--mode", "strict", "--model", "tape",
+        "--coloring-out", "f.colors",
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == RELABELED_STDOUT
+    colors = (tmp_path / "f.colors").read_bytes()
+    assert hashlib.sha256(colors).hexdigest() == RELABELED_COLORS_SHA256

@@ -257,6 +257,38 @@ def test_bipartition_odd_cycle_raises():
     assert is_bipartite(graph(cycle_pairs(6)))
 
 
+# labels far from the vertex indices 0..4, in an order unlike theirs
+RELABELED_CYCLE = [10**12 + 17, 523, 10**12 + 4, 7, 250]
+
+
+def _named(message: str) -> set[int]:
+    return {int(t) for t in message.replace(",", " ").split() if t.isdigit()}
+
+
+def test_odd_cycle_message_names_labels():
+    k = len(RELABELED_CYCLE)
+    pairs = [(RELABELED_CYCLE[i], RELABELED_CYCLE[(i + 1) % k]) for i in range(k)]
+    g = graph(pairs)
+    with pytest.raises(NotBipartite) as info:
+        bipartition(g)
+    v, w = sorted(_named(str(info.value)))
+    assert (v, w) in {edge_pair(*p) for p in pairs}
+
+
+def test_order_messages_name_labels():
+    g = graph(list(zip(RELABELED_CYCLE, RELABELED_CYCLE[1:])))
+    order = list(RELABELED_CYCLE)
+    with pytest.raises(PreconditionViolated) as info:
+        classify(g, order[:2] + order[3:])
+    assert _named(str(info.value)) == {order[2]}
+    with pytest.raises(PreconditionViolated) as info:
+        classify(g, order + [order[3]])
+    assert _named(str(info.value)) == {order[3]}
+    with pytest.raises(PreconditionViolated) as info:
+        classify(g, order + [99, 99])  # a label outside g, listed twice
+    assert _named(str(info.value)) == {99}
+
+
 def test_is_proper_accepts_and_rejects():
     g = graph(path_pairs(2))
     assert is_proper(g, {(0, 1): 1, (1, 2): 2})
