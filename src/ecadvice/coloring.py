@@ -19,20 +19,21 @@ max_degree+1, where the peel cannot get stuck; and with both at
 max_degree, a complete peel is a max_degree coloring, the oracle's
 class-1 certificate.  They share one recoloring ledger (per vertex index,
 a bitmask of the colors present, so the smallest free color is the lowest
-zero bit, plus a list of k+1 slots, slot c naming the edge that holds
-color c while bit c is set) and its one alternating-path flip and one fan
-rotation.
+zero bit, plus a dict from color c to the edge that holds c while bit c is
+set) and its one alternating-path flip and one fan rotation.
 
-Every engine works on edge ids and vertex indices (see graphs).  Its
-Coloring keeps the colors by id in `Coloring.by_id`, which is all the
-oracle reads, and builds the pair-keyed assignment only on first access.
+Every engine works on edge ids and vertex indices (see graphs); a subgraph
+given by edge ids is renumbered on its own, so its state is sized by the
+subgraph.  An engine's Coloring keeps the colors by id in
+`Coloring.by_id`, which is all the oracle reads, and builds the pair-keyed
+assignment only on first access.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import PreconditionViolated, ResourceLimit
-from .graphs import Graph, Pair, two_color
+from .graphs import Coloring, Graph, two_color
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -47,67 +48,12 @@ def node_budget(budget: Optional[int]) -> int:
     return budget
 
 
-class Coloring:
-    """Proper edge coloring keyed by normalized endpoint pair.
-
-    An engine also leaves `by_id`, the colors in edge-id order of the graph
-    it colored (of the ids it was given, when it colored a subgraph); a
-    coloring built from pairs has None there.  An engine's coloring keeps
-    its colors by id and builds `assignment` on first access, in the order
-    the edges got colored.
-    """
-
-    __slots__ = ("_assignment", "by_id", "_edges", "_color")
-
-    def __init__(
-        self, assignment: Optional[Mapping[Pair, int]], by_id: Optional[Sequence[int]] = None
-    ):
-        self._assignment = assignment
-        self.by_id = by_id
-
-    @property
-    def assignment(self) -> Mapping[Pair, int]:
-        if self._assignment is None:
-            edges = self._edges
-            self._assignment = {edges[i].pair: c for i, c in self._color.items()}
-        return self._assignment
-
-    @property
-    def palette(self) -> frozenset[int]:
-        return frozenset(self.assignment.values() if self.by_id is None else self.by_id)
-
-    def __getitem__(self, pair: Pair) -> int:
-        return self.assignment[pair]
-
-    def __len__(self) -> int:
-        return len(self.assignment if self.by_id is None else self.by_id)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Coloring):
-            return NotImplemented
-        return self.assignment == other.assignment
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"Coloring(assignment={self.assignment!r})"
-
-
-def _coloring(g: Graph, color: Mapping[int, int], ids: Optional[Sequence[int]] = None) -> Coloring:
-    """An engine's coloring of g from edge-id colors, `color` holding them
-    in the order the edges got colored; by_id lists the colors of `ids`,
-    every edge of g when None."""
-    col = Coloring(None, [color[i] for i in (range(g.m) if ids is None else ids)])
-    col._edges = g.edges
-    col._color = color
-    return col
-
-
 def _contiguous(g: Graph, col: Coloring) -> Coloring:
     """An engine's coloring of every edge of g, its colors renamed to 1..k
-    in ascending order of their values."""
-    rename = {c: r for r, c in enumerate(sorted(set(col.by_id)), start=1)}
-    return _coloring(g, {i: rename[c] for i, c in col._color.items()})
+    in ascending order of their values, colored in col's order."""
+    by_id = col.by_id
+    rename = {c: r for r, c in enumerate(sorted(set(by_id)), start=1)}
+    return Coloring.of_ids(g.edges, {i: rename[by_id[i]] for i in col._order})
 
 
 def exact_color(g: Graph, k: int, *, budget: Optional[int] = None) -> Optional[Coloring]:
@@ -218,28 +164,28 @@ def exact_color(g: Graph, k: int, *, budget: Optional[int] = None) -> Optional[C
                 return None
             frame = stack[-1]
 
-    return _coloring(g, {order[r]: c for r, _, _, c in stack})
+    return Coloring.of_ids(g.edges, {order[r]: c for r, _, _, c in stack})
 
 
 class _Ledger:
     """Recoloring state shared by the König and peel constructions, on edge
-    ids and vertex indices: color[i] the color of edge i (in the order edges
-    got colored), used[v] the colors present at v as a bitmask (bit c set
-    when c is present), and at[v][c] the id of the edge holding color c at
-    v, valid while bit c of used[v] is set.  Bit 0 is always set, so the
-    smallest free color at v is the lowest zero bit.  at[v] is a list of
-    k+1 slots for each v of `vertices`, those of the edges it will color,
-    and None elsewhere."""
+    ids and vertex indices: ends[i] the endpoints of edge i, color[i] its
+    color (in the order edges got colored), used[v] the colors present at v
+    as a bitmask (bit c set when c is present), and at[v][c] the id of the
+    edge holding color c at v, valid while bit c of used[v] is set.  Bit 0
+    is always set, so the smallest free color at v is the lowest zero bit.
+    A stale at[v] entry is overwritten, never deleted, so at[v] holds only
+    colors once present at v and the ledger's size is linear in the number
+    of edges, vertices and recolorings, whatever k is.  labels[v] names v
+    in messages."""
 
-    def __init__(self, g: Graph, vertices: Iterable[int], k: int):
+    def __init__(self, ends: Sequence[tuple[int, int]], labels: Sequence[int], k: int):
         self.k = k
-        self.ends = g.uv
-        self.labels = g.vertices
+        self.ends = ends
+        self.labels = labels
         self.color: dict[int, int] = {}
-        self.used = [1] * g.n
-        self.at: list[Optional[list[int]]] = [None] * g.n
-        for v in vertices:
-            self.at[v] = [0] * (k + 1)
+        self.used = [1] * len(labels)
+        self.at: list[dict[int, int]] = [{} for _ in labels]
 
     def free(self, v: int) -> int:
         """Smallest color in 1..k absent at v."""
@@ -335,7 +281,7 @@ def konig_color(g: Graph) -> Coloring:
     two-colored alternating path to make one free.  Raises NotBipartite.
     """
     two_color(g)  # raises on odd cycles
-    ledger = _Ledger(g, range(g.n), g.max_degree)
+    ledger = _Ledger(g.uv, g.vertices, g.max_degree)
     used = ledger.used
 
     for i, (u, v) in enumerate(g.uv):
@@ -354,7 +300,7 @@ def konig_color(g: Graph) -> Coloring:
                 raise AssertionError("alternating path reached the far endpoint")
             c = b
         ledger.set(i, c)
-    return _coloring(g, ledger.color)
+    return Coloring.of_ids(g.edges, ledger.color)
 
 
 def vizing_plus_one(g: Graph) -> Coloring:
@@ -413,38 +359,34 @@ def _peel_color(
     """
     # vertices in ascending index (so sorted-label) order, each one's edges
     # in edge order: the peel order depends on both
-    nbrs: list[Optional[dict[int, int]]]
     if ids is None:
+        ends, labels, edges = g.uv, g.vertices, g.edges
         nbrs = [dict(zip(a[::2], a[1::2])) for a in g.adj]
-        verts: Sequence[int] = range(g.n)
-        deg = list(g.deg)
     else:
-        # only the subgraph's vertices are visited, so a bundle costs no
-        # Python loop over all of g's vertices
-        nbrs = [None] * g.n
-        for i in ids:
-            u, v = g.uv[i]
-            at_u, at_v = nbrs[u], nbrs[v]
-            if at_u is None:
-                at_u = nbrs[u] = {}
-            if at_v is None:
-                at_v = nbrs[v] = {}
-            at_u[v] = i
-            at_v[u] = i
-        verts = sorted({v for i in ids for v in g.uv[i]})
-        deg = [0] * g.n
-        for v in verts:
-            deg[v] = len(nbrs[v])
+        # the subgraph on its own indices, numbered as Graph would number
+        # it, so a bundle's state is sized by the bundle and not by g: its
+        # vertices in ascending index order, its edges by position in ids
+        uv = g.uv
+        verts = sorted({v for i in ids for v in uv[i]})
+        local = dict(zip(verts, range(len(verts))))
+        ends = [(local[a], local[b]) for a, b in map(uv.__getitem__, ids)]
+        nbrs: list[dict[int, int]] = [{} for _ in verts]
+        for j, (a, b) in enumerate(ends):
+            nbrs[a][b] = j
+            nbrs[b][a] = j
+        labels = [g.vertices[v] for v in verts]
+        edges = [g.edges[i] for i in ids]
+    deg = [len(at_v) for at_v in nbrs]
     k = max(max(deg, default=0), floor)
-    major = [0] * g.n  # neighbors of degree k
-    for v in verts:
+    major = [0] * len(deg)  # neighbors of degree k
+    for v, at_v in enumerate(nbrs):
         if deg[v] == k:
-            for w in nbrs[v]:
+            for w in at_v:
                 major[w] += 1
 
     # todo holds small vertices whose edges may have become eligible; an
     # edge that is not yet eligible waits at x under the count x must fall to.
-    todo = [y for y in verts if deg[y] <= d]
+    todo = [y for y, dy in enumerate(deg) if dy <= d]
     waiting: dict[int, dict[int, list[int]]] = {}
     peeled: list[tuple[int, int, int]] = []  # (x, y, edge id)
     while todo:
@@ -472,11 +414,11 @@ def _peel_color(
                 todo.append(x)
         if at_y and deg[y] < start:
             todo.append(y)  # edges parked above waited for the old deg[y]
-    if len(peeled) < (g.m if ids is None else len(ids)):
+    if len(peeled) < len(ends):
         return None
 
-    ledger = _Ledger(g, verts, k)
-    ends, at, used = g.uv, ledger.at, ledger.used
+    ledger = _Ledger(ends, labels, k)
+    at, used = ledger.at, ledger.used
     full = (2 << k) - 2  # colors 1..k
     for x, y, i in reversed(peeled):
         free_x = ~used[x] & full
@@ -516,11 +458,11 @@ def _peel_color(
                     via[w] = j
                     fan.append(w)
         else:
-            raise AssertionError(f"maximal multi-fan at {g.vertices[x]} breaks the adjacency lemma")
+            raise AssertionError(f"maximal multi-fan at {labels[x]} breaks the adjacency lemma")
         path = [z]
         while z != y:
             z = parent[z]
             path.append(z)
         path.reverse()
         ledger.rotate(x, path, [via[w] for w in path], alpha)
-    return _coloring(g, ledger.color, ids)
+    return Coloring.of_ids(edges, ledger.color)

@@ -14,6 +14,8 @@ partition and the oracle run on these lists; labels appear only at the API
 boundary (the orders `degeneracy` returns and `classify` takes, error
 messages, the label views `ends`, `nbrs` and `degree`), and normalized
 endpoint pairs (`Edge.pair`, the keys of a Coloring) only when asked for.
+A Coloring, the result type of the engines in coloring, lives here beside
+the Edge and Pair types it is built from.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import heapq
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DuplicateEdge, NotBipartite, ParseError, PreconditionViolated, SelfLoop
 
@@ -183,6 +185,63 @@ class Graph:
     def degree(self) -> dict[int, int]:
         """Label -> degree."""
         return dict(zip(self.vertices, self.deg))
+
+
+class Coloring:
+    """Proper edge coloring keyed by normalized endpoint pair.
+
+    An engine's coloring also keeps `by_id`, the colors in edge-id order of
+    the graph it colored (of the ids it was given, when it colored a
+    subgraph); it is built by `of_ids` and makes `assignment` only on first
+    access, in the order the edges got colored.  A coloring built from pairs
+    has None there unless given.
+    """
+
+    __slots__ = ("_assignment", "by_id", "_edges", "_order")
+
+    def __init__(self, assignment: Mapping[Pair, int], by_id: Optional[Sequence[int]] = None):
+        if assignment is None:
+            raise TypeError("Coloring needs an assignment; an engine builds one with of_ids")
+        self._assignment = assignment
+        self.by_id = by_id
+
+    @classmethod
+    def of_ids(cls, edges: Sequence[Edge], color: Mapping[int, int]) -> "Coloring":
+        """The coloring that gives edges[i] color[i], `color` holding every
+        index in the order the edges got colored."""
+        col = cls.__new__(cls)
+        col._assignment = None
+        col.by_id = [color[i] for i in range(len(edges))]
+        col._edges = edges
+        col._order = list(color)
+        return col
+
+    @property
+    def assignment(self) -> Mapping[Pair, int]:
+        if self._assignment is None:
+            edges, by_id = self._edges, self.by_id
+            self._assignment = {edges[i].pair: by_id[i] for i in self._order}
+        return self._assignment
+
+    @property
+    def palette(self) -> frozenset[int]:
+        return frozenset(self.assignment.values() if self.by_id is None else self.by_id)
+
+    def __getitem__(self, pair: Pair) -> int:
+        return self.assignment[pair]
+
+    def __len__(self) -> int:
+        return len(self.assignment if self.by_id is None else self.by_id)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Coloring):
+            return NotImplemented
+        return self.assignment == other.assignment
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Coloring(assignment={self.assignment!r})"
 
 
 def _reject(edges: Sequence[Edge]) -> None:

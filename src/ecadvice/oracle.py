@@ -33,6 +33,7 @@ the plan into per_edge, where literal edges of one color share one tuple.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -118,10 +119,11 @@ def build_partition(
     cap = 2 * d - 1
     # Fewer than delta edges are placed at a vertex before its last one, so
     # fewer than delta/2d subsets are full there: subsets are 1..delta/2d.
-    # placed[v * stride + j]: edges at v already in subset j.  back[v]:
-    # (arrival, j) of v's back edges, all placed before v itself is visited.
+    # placed[v * stride + j]: edges at v already in subset j, one entry per
+    # (vertex, subset) pair in use.  back[v]: (arrival, j) of v's back
+    # edges, all placed before v itself is visited.
     stride = delta // (2 * d) + 1
-    placed = [0] * (g.n * stride)
+    placed: defaultdict[int, int] = defaultdict(int)
     back: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     rank = [0] * g.m
     members: dict[int, list[int]] = {}
@@ -151,8 +153,8 @@ def build_partition(
             placed[w * stride + target] += 1
             back[w].append((arrival[i], target))
 
-    if max(placed) > 2 * d:
-        p = next(p for p, k in enumerate(placed) if k > 2 * d)
+    if max(placed.values()) > 2 * d:
+        p = next(p for p, k in placed.items() if k > 2 * d)
         v, j = divmod(p, stride)
         raise AssertionError(f"subset {j} reached degree {placed[p]} at vertex {labels[v]}")
     plan: list[Optional[EdgeAdvice]] = [None] * g.m  # each of ids lands in one subset

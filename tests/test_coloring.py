@@ -26,7 +26,7 @@ from ecadvice import (
     optimal_coloring,
     vizing_plus_one,
 )
-from ecadvice.coloring import _peel_color
+from ecadvice.coloring import Coloring, _peel_color
 
 from .conftest import (
     biclique_pairs,
@@ -522,29 +522,38 @@ def ledger_graphs(draw):
 def assert_ledger_consistent(ledger):
     """For every vertex, the used bits are exactly the colors of its colored
     edges (plus bit 0), and each set bit's slot names the edge holding that
-    color there; a vertex the ledger does not cover has no slots and no
-    colored edge."""
+    color there; a slot whose bit is clear may be stale, but only for a
+    color in 1..k."""
     held = [{} for _ in ledger.used]  # per vertex index: color -> edge id
     for i, c in ledger.color.items():
         for v in ledger.ends[i]:
             assert c not in held[v]
             held[v][c] = i
-    assert len(ledger.at) == len(ledger.used)
+    assert len(ledger.at) == len(ledger.used) == len(ledger.labels)
     for v, slots in enumerate(ledger.at):
         assert ledger.used[v] == sum(1 << c for c in held[v]) | 1
-        if slots is None:
-            assert not held[v]
-            continue
-        assert len(slots) == ledger.k + 1
+        assert set(slots) <= set(range(1, ledger.k + 1))
         for c in range(1, ledger.k + 1):
             if ledger.used[v] >> c & 1:
                 i = slots[c]
                 assert ledger.color.get(i) == c and v in ledger.ends[i]
 
 
+def test_engine_coloring_builds_its_pairs_on_first_access():
+    g = graph([(7, 3), (3, 9), (9, 7)])
+    col = Coloring.of_ids(g.edges, {2: 3, 0: 1, 1: 2})
+    assert col.by_id == [1, 2, 3]
+    assert len(col) == 3 and col.palette == {1, 2, 3}
+    assert col._assignment is None  # palette and len read by_id
+    assert list(col.assignment.items()) == [((7, 9), 3), ((3, 7), 1), ((3, 9), 2)]
+    assert col == Coloring({(3, 7): 1, (3, 9): 2, (7, 9): 3})
+    with pytest.raises(TypeError):
+        Coloring(None)
+
+
 def test_exhausted_palette_names_the_label():
     g = graph([(10**12 + 5, 3), (10**12 + 5, 10**12 + 9)])
-    ledger = ecadvice.coloring._Ledger(g, range(g.n), 2)
+    ledger = ecadvice.coloring._Ledger(g.uv, g.vertices, 2)
     center = g.index[10**12 + 5]
     ledger.set(0, 1)
     ledger.set(1, 2)

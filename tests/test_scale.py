@@ -9,21 +9,29 @@ ones whose per-bundle search used to exhaust a 500k-node budget, and the
 5-degenerate one with 49,985 edges pins that the constructive coloring
 stays near-linear.  The 20000-vertex forest pins that the degeneracy peel
 is not quadratic in n, and the 3000-leaf star that the subset partition is
-not quadratic in the degree of the center.
+not quadratic in the degree of the center; the memory tests at the end
+bound that directly, since time alone does not.
 """
+
+import tracemalloc
 
 import pytest
 
+import ecadvice.coloring
 from ecadvice import (
     Graph,
+    degeneracy,
     gen_d_degenerate,
     gen_forest,
     gen_star,
+    konig_color,
     run_advice,
     serialize_stream,
     verify_run,
+    vizing_plus_one,
 )
 from ecadvice.cli import main
+from ecadvice.oracle import build_partition
 
 from .conftest import about
 
@@ -74,3 +82,41 @@ def test_scale_cli_run_exits_zero(tmp_path, capsys):
     path.write_text(serialize_stream(gen_d_degenerate(500, 5, 1)))
     assert main(["run", str(path), "--alg", "advice", "--d", "5", "--budget", "0"]) == 0
     assert '"optimal": true' in capsys.readouterr().out
+
+
+def traced_peak(f) -> int:
+    """f()'s peak of traced allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ledger_is_linear_on_a_wide_star():
+    # König's ledger has k = max_degree, the Vizing peel's k = max_degree+1:
+    # state with k+1 slots per vertex would take 10^8 slots (800 MB) here,
+    # while the colors a star's vertices ever see number 2*10^4
+    g = Graph.from_stream(gen_star(10_000))
+    assert traced_peak(lambda: konig_color(g)) < 48 * 2**20
+    assert traced_peak(lambda: vizing_plus_one(g)) < 48 * 2**20
+
+
+def test_partition_state_is_sized_by_each_bundle(monkeypatch):
+    # d = 1 splits the 3000-leaf star into 1500 bundles of two edges; state
+    # sized by the whole graph would be n per bundle, or n * delta/2d counts
+    # (4.5 million) for the subset placement
+    g = Graph.from_stream(gen_star(3000))
+    _, order = degeneracy(g)
+    sizes = []
+
+    class Sized(ecadvice.coloring._Ledger):
+        def __init__(self, ends, labels, k):
+            super().__init__(ends, labels, k)
+            sizes.append((len(ends), len(labels), len(self.used), len(self.at)))
+
+    monkeypatch.setattr(ecadvice.coloring, "_Ledger", Sized)
+    peak = traced_peak(lambda: build_partition(g, 1, order, range(g.m)))
+    assert sizes == [(2, 3, 3, 3)] * 1500
+    assert peak < 8 * 2**20
