@@ -54,8 +54,6 @@ from .graphs import (
     Edge,
     EdgeStream,
     Graph,
-    bipartition,
-    classify,
     degeneracy,
     edge_pair,
     is_bipartite,

@@ -7,13 +7,13 @@ time the online algorithms ever see.
 Inside a Graph an edge is named by its position in `edges`, its edge id,
 and a vertex by its position in `vertices`, its index: the labels sorted,
 so a tie broken by smallest index is broken by smallest label.  `uv[i]`
-holds edge i's endpoints as listed, by index, and `adj[v]` lists v's
+holds edge i's endpoints as listed, by index, `adj[v]` lists v's
 neighbors by index, each followed by the id of the edge to it, in edge
-order.  The degeneracy peel, the classification, the engines, the
+order, and `deg[v]` is v's degree.  The degeneracy peel, the engines, the
 partition and the oracle run on these lists; labels appear only at the API
-boundary (the orders `degeneracy` returns and `classify` takes, error
-messages, the label views `ends`, `nbrs` and `degree`), and normalized
-endpoint pairs (`Edge.pair`, the keys of a Coloring) only when asked for.
+boundary (the orders `degeneracy` returns and `build_partition` takes,
+error messages), and normalized endpoint pairs (`Edge.pair`, the keys of a
+Coloring) only when asked for.
 A Coloring, the result type of the engines in coloring, lives here beside
 the Edge and Pair types it is built from.
 """
@@ -134,8 +134,7 @@ class Graph:
         vs = [e.v for e in self.edges]
         self.vertices: tuple[int, ...] = tuple(sorted({*us, *vs}))
         n = len(self.vertices)
-        self.index: dict[int, int] = dict(zip(self.vertices, range(n)))
-        at = self.index.__getitem__
+        at = dict(zip(self.vertices, range(n))).__getitem__
         iu, iv = list(map(at, us)), list(map(at, vs))
         self.uv: list[tuple[int, int]] = list(zip(iu, iv))
         seen = set(self.uv)
@@ -164,27 +163,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    # Label views, built on each access for callers outside the engines.
-
-    @property
-    def ends(self) -> list[Pair]:
-        """Each edge's endpoint labels as listed, by edge id."""
-        return [(e.u, e.v) for e in self.edges]
-
-    @property
-    def nbrs(self) -> dict[int, dict[int, int]]:
-        """Label -> {neighbor label: edge id}, in edge order."""
-        labels = self.vertices
-        return {
-            labels[v]: {labels[w]: i for w, i in zip(a[::2], a[1::2])}
-            for v, a in enumerate(self.adj)
-        }
-
-    @property
-    def degree(self) -> dict[int, int]:
-        """Label -> degree."""
-        return dict(zip(self.vertices, self.deg))
 
 
 class Coloring:
@@ -307,51 +285,6 @@ def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
     return d, tuple([labels[v] for v in reversed(peeled)])
 
 
-def _positions(g: Graph, order: Sequence[int]) -> list[int]:
-    """pos[v], the position in `order` of the vertex with index v.  `order`
-    lists each vertex of g once, by label, and may list others."""
-    at = dict(zip(order, range(len(order))))
-    if len(at) != len(order):
-        seen: set[int] = set()
-        for label in order:
-            if label in seen:
-                raise PreconditionViolated(f"order lists vertex {label} twice")
-            seen.add(label)
-    pos = list(map(at.get, g.vertices))
-    if None in pos:
-        raise PreconditionViolated(f"vertex {g.vertices[pos.index(None)]} missing from order")
-    return pos
-
-
-@dataclass(frozen=True)
-class EdgeClassification:
-    """front[i] is the endpoint of edge i that comes first in the order;
-    back[i] the other.  Both are indexed by edge id."""
-
-    front: Sequence[int]
-    back: Sequence[int]
-    back_degree: Mapping[int, int]
-
-
-def classify(g: Graph, order: Sequence[int]) -> EdgeClassification:
-    """Split each edge into its front (earlier) and back (later) endpoint
-    in `order`, which lists each vertex of g once and may list others."""
-    pos = _positions(g, order)
-    front: list[int] = []
-    back: list[int] = []
-    back_degree = [0] * g.n
-    for (a, b), e in zip(g.uv, g.edges):
-        if pos[a] < pos[b]:
-            front.append(e.u)
-            back.append(e.v)
-            back_degree[b] += 1
-        else:
-            front.append(e.v)
-            back.append(e.u)
-            back_degree[a] += 1
-    return EdgeClassification(front, back, dict(zip(g.vertices, back_degree)))
-
-
 def two_color(g: Graph) -> list[int]:
     """side[v] in {0, 1} for each vertex index, by BFS from the smallest
     uncolored index; raises NotBipartite on an odd cycle."""
@@ -372,13 +305,6 @@ def two_color(g: Graph) -> list[int]:
                 elif side[w] == s:
                     raise NotBipartite(f"odd cycle through {labels[v]} and {labels[w]}")
     return side
-
-
-def bipartition(g: Graph) -> tuple[set[int], set[int]]:
-    """Two-color the vertices by BFS; raises NotBipartite on an odd cycle."""
-    side = two_color(g)
-    left = {v for v, s in zip(g.vertices, side) if s == 0}
-    return left, set(g.vertices) - left
 
 
 def is_bipartite(g: Graph) -> bool:

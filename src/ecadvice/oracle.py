@@ -21,10 +21,12 @@ overfull.
 
 The oracle works on edge ids and vertex indices (see graphs): it reads
 the optimal coloring by id, splits literal from subset edges by id, and
-the partition places the residual subgraph's edges, and colors each
-subset, by g's edge ids, keeping its per-vertex state in lists by vertex
-index.  Labels appear only in the orders it passes and in each record's
-front endpoint.
+the partition orients each edge, places the residual subgraph's edges and
+colors each subset by g's edge ids, keeping its per-vertex state in lists
+by vertex index.  The partition is the one place that decides an edge's
+front endpoint: it maps the label order to positions once and compares
+the positions of each edge's ends.  Labels appear only in the orders it
+takes and in each record's front endpoint.
 g's one degeneracy order serves the residual too, since restricting an
 order to a subgraph can only lower back-degrees.  The partition hands back
 its plan, one EdgeAdvice named tuple per residual edge (mode, color,
@@ -49,7 +51,7 @@ from .coloring import (
     vizing_plus_one,
 )
 from .errors import NotBipartite, PreconditionViolated
-from .graphs import Edge, EdgeStream, Graph, classify, degeneracy
+from .graphs import Edge, EdgeStream, Graph, degeneracy
 
 
 class EdgeAdvice(NamedTuple):
@@ -64,6 +66,22 @@ class EdgeAdvice(NamedTuple):
     subset: Optional[int] = None
     rank: Optional[int] = None
     front: Optional[int] = None
+
+
+def _positions(g: Graph, order: Sequence[int]) -> list[int]:
+    """pos[v], the position in `order` of the vertex with index v.  `order`
+    lists each vertex of g once, by label, and may list others."""
+    at = dict(zip(order, range(len(order))))
+    if len(at) != len(order):
+        seen: set[int] = set()
+        for label in order:
+            if label in seen:
+                raise PreconditionViolated(f"order lists vertex {label} twice")
+            seen.add(label)
+    pos = list(map(at.get, g.vertices))
+    if None in pos:
+        raise PreconditionViolated(f"vertex {g.vertices[pos.index(None)]} missing from order")
+    return pos
 
 
 def build_partition(
@@ -91,24 +109,41 @@ def build_partition(
     subset, subset, rank, front) for i in `ids` and None for other edges,
     and each subset's members in arrival order.
 
-    Requires back-degree <= d over all of g, and the max degree of the
-    subgraph of the edges `ids` to be a positive multiple of 2d.
+    Requires `order` to list each vertex of g once, back-degree <= d over
+    all of g, `ids` to list edge ids of g at most once each, and the max
+    degree of the subgraph of the edges `ids` to be a positive multiple of
+    2d.
     """
-    sides = classify(g, order)  # raises when the order misses or repeats a vertex
-    if max(sides.back_degree.values(), default=0) > d:
+    pos = _positions(g, order)
+    uv = g.uv
+    back_degree = [0] * g.n
+    for a, b in uv:
+        back_degree[b if pos[a] < pos[b] else a] += 1
+    if max(back_degree, default=0) > d:
         raise PreconditionViolated(f"order has back-degree above {d}")
-    edges, labels, front = g.edges, g.vertices, sides.front
+    m = g.m
+    listed = [False] * m
+    for i in ids:
+        if not 0 <= i < m:
+            raise PreconditionViolated(f"edge id {i} is not in 0..{m - 1}")
+        if listed[i]:
+            raise PreconditionViolated(f"edge id {i} is listed twice")
+        listed[i] = True
+    edges, labels = g.edges, g.vertices
     arrival = [e.arrival for e in edges]
     # front_edges[v]: the edges of ids whose front end is vertex index v, in
-    # arrival order; other[i]: the index of edge i's back end
+    # arrival order; front[i], other[i]: the indices of edge i's front and
+    # back ends
     front_edges: dict[int, list[int]] = {}
-    other = [0] * g.m
+    front = [0] * m
+    other = [0] * m
     degree = [0] * g.n
     for i in sorted(ids, key=arrival.__getitem__):
-        a, b = g.uv[i]
-        if labels[a] != front[i]:
+        a, b = uv[i]
+        if pos[a] > pos[b]:
             a, b = b, a
         front_edges.setdefault(a, []).append(i)
+        front[i] = a
         other[i] = b
         degree[a] += 1
         degree[b] += 1
@@ -125,14 +160,10 @@ def build_partition(
     stride = delta // (2 * d) + 1
     placed: defaultdict[int, int] = defaultdict(int)
     back: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    rank = [0] * g.m
+    rank = [0] * m
     members: dict[int, list[int]] = {}
 
-    index = g.index
-    for label in order:
-        v = index.get(label)
-        if v not in front_edges:
-            continue
+    for v in sorted(front_edges, key=pos.__getitem__):
         base = v * stride
         back_v = back[v]
         target = 1
@@ -157,14 +188,14 @@ def build_partition(
         p = next(p for p, k in placed.items() if k > 2 * d)
         v, j = divmod(p, stride)
         raise AssertionError(f"subset {j} reached degree {placed[p]} at vertex {labels[v]}")
-    plan: list[Optional[EdgeAdvice]] = [None] * g.m  # each of ids lands in one subset
+    plan: list[Optional[EdgeAdvice]] = [None] * m  # each of ids lands in one subset
     partition: dict[int, list[Edge]] = {}
     new = tuple.__new__  # skips the named tuple's Python-level __new__
     for j, sub in members.items():
         sub.sort(key=arrival.__getitem__)
         partition[j] = [edges[i] for i in sub]
         for i, c in zip(sub, color_degenerate(g, d, sub).by_id):
-            plan[i] = new(EdgeAdvice, (1, c, j, rank[i], front[i]))
+            plan[i] = new(EdgeAdvice, (1, c, j, rank[i], labels[front[i]]))
     return plan, partition
 
 

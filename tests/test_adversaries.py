@@ -114,7 +114,7 @@ def test_permutation_instance_shape(delta):
     g = Graph.from_stream(inst.stream)
     assert g.m == delta**3 + delta
     assert is_bipartite(g)
-    assert set(g.degree.values()) == {delta}
+    assert set(g.deg) == {delta}
     col = konig_color(g)
     assert is_proper(g, col) and len(col.palette) == delta
 

@@ -12,7 +12,6 @@ from ecadvice import (
     NotBipartite,
     PreconditionViolated,
     ResourceLimit,
-    bipartition,
     build_coupled_pair,
     chromatic_index,
     color_degenerate,
@@ -27,6 +26,7 @@ from ecadvice import (
     vizing_plus_one,
 )
 from ecadvice.coloring import Coloring, _peel_color
+from ecadvice.graphs import two_color
 
 from .conftest import (
     biclique_pairs,
@@ -227,7 +227,7 @@ def peel_graphs(draw):
 @settings(max_examples=150, deadline=None)
 def test_complete_max_degree_peel_is_a_max_degree_coloring(g):
     col = _peel_color(g, g.max_degree, g.max_degree)
-    if len(set(g.degree.values())) == 1:
+    if len(set(g.deg)) == 1:
         assert col is None  # on a regular graph the peel cannot start
     if col is None:
         return
@@ -476,7 +476,7 @@ class _SlotLedger:
 
 
 def _slot_konig(g):
-    bipartition(g)
+    two_color(g)
     ledger = _SlotLedger(g, g.max_degree)
     at = ledger.at
     for e in g.edges:
@@ -554,7 +554,7 @@ def test_engine_coloring_builds_its_pairs_on_first_access():
 def test_exhausted_palette_names_the_label():
     g = graph([(10**12 + 5, 3), (10**12 + 5, 10**12 + 9)])
     ledger = ecadvice.coloring._Ledger(g.uv, g.vertices, 2)
-    center = g.index[10**12 + 5]
+    center = g.vertices.index(10**12 + 5)
     ledger.set(0, 1)
     ledger.set(1, 2)
     with pytest.raises(AssertionError, match=rf"1\.\.2 exhausted at vertex {10**12 + 5}$"):

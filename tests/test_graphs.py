@@ -11,17 +11,18 @@ from ecadvice import (
     ParseError,
     PreconditionViolated,
     SelfLoop,
-    bipartition,
-    classify,
+    build_partition,
     degeneracy,
     edge_pair,
     is_bipartite,
     is_forest,
     is_proper,
+    konig_color,
     parse_stream,
     serialize_stream,
     stream_from_pairs,
 )
+from ecadvice.graphs import two_color
 
 from .conftest import (
     biclique_pairs,
@@ -125,7 +126,7 @@ def test_parse_serialize_round_trip(pairs):
 def test_graph_counts():
     g = graph(complete_pairs(4))
     assert g.n == 4 and g.m == 6 and g.max_degree == 3
-    assert g.degree[0] == 3
+    assert g.deg[0] == 3
 
 
 def test_degeneracy_frozen_values():
@@ -148,7 +149,10 @@ def test_degeneracy_order_certifies_bound(pairs):
         return
     g = graph(pairs)
     d, order = degeneracy(g)
-    backs = classify(g, order).back_degree
+    pos = {v: k for k, v in enumerate(order)}
+    backs = dict.fromkeys(g.vertices, 0)
+    for e in g.edges:
+        backs[max(e.u, e.v, key=pos.__getitem__)] += 1
     assert max(backs.values()) == d
     assert d <= g.max_degree
     assert sorted(order) == list(g.vertices)
@@ -157,7 +161,11 @@ def test_degeneracy_order_certifies_bound(pairs):
 def _quadratic_peel(g):
     """Reference peel: scan every alive vertex for the smallest
     (residual, label) at each step, O(n^2) in all."""
-    residual = dict(g.degree)
+    nbrs = {v: [] for v in g.vertices}
+    for e in g.edges:
+        nbrs[e.u].append(e.v)
+        nbrs[e.v].append(e.u)
+    residual = {v: len(ws) for v, ws in nbrs.items()}
     alive = set(g.vertices)
     peeled = []
     d = 0
@@ -166,7 +174,7 @@ def _quadratic_peel(g):
         d = max(d, residual[v])
         peeled.append(v)
         alive.remove(v)
-        for w in g.nbrs[v]:
+        for w in nbrs[v]:
             if w in alive:
                 residual[w] -= 1
     return d, tuple(reversed(peeled))
@@ -220,39 +228,17 @@ def test_degeneracy_matches_quadratic_peel(pairs):
     assert degeneracy(g) == _quadratic_peel(g)
 
 
-def test_classify_star_center_first():
-    g = graph(star_pairs(4))
-    cls = classify(g, (0, 1, 2, 3, 4))
-    # the center is first in this order, so it owns every front-edge
-    assert cls.front.count(0) == 4
-    assert all(cls.back_degree[v] <= 1 for v in g.vertices)
-    i = g.nbrs[0][2]  # edge id of the pair (0, 2)
-    assert cls.front[i] == 0 and cls.back[i] == 2
-
-
-@given(random_pair_lists())
-def test_classify_partitions_edges(pairs):
-    if not pairs:
-        return
-    g = graph(pairs)
-    order = degeneracy(g)[1]
-    cls = classify(g, order)
-    for (u, v), front, back in zip(g.ends, cls.front, cls.back):
-        assert {front, back} == {u, v} and order.index(front) < order.index(back)
-    assert sum(cls.back_degree.values()) == g.m
-
-
 def test_bipartition_even_cycle():
     g = graph(cycle_pairs(6))
-    left, right = bipartition(g)
-    assert left | right == set(g.vertices)
-    for u, v in {e.pair for e in g.edges}:
-        assert (u in left) != (v in left)
+    side = two_color(g)
+    assert len(side) == g.n and set(side) == {0, 1}
+    for a, b in g.uv:
+        assert side[a] != side[b]
 
 
 def test_bipartition_odd_cycle_raises():
     with pytest.raises(NotBipartite):
-        bipartition(graph(cycle_pairs(5)))
+        two_color(graph(cycle_pairs(5)))
     assert not is_bipartite(graph(cycle_pairs(5)))
     assert is_bipartite(graph(cycle_pairs(6)))
 
@@ -270,7 +256,7 @@ def test_odd_cycle_message_names_labels():
     pairs = [(RELABELED_CYCLE[i], RELABELED_CYCLE[(i + 1) % k]) for i in range(k)]
     g = graph(pairs)
     with pytest.raises(NotBipartite) as info:
-        bipartition(g)
+        konig_color(g)
     v, w = sorted(_named(str(info.value)))
     assert (v, w) in {edge_pair(*p) for p in pairs}
 
@@ -279,13 +265,13 @@ def test_order_messages_name_labels():
     g = graph(list(zip(RELABELED_CYCLE, RELABELED_CYCLE[1:])))
     order = list(RELABELED_CYCLE)
     with pytest.raises(PreconditionViolated) as info:
-        classify(g, order[:2] + order[3:])
+        build_partition(g, 1, order[:2] + order[3:], range(g.m))
     assert _named(str(info.value)) == {order[2]}
     with pytest.raises(PreconditionViolated) as info:
-        classify(g, order + [order[3]])
+        build_partition(g, 1, order + [order[3]], range(g.m))
     assert _named(str(info.value)) == {order[3]}
     with pytest.raises(PreconditionViolated) as info:
-        classify(g, order + [99, 99])  # a label outside g, listed twice
+        build_partition(g, 1, order + [99, 99], range(g.m))  # a label outside g, listed twice
     assert _named(str(info.value)) == {99}
 
 

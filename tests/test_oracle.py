@@ -13,7 +13,6 @@ from ecadvice import (
     bits_per_edge,
     build_advice,
     build_partition,
-    classify,
     degeneracy,
     gen_d_degenerate,
     gen_forest,
@@ -70,6 +69,45 @@ def test_partition_star_frozen():
         assert len(set(col.values())) <= 2
 
 
+def test_partition_star_center_owns_every_front():
+    # the center is first in this order, so it is the front of every edge
+    g = Graph.from_stream(gen_star(4))
+    plan, _ = build_partition(g, 1, CENTER_FIRST, range(g.m))
+    assert [adv.front for adv in plan] == [0] * g.m
+
+
+@given(
+    st.one_of(
+        degenerate_streams(max_n=30, max_d=3).map(lambda case: case[0]),
+        st.integers(min_value=0, max_value=10_000).map(lambda seed: gen_forest(60, seed)),
+        st.integers(min_value=2, max_value=12).map(gen_star),
+    ),
+    st.sampled_from(["strict", "robust"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_advice_fronts_come_first_in_degeneracy_order(s, mode):
+    if s.m == 0:
+        return
+    res = build_advice(s, mode=mode)
+    pos = {v: k for k, v in enumerate(degeneracy(Graph.from_stream(s))[1])}
+    for e, adv in zip(s.edges, res.per_edge):
+        if adv.mode == 1:
+            assert adv.front == min(e.u, e.v, key=pos.__getitem__)
+
+
+@pytest.mark.parametrize(
+    "ids,named",
+    [([0, 1, 7, 2], 7), ([0, 1, -1, 2], -1), ([0, 0, 1, 1, 2, 3], 0)],
+    ids=["past-m", "negative", "repeated"],
+)
+def test_partition_rejects_bad_ids(ids, named):
+    # once a raw IndexError, a silent stand-in for edge 3, and a misleading
+    # degeneracy complaint from the subset coloring
+    g = Graph.from_stream(gen_star(4))
+    with pytest.raises(PreconditionViolated, match=rf"^edge id {named} "):
+        build_partition(g, 1, CENTER_FIRST[:5], ids)
+
+
 def test_partition_rejects_bad_order():
     s = gen_star(4)
     center_last = (1, 2, 3, 4, 0)
@@ -102,11 +140,11 @@ def test_partition_rejects_repeated_vertex():
 def _rescan_partition(g, d, order):
     """build_partition's subset choice as a rescan of every placed edge at
     the front endpoint for each front edge: O(deg^2) per vertex."""
-    sides = classify(g, order)
+    pos = {v: k for k, v in enumerate(order)}
     cap = 2 * d - 1
     front_edges = {}
-    for e, front in zip(g.edges, sides.front):
-        front_edges.setdefault(front, []).append(e)
+    for e in g.edges:
+        front_edges.setdefault(min(e.u, e.v, key=pos.__getitem__), []).append(e)
     for group in front_edges.values():
         group.sort(key=lambda e: e.arrival)
     incident = {v: [] for v in g.vertices}

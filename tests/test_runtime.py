@@ -482,7 +482,7 @@ def _rank_above_d(run):
 def _dense_bundle(run):
     members = run.oracle.partition[1]
     g = Graph(members)
-    v = max(g.vertices, key=g.degree.__getitem__)
+    v = g.vertices[g.deg.index(g.max_degree)]
     fresh = max(w for e in run.oracle.stream.edges for w in (e.u, e.v)) + 1
     members.append(Edge(v, fresh, len(members)))
 
