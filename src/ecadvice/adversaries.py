@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 from .coloring import exact_color, konig_color, vizing_plus_one
 from .errors import NoMonochromeFamily, PreconditionViolated
 from .generators import build_coupled_pair, coupler_edges
-from .graphs import Edge, EdgeStream, Graph, Pair, edge_pair, stream_from_pairs
+from .graphs import Edge, EdgeStream, Graph, Pair, stream_from_pairs
 from .runtime import GreedyVariant, OnlineAlgorithm, Referee, RunReport, simulate
 
 
@@ -119,19 +119,15 @@ def elimination_game(
             member.observe(edge)
 
     centers: list[list[int]] = []
-    star_pairs: list[list[list[Pair]]] = []
     for _ in range(rounds):
         row_centers = []
-        row_pairs = []
         for _ in range(alpha):
             center = fresh()
             leaves = [fresh() for _ in range(delta - 1)]
             for leaf in leaves:
                 reveal(center, leaf)
             row_centers.append(center)
-            row_pairs.append([edge_pair(center, leaf) for leaf in leaves])
         centers.append(row_centers)
-        star_pairs.append(row_pairs)
 
     for member in members:
         member.alive = member.palette_size() <= threshold
@@ -145,10 +141,10 @@ def elimination_game(
         for member in members:
             if not member.alive:
                 continue
-            sets = [
-                frozenset(member.referee.assignment[p] for p in pairs)
-                for pairs in star_pairs[row]
-            ]
+            # no joint edge reaches a row's centers before the row is
+            # played, so a center's colors are exactly its star's
+            used = member.referee.used
+            sets = [frozenset(used[center]) for center in centers[row]]
             choice = select_same_colored_stars(sets, delta)
             votes[choice] = votes.get(choice, 0) + 1
         selected = min(votes, key=lambda s: (-votes[s], s))
@@ -187,8 +183,6 @@ class PermutationInstance:
     stream: EdgeStream
     delta: int
     pi: tuple[int, ...]
-    x_star: list[Pair]   # (x, x_i) pairs in index order
-    y_star: list[Pair]
 
 
 def _stars(delta: int) -> tuple[list[Pair], list[Pair]]:
@@ -221,7 +215,7 @@ def build_permutation_instance(delta: int, pi: Optional[Sequence[int]] = None) -
     for i in range(delta):
         pairs += coupler_edges(n, x_star[i][1], y_star[pi[i]][1], label)
         label += 2 * n
-    return PermutationInstance(stream_from_pairs(pairs), delta, pi, x_star, y_star)
+    return PermutationInstance(stream_from_pairs(pairs), delta, pi)
 
 
 @dataclass

@@ -48,14 +48,6 @@ def node_budget(budget: Optional[int]) -> int:
     return budget
 
 
-def _contiguous(g: Graph, col: Coloring) -> Coloring:
-    """An engine's coloring of every edge of g, its colors renamed to 1..k
-    in ascending order of their values, colored in col's order."""
-    by_id = col.by_id
-    rename = {c: r for r, c in enumerate(sorted(set(by_id)), start=1)}
-    return Coloring.of_ids(g.edges, {i: rename[by_id[i]] for i in col._order})
-
-
 def exact_color(g: Graph, k: int, *, budget: Optional[int] = None) -> Optional[Coloring]:
     """Search for a proper edge coloring with colors 1..k.
 
@@ -76,7 +68,7 @@ def exact_color(g: Graph, k: int, *, budget: Optional[int] = None) -> Optional[C
     limit = node_budget(budget)
 
     if g.m == 0:
-        return Coloring({}, [])
+        return Coloring.of_ids(g.edges, {})
     if k < g.max_degree:
         return None
 
@@ -316,20 +308,17 @@ def vizing_plus_one(g: Graph) -> Coloring:
     return col
 
 
-def color_degenerate(g: Graph, d: int, ids: Optional[Sequence[int]] = None) -> Coloring:
+def color_degenerate(g: Graph, d: int) -> Coloring:
     """Proper coloring with colors 1..max(max_degree, 2d) when degeneracy <= d.
 
-    With `ids`, only the subgraph of those edges is colored, exactly as
-    color_degenerate(Graph([g.edges[i] for i in ids]), d) colors it, with
-    max_degree and degeneracy taken in the subgraph; its by_id lists the
-    colors in `ids` order.  By Vizing's adjacency lemma the peel of
-    _peel_color never gets stuck on a graph of degeneracy <= d while
-    k >= 2d, so a stuck peel proves the degeneracy exceeds d
-    (PreconditionViolated).
+    By Vizing's adjacency lemma the peel of _peel_color never gets stuck on
+    a graph of degeneracy <= d while k >= 2d, so a stuck peel proves the
+    degeneracy exceeds d (PreconditionViolated).  The oracle's bundles are
+    colored by the same peel on edge ids (see oracle.build_partition).
     """
     if d < 0:
         raise PreconditionViolated("d must be nonnegative")
-    col = _peel_color(g, d, 2 * d, ids)
+    col = _peel_color(g, d, 2 * d)
     if col is None:
         raise PreconditionViolated(f"degeneracy exceeds {d}")
     return col
@@ -339,7 +328,12 @@ def _peel_color(
     g: Graph, d: int, floor: int, ids: Optional[Sequence[int]] = None
 ) -> Optional[Coloring]:
     """Proper coloring with colors 1..k, k = max(max_degree, floor), or None
-    when the peel gets stuck; `ids` as in color_degenerate.
+    when the peel gets stuck.
+
+    With `ids`, edge ids of g listed at most once each, only the subgraph of
+    those edges is colored, exactly as the peel colors Graph([g.edges[i] for
+    i in ids]), with max_degree taken in the subgraph; its by_id lists the
+    colors in `ids` order.
 
     Peel: repeatedly remove an edge xy where deg(y) <= d and x has at most
     k - deg(y) neighbors of degree k.  Degrees and degree-k counts only
@@ -356,6 +350,14 @@ def _peel_color(
     Vizing's adjacency lemma says one of these always applies to an edge
     that met the peel condition, for any k >= max_degree, so a failure is
     a bug.
+
+    The colors in use are always 1..t for some t: each new color is the
+    lowest one free where it is chosen (at both ends, or at x and missing
+    at the fan vertex); a flip's alpha is the lowest color free at x and
+    its beta is used at x (else an earlier fan vertex would have taken the
+    alpha branch), so every smaller color is in use.  A rotation only moves
+    colors between edges, and a flip leaves beta on its path's first edge
+    while the rotation gives alpha back.
     """
     # vertices in ascending index (so sorted-label) order, each one's edges
     # in edge order: the peel order depends on both

@@ -23,7 +23,7 @@ import heapq
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DuplicateEdge, NotBipartite, ParseError, PreconditionViolated, SelfLoop
 
@@ -172,16 +172,16 @@ class Coloring:
     the graph it colored (of the ids it was given, when it colored a
     subgraph); it is built by `of_ids` and makes `assignment` only on first
     access, in the order the edges got colored.  A coloring built from pairs
-    has None there unless given.
+    has None there.
     """
 
     __slots__ = ("_assignment", "by_id", "_edges", "_order")
 
-    def __init__(self, assignment: Mapping[Pair, int], by_id: Optional[Sequence[int]] = None):
+    def __init__(self, assignment: Mapping[Pair, int]):
         if assignment is None:
             raise TypeError("Coloring needs an assignment; an engine builds one with of_ids")
         self._assignment = assignment
-        self.by_id = by_id
+        self.by_id = None
 
     @classmethod
     def of_ids(cls, edges: Sequence[Edge], color: Mapping[int, int]) -> "Coloring":

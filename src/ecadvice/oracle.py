@@ -12,10 +12,10 @@ Two regimes, split on the (padded) degeneracy bound d:
   indices still open at the edge's front endpoint, and the consumer can
   rebuild the subset index because both sides only count earlier arrivals.
 
-A graph of degeneracy <= d with max_degree >= 2d is class 1, and
-color_degenerate builds both the max_degree coloring and every subset's
-2d-coloring without search.  The exact search runs only to decide the
-class of a graph with max_degree < 2*degeneracy that neither the
+A graph of degeneracy <= d with max_degree >= 2d is class 1, and the
+peel of color_degenerate builds both the max_degree coloring and every
+subset's 2d-coloring without search.  The exact search runs only to decide
+the class of a graph with max_degree < 2*degeneracy that neither the
 max_degree peel nor the max_degree+1 coloring settles and that is not
 overfull.
 
@@ -42,7 +42,6 @@ from typing import NamedTuple, Optional, Sequence
 from .advice import AdviceRecord, pack_record, pad_degeneracy
 from .coloring import (
     Coloring,
-    _contiguous,
     _peel_color,
     color_degenerate,
     exact_color,
@@ -99,11 +98,11 @@ def build_partition(
     that look open when only earlier arrivals at the front endpoint are
     visible.  With back-degree <= d the rank never exceeds d.
 
-    Each subset is a subgraph of g, so its degeneracy is at most d and
-    color_degenerate gives it a 2d-coloring without search; it colors the
-    subset's edge ids over g, so no subset is rebuilt as a Graph.  The
-    per-vertex subset counts that steer the placement also guard the
-    bound: no subset may reach degree above 2d at any vertex.
+    Each subset is a subgraph of g, so its degeneracy is at most d and the
+    peel of color_degenerate gives it a 2d-coloring without search; it
+    colors the subset's edge ids over g, so no subset is rebuilt as a
+    Graph.  The per-vertex subset counts that steer the placement also
+    guard the bound: no subset may reach degree above 2d at any vertex.
 
     Returns the plan by g's edge ids, plan[i] = EdgeAdvice(1, color in the
     subset, subset, rank, front) for i in `ids` and None for other edges,
@@ -194,7 +193,10 @@ def build_partition(
     for j, sub in members.items():
         sub.sort(key=arrival.__getitem__)
         partition[j] = [edges[i] for i in sub]
-        for i, c in zip(sub, color_degenerate(g, d, sub).by_id):
+        col = _peel_color(g, d, 2 * d, sub)
+        if col is None:  # the back-degree check bounds sub's degeneracy by d
+            raise AssertionError(f"the peel of subset {j} got stuck")
+        for i, c in zip(sub, col.by_id):
             plan[i] = new(EdgeAdvice, (1, c, j, rank[i], labels[front[i]]))
     return plan, partition
 
@@ -226,8 +228,6 @@ def optimal_coloring(
     and an overfull graph (more than max_degree*(n//2) edges) is class 2;
     only the others reach the exact search.
     """
-    if g.m == 0:
-        return 0, Coloring({}, [])
     delta = g.max_degree
     try:
         return delta, konig_color(g)
@@ -243,7 +243,7 @@ def optimal_coloring(
     peeled = _peel_color(g, delta, delta)
     if peeled is not None:
         return delta, peeled
-    plus = _contiguous(g, vizing_plus_one(g))
+    plus = vizing_plus_one(g)  # palette 1..delta or 1..delta+1 (see _peel_color)
     if len(plus.palette) == delta:
         return delta, plus
     if g.m > delta * (g.n // 2):

@@ -53,6 +53,24 @@ def test_gen_coupled_pair_comments_mark_pendants(tmp_path, capsys):
     assert parse_stream(text).m == 10
 
 
+@pytest.mark.parametrize("pi,expected", [(None, "0,1,2,3"), ("1,0,2,3", "1,0,2,3")])
+def test_gen_permutation_comment_names_pi(capsys, pi, expected):
+    argv = ["gen", "permutation", "--delta", "4"] + (["--pi", pi] if pi else [])
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 0
+    assert stdout.splitlines()[0] == f"# pi: {expected}"
+    g = Graph.from_stream(parse_stream(stdout))
+    assert (g.n, g.m, g.max_degree) == (34, 68, 4)
+    assert "n=34 m=68 delta=4" in stderr
+
+
+@pytest.mark.parametrize("pi", ["1,1,2,3", "a,b"])
+def test_gen_permutation_rejects_bad_pi(capsys, pi):
+    code, stdout, stderr = run_cli(capsys, "gen", "permutation", "--delta", "4", "--pi", pi)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: ")
+
+
 def test_run_advice_reports_optimal(tmp_path, capsys):
     path = write_stream(tmp_path, [(0, i) for i in range(1, 5)])
     code, stdout, _ = run_cli(capsys, "run", path, "--alg", "advice", "--d", "1")

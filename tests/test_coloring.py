@@ -100,6 +100,9 @@ def test_chromatic_index_frozen_values():
 
 def test_chromatic_index_empty():
     assert chromatic_index(Graph(())) == 0
+    col = exact_color(Graph(()), 0)
+    assert col is not None and len(col) == 0 and col.by_id == []
+    assert col.palette == frozenset() and col.assignment == {}
 
 
 @pytest.mark.parametrize("pairs", CORPUS)
@@ -182,6 +185,7 @@ def test_vizing_proper_within_delta_plus_one(pairs):
     assert len(col) == g.m
     assert len(col.palette) <= g.max_degree + 1
     assert max(col.palette) <= g.max_degree + 1
+    assert col.palette == frozenset(range(1, len(col.palette) + 1))
 
 
 def test_vizing_on_sparse_random_graph():
@@ -208,6 +212,7 @@ def test_vizing_on_dense_random_graphs(n, p, seed):
     col = vizing_plus_one(g)
     assert is_proper(g, col) and len(col) == g.m
     assert len(col.palette) <= g.max_degree + 1
+    assert col.palette == frozenset(range(1, len(col.palette) + 1))
 
 
 @st.composite
@@ -317,6 +322,7 @@ def test_color_degenerate_matches_brute_force(g):
         col = color_degenerate(g, d)
         assert is_proper(g, col) and len(col) == g.m
         assert col.palette <= set(range(1, max(g.max_degree, 2 * d) + 1))
+        assert col.palette == frozenset(range(1, len(col.palette) + 1))
         if g.max_degree >= 2 * d:
             assert len(col.palette) == brute_force_chromatic_index(g) == g.max_degree
 
@@ -335,7 +341,7 @@ def test_color_degenerate_on_ids_matches_rebuilt_subgraph(n, d, seed, data):
         st.just(list(range(g.m))),
         st.lists(st.sampled_from(range(g.m)), unique=True).map(sorted) if g.m else st.just([]),
     ))
-    col = color_degenerate(g, d, ids)
+    col = _peel_color(g, d, 2 * d, ids)
     ref = color_degenerate(Graph([g.edges[i] for i in ids]), d)
     assert list(col.by_id) == list(ref.by_id)
     assert list(col.assignment.items()) == list(ref.assignment.items())
