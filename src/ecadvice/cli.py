@@ -127,10 +127,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = {"config": config, **report.summary(), "per_edge_bits": report.per_edge_bits}
     _emit(out)
     if args.coloring_out:
-        lines = [
-            f"{e.u} {e.v} {report.coloring[e.pair]}"
-            for e in stream.edges
-        ]
+        # the run colors the edges in arrival order (see runtime.Referee)
+        colors = report.coloring.assignment.values()
+        lines = [f"{e.u} {e.v} {c}" for e, c in zip(stream.edges, colors, strict=True)]
         with open(args.coloring_out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
     _note(f"colors={report.colors_used} advice_bits={report.advice_bits_read}")

@@ -167,9 +167,11 @@ class _Ledger:
     edge holding color c at v, valid while bit c of used[v] is set.  Bit 0
     is always set, so the smallest free color at v is the lowest zero bit.
     A stale at[v] entry is overwritten, never deleted, so at[v] holds only
-    colors once present at v and the ledger's size is linear in the number
-    of edges, vertices and recolorings, whatever k is.  labels[v] names v
-    in messages."""
+    colors once present at v and the number of slots is linear in the
+    number of edges, vertices and recolorings, whatever k is.  The masks
+    are not: a vertex holding color c keeps a (c+1)-bit int, so the leaves
+    of a star with max_degree D hold about D*D/2 bits in all.  labels[v]
+    names v in messages."""
 
     def __init__(self, ends: Sequence[tuple[int, int]], labels: Sequence[int], k: int):
         self.k = k
@@ -202,43 +204,51 @@ class _Ledger:
         self.used[v] ^= 1 << c
         return c
 
-    def chain(self, start: int, first: int, second: int) -> tuple[list[tuple[int, int]], int]:
-        """The alternating first/second path that leaves start on first, as
-        (edge id, color) steps, and its far end."""
+    def chain(self, start: int, first: int, second: int) -> int:
+        """The far end of the alternating first/second path that leaves
+        start on first."""
         at, used, ends = self.at, self.used, self.ends
         cur, want = start, first
-        path: list[tuple[int, int]] = []
         seen = {start}
         while used[cur] >> want & 1:
-            i = at[cur][want]
-            path.append((i, want))
-            u, v = ends[i]
+            u, v = ends[at[cur][want]]
             cur = u if v == cur else v
             if cur in seen:  # paths are simple; a repeat would be a bug
                 raise AssertionError("alternating path revisited a vertex")
             seen.add(cur)
             want = second if want == first else first
-        return path, cur
+        return cur
 
     def flip(self, start: int, first: int, second: int) -> int:
         """Swap colors first/second along the alternating path that leaves
         start on first; returns the path's far end.  second must be free
         at start."""
-        at, color, ends = self.at, self.color, self.ends
-        path, cur = self.chain(start, first, second)
-        # one pass of slot writes: an inner vertex's slot for the new color
-        # is rewritten by the next step, and each end's old slot goes stale
-        # as its used bit clears; color keeps its keys, and its order
-        for i, old in path:
-            new = second if old == first else first
-            color[i] = new
+        at, color, ends, used = self.at, self.color, self.ends, self.used
+        if not used[start] >> first & 1:
+            return start
+        # walk and swap in one pass: the used bits change only after the
+        # loop, and the far end's slot for the new color names the next
+        # edge, so it is read before this edge takes it; each end's old
+        # slot goes stale as its used bit clears; color keeps its keys,
+        # and its order
+        i, cur, new, old = at[start][first], start, second, first
+        seen = {start}
+        while True:
             u, v = ends[i]
+            cur = u if v == cur else v
+            if cur in seen:  # paths are simple; a repeat would be a bug
+                raise AssertionError("alternating path revisited a vertex")
+            seen.add(cur)
+            nxt = at[cur][new] if used[cur] >> new & 1 else -1
+            color[i] = new
             at[u][new] = i
             at[v][new] = i
+            if nxt < 0:
+                break
+            i, new, old = nxt, old, new
         # inner vertices keep both colors; each end trades one for the other
-        if path:
-            self.used[start] ^= 1 << first | 1 << second
-            self.used[cur] ^= 1 << first | 1 << second
+        used[start] ^= 1 << first | 1 << second
+        used[cur] ^= 1 << first | 1 << second
         return cur
 
     def rotate(self, anchor: int, fan: list[int], ids: list[int], c: int) -> None:
@@ -444,7 +454,7 @@ def _peel_color(
             if clash:
                 beta = (clash & -clash).bit_length() - 1
                 alpha = (free_x & -free_x).bit_length() - 1
-                if ledger.chain(z, alpha, beta)[1] == x:
+                if ledger.chain(z, alpha, beta) == x:
                     z = next(w for w in fan if not used[w] >> beta & 1)
                 ledger.flip(z, alpha, beta)
                 break

@@ -35,7 +35,6 @@ the plan into per_edge, where literal edges of one color share one tuple.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -157,31 +156,43 @@ def build_partition(
     # (vertex, subset) pair in use.  back[v]: (arrival, j) of v's back
     # edges, all placed before v itself is visited.
     stride = delta // (2 * d) + 1
-    placed: defaultdict[int, int] = defaultdict(int)
+    placed: dict[int, int] = {}
+    get = placed.get
     back: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     rank = [0] * m
-    members: dict[int, list[int]] = {}
+    members: dict[int, list[int]] = {j: [] for j in range(1, stride)}
 
     for v in sorted(front_edges, key=pos.__getitem__):
         base = v * stride
         back_v = back[v]
         target = 1
+        count = get(base + 1, 0)  # edges at v in subset target
         for i in front_edges[v]:
             # subsets only fill up, so the lowest open index never falls
-            while placed[base + target] > cap:
+            while count > cap:
                 target += 1
+                count = get(base + target, 0)
             if back_v:
                 # v's front edges only enter subsets holding <= 2d-1 edges
                 # at v, so each subset below target holds exactly 2d there;
                 # it looks open among earlier arrivals exactly when one of
                 # v's back edges in it arrives after edge i
                 t = arrival[i]
-                rank[i] = len({j for s, j in back_v if s > t and j < target})
-            members.setdefault(target, []).append(i)
-            placed[base + target] += 1
+                open_below: set[int] = set()
+                for s, j in back_v:
+                    if s > t and j < target:
+                        open_below.add(j)
+                rank[i] = len(open_below)
+            members[target].append(i)
+            count += 1
+            placed[base + target] = count
             w = other[i]
-            placed[w * stride + target] += 1
+            p = w * stride + target
+            placed[p] = get(p, 0) + 1
             back[w].append((arrival[i], target))
+    # the used subsets, ascending, which is the order of their first use:
+    # subset j takes an edge only where j - 1 is full
+    members = {j: sub for j, sub in members.items() if sub}
 
     if max(placed.values()) > 2 * d:
         p = next(p for p, k in placed.items() if k > 2 * d)

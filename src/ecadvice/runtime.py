@@ -108,7 +108,9 @@ class GreedyVariant(OnlineAlgorithm):
     vertex not seen yet has mask 1).  The smallest legal color is the lowest
     zero bit of the two endpoints' masks OR-ed together; a 1 in the string
     sets that bit and takes the next zero bit.  Colors stay at most
-    2 * max_degree, so the masks stay small ints.
+    2 * max_degree, so a mask has at most 2 * max_degree + 1 bits; a vertex
+    holding color c keeps at least c + 1, so the leaves of a star with max
+    degree D hold about D*D/2 bits in all.
 
     With cycle=True the string repeats forever; otherwise it is consumed
     once and the tail behaves like plain greedy.  The string is baked in at
@@ -286,7 +288,12 @@ class RunReport:
 
 class Referee:
     """The run ledger: each edge's color and the colors present at each
-    vertex, checked on every step an online algorithm takes."""
+    vertex, checked on every step an online algorithm takes.
+
+    `assignment` gains one pair per step, in step order.  simulate steps in
+    arrival order, and a strict-mode replay stream keeps every arrival and
+    pair of the stream it orients, so a run's colors, read in order, are
+    the colors of the input stream's edges in arrival order."""
 
     def __init__(self) -> None:
         self.assignment: dict[Pair, int] = {}
@@ -338,7 +345,7 @@ def simulate(stream: EdgeStream, alg: OnlineAlgorithm, advice=None) -> RunReport
         n=len(used),
         m=stream.m,
         # a proper coloring puts deg(v) distinct colors at v
-        delta=max((len(colors) for colors in used.values()), default=0),
+        delta=max(map(len, used.values()), default=0),
         d=getattr(alg, "d", None),
         colors_used=len(set(referee.assignment.values())),
         advice_bits_read=getattr(advice, "bits_read", 0),

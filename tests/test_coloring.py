@@ -567,6 +567,20 @@ def test_exhausted_palette_names_the_label():
         ledger.free(center)
 
 
+def test_flip_refuses_a_walk_that_revisits_a_vertex():
+    # path x-y-z colored 1, 2; a corrupt slot at z names the uncolored edge
+    # z-x for color 1, so the 1/2 walk from x comes back to x
+    ledger = ecadvice.coloring._Ledger([(0, 1), (1, 2), (2, 0)], [10, 11, 12], 3)
+    ledger.set(0, 1)
+    ledger.set(1, 2)
+    ledger.at[2][1] = 2
+    ledger.used[2] |= 1 << 1
+    with pytest.raises(AssertionError, match="^alternating path revisited a vertex$"):
+        ledger.chain(0, 1, 2)
+    with pytest.raises(AssertionError, match="^alternating path revisited a vertex$"):
+        ledger.flip(0, 1, 2)
+
+
 @given(ledger_graphs())
 @settings(max_examples=300, deadline=None)
 def test_bitmask_ledger_matches_slot_ledger(g):

@@ -313,3 +313,42 @@ def test_cli_run_stdout_on_relabeled_stream_is_pinned(tmp_path, monkeypatch, cap
     assert capsys.readouterr().out == RELABELED_STDOUT
     colors = (tmp_path / "f.colors").read_bytes()
     assert hashlib.sha256(colors).hexdigest() == RELABELED_COLORS_SHA256
+
+
+BIPARTITE_STREAM_SHA256 = "1aa0ced06f74e23564d25a16abfcb32bbb4cbe51c719d7f4f82c1879e5fed296"
+BIPARTITE_RUNS = [
+    # (extra argv, colors file, stdout, colors sha256)
+    (
+        ["--mode", "strict", "--model", "tape"], "bip.colors",
+        '{"advice_bits_read": 17051, "chromatic_index": 37, "colors_used": 37, "config": '
+        '{"algorithm": "advice", "budget": null, "command": "run", "d": null, "mode": "strict", '
+        '"model": "tape", "stream": "bip.stream", "stream_sha256": '
+        f'"{BIPARTITE_STREAM_SHA256}"}}, "d": 31, "delta": 37, "m": 1420, "mode": "strict", '
+        '"n": 108, "optimal": true, "per_edge_bits": 12}\n',
+        "7dfcba0894830bf0fbd6e8d9ca36ac2fa8b29969c8f9d6521c25daa8d941dd8c",
+    ),
+    (
+        ["--alg", "greedy"], "bip-greedy.colors",
+        '{"advice_bits_read": 0, "chromatic_index": null, "colors_used": 37, "config": '
+        '{"algorithm": "greedy", "budget": null, "command": "run", "d": null, "mode": null, '
+        '"model": null, "stream": "bip.stream", "stream_sha256": '
+        f'"{BIPARTITE_STREAM_SHA256}"}}, "d": null, "delta": 37, "m": 1420, "mode": null, '
+        '"n": 108, "optimal": null, "per_edge_bits": 0}\n',
+        "719d6a8fc88f26eb10c759ccd39fe9b9dd6bab4172296b80cdf6f3caa813bcd7",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "extra,colors,stdout,digest", BIPARTITE_RUNS, ids=["strict-tape", "greedy"]
+)
+def test_cli_run_on_dense_bipartite_stream_is_pinned(
+    tmp_path, monkeypatch, capsys, extra, colors, stdout, digest
+):
+    # max degree 37 < 2d = 62: every advice record is literal, and König
+    # flips 350 alternating paths on the way to 37 colors
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bip.stream").write_text(serialize_stream(gen_bipartite(54, 54, 0.5, 1)))
+    assert main(["run", "bip.stream", *extra, "--coloring-out", colors]) == 0
+    assert capsys.readouterr().out == stdout
+    assert hashlib.sha256((tmp_path / colors).read_bytes()).hexdigest() == digest

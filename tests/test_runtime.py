@@ -260,6 +260,18 @@ def test_decoder_matches_oracle_subsets(mode):
     assert verify_run(run) == []
 
 
+@pytest.mark.parametrize("mode", ["robust", "strict"])
+def test_run_colors_edges_in_arrival_order(mode):
+    # the CLI's coloring file zips the input stream with the run's colors
+    s = gen_d_degenerate(24, 2, 9)
+    run = run_advice(s, 2, mode=mode)
+    if mode == "strict":  # some subset edge is replayed front end first
+        assert [(e.u, e.v) for e in run.oracle.stream.edges] != [(e.u, e.v) for e in s.edges]
+    pairs = [e.pair for e in s.edges]
+    assert list(run.report.coloring.assignment) == pairs
+    assert list(run_greedy(s).coloring.assignment) == pairs
+
+
 class _ReferenceDecoder:
     """The decode rule written plainly: a rename keyed by (mode, value)
     tuples, per-vertex subset counts built with setdefault, and a scan for

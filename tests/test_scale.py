@@ -97,7 +97,10 @@ def traced_peak(f) -> int:
 def test_ledger_is_linear_on_a_wide_star():
     # König's ledger has k = max_degree, the Vizing peel's k = max_degree+1:
     # state with k+1 slots per vertex would take 10^8 slots (800 MB) here,
-    # while the colors a star's vertices ever see number 2*10^4
+    # while the colors a star's vertices ever see number 2*10^4.  The slots
+    # are linear but the masks are not: a leaf holding color c keeps a
+    # (c+1)-bit int, about 5*10^7 bits (6 MiB) over the leaves here, and
+    # four times that at twice the degree
     g = Graph.from_stream(gen_star(10_000))
     assert traced_peak(lambda: konig_color(g)) < 48 * 2**20
     assert traced_peak(lambda: vizing_plus_one(g)) < 48 * 2**20
