@@ -205,23 +205,25 @@ def encode_header(d: int) -> str:
 def read_header(bits: str, pos: int = 0) -> tuple[int, int]:
     """Decode the header at `pos`; returns (d, next position).
 
-    Raises MalformedTape when the tape ends inside the header.
+    Raises MalformedTape when the tape ends inside the header or the header
+    holds a character other than '0' and '1'.
     """
     width = 0
     while True:
         if pos >= len(bits):
             raise MalformedTape("tape ended inside the unary width prefix")
-        if bits[pos] == "0":
-            pos += 1
+        bit = bits[pos]
+        pos += 1
+        if bit != "1":
             break
         width += 1
-        pos += 1
-    if pos + width > len(bits):
+    field = bits[pos : pos + width]
+    if bit != "0" or any(b not in "01" for b in field):
+        raise MalformedTape("header contains a non-bit character")
+    if len(field) < width:
         raise MalformedTape("tape ended inside the binary value field")
-    if width == 0:
-        return 1, pos
-    value = decode_int(bits[pos : pos + width])
-    d = value if value else 1 << width
+    value = decode_int(field)
+    d = value if value else 1 << width  # width 0 gives d = 1
     return d, pos + width
 
 

@@ -22,11 +22,11 @@ a bitmask of the colors present, so the smallest free color is the lowest
 zero bit, plus a dict from color c to the edge that holds c while bit c is
 set) and its one alternating-path flip and one fan rotation.
 
-Every engine works on edge ids and vertex indices (see graphs); a subgraph
-given by edge ids is renumbered on its own, so its state is sized by the
-subgraph.  An engine's Coloring keeps the colors by id in
-`Coloring.by_id`, which is all the oracle reads, and builds the pair-keyed
-assignment only on first access.
+Every engine works on edge ids and vertex indices (see graphs).  The peel
+takes a bare edge list on indices, so the oracle colors all its bundles in
+one call, on their disjoint union.  An engine's Coloring keeps the colors
+by id in `Coloring.by_id`, which is all the oracle reads, and builds the
+pair-keyed assignment only on first access.
 """
 from __future__ import annotations
 
@@ -312,10 +312,10 @@ def vizing_plus_one(g: Graph) -> Coloring:
     and k = max_degree+1: no vertex has degree k, so every edge is eligible
     and the peel never gets stuck (Vizing's theorem).
     """
-    col = _peel_color(g, g.max_degree, g.max_degree + 1)
-    if col is None:
+    color = _peel_color(g.uv, g.vertices, g.max_degree, g.max_degree + 1)
+    if color is None:
         raise AssertionError("the max_degree+1 peel got stuck")
-    return col
+    return Coloring.of_ids(g.edges, color)
 
 
 def color_degenerate(g: Graph, d: int) -> Coloring:
@@ -323,27 +323,24 @@ def color_degenerate(g: Graph, d: int) -> Coloring:
 
     By Vizing's adjacency lemma the peel of _peel_color never gets stuck on
     a graph of degeneracy <= d while k >= 2d, so a stuck peel proves the
-    degeneracy exceeds d (PreconditionViolated).  The oracle's bundles are
-    colored by the same peel on edge ids (see oracle.build_partition).
+    degeneracy exceeds d (PreconditionViolated).  One call of the same peel
+    colors all the oracle's bundles (see oracle.build_partition).
     """
     if d < 0:
         raise PreconditionViolated("d must be nonnegative")
-    col = _peel_color(g, d, 2 * d)
-    if col is None:
+    color = _peel_color(g.uv, g.vertices, d, 2 * d)
+    if color is None:
         raise PreconditionViolated(f"degeneracy exceeds {d}")
-    return col
+    return Coloring.of_ids(g.edges, color)
 
 
 def _peel_color(
-    g: Graph, d: int, floor: int, ids: Optional[Sequence[int]] = None
-) -> Optional[Coloring]:
-    """Proper coloring with colors 1..k, k = max(max_degree, floor), or None
-    when the peel gets stuck.
-
-    With `ids`, edge ids of g listed at most once each, only the subgraph of
-    those edges is colored, exactly as the peel colors Graph([g.edges[i] for
-    i in ids]), with max_degree taken in the subgraph; its by_id lists the
-    colors in `ids` order.
+    ends: Sequence[tuple[int, int]], labels: Sequence[int], d: int, floor: int
+) -> Optional[dict[int, int]]:
+    """Proper coloring with colors 1..k, k = max(max_degree, floor), of the
+    graph with edges ends[i] on the vertex indices 0..len(labels)-1, or
+    None when the peel gets stuck.  Returns the ledger's id -> color dict,
+    in the order the edges got colored; labels[v] names v in messages.
 
     Peel: repeatedly remove an edge xy where deg(y) <= d and x has at most
     k - deg(y) neighbors of degree k.  Degrees and degree-k counts only
@@ -368,26 +365,15 @@ def _peel_color(
     alpha branch), so every smaller color is in use.  A rotation only moves
     colors between edges, and a flip leaves beta on its path's first edge
     while the rotation gives alpha back.
+
+    todo is a stack and a vertex pushes only vertices of its own component,
+    so a disjoint union colors each component as it is colored alone, given
+    the same k and its vertices and edges in the same relative order.
     """
-    # vertices in ascending index (so sorted-label) order, each one's edges
-    # in edge order: the peel order depends on both
-    if ids is None:
-        ends, labels, edges = g.uv, g.vertices, g.edges
-        nbrs = [dict(zip(a[::2], a[1::2])) for a in g.adj]
-    else:
-        # the subgraph on its own indices, numbered as Graph would number
-        # it, so a bundle's state is sized by the bundle and not by g: its
-        # vertices in ascending index order, its edges by position in ids
-        uv = g.uv
-        verts = sorted({v for i in ids for v in uv[i]})
-        local = dict(zip(verts, range(len(verts))))
-        ends = [(local[a], local[b]) for a, b in map(uv.__getitem__, ids)]
-        nbrs: list[dict[int, int]] = [{} for _ in verts]
-        for j, (a, b) in enumerate(ends):
-            nbrs[a][b] = j
-            nbrs[b][a] = j
-        labels = [g.vertices[v] for v in verts]
-        edges = [g.edges[i] for i in ids]
+    nbrs: list[dict[int, int]] = [{} for _ in labels]  # neighbor -> edge id
+    for i, (a, b) in enumerate(ends):
+        nbrs[a][b] = i
+        nbrs[b][a] = i
     deg = [len(at_v) for at_v in nbrs]
     k = max(max(deg, default=0), floor)
     major = [0] * len(deg)  # neighbors of degree k
@@ -428,6 +414,7 @@ def _peel_color(
             todo.append(y)  # edges parked above waited for the old deg[y]
     if len(peeled) < len(ends):
         return None
+    del nbrs, waiting  # drained, but a dict keeps its table: free it for the ledger
 
     ledger = _Ledger(ends, labels, k)
     at, used = ledger.at, ledger.used
@@ -477,4 +464,4 @@ def _peel_color(
             path.append(z)
         path.reverse()
         ledger.rotate(x, path, [via[w] for w in path], alpha)
-    return Coloring.of_ids(edges, ledger.color)
+    return ledger.color

@@ -169,10 +169,9 @@ class Coloring:
     """Proper edge coloring keyed by normalized endpoint pair.
 
     An engine's coloring also keeps `by_id`, the colors in edge-id order of
-    the graph it colored (of the ids it was given, when it colored a
-    subgraph); it is built by `of_ids` and makes `assignment` only on first
-    access, in the order the edges got colored.  A coloring built from pairs
-    has None there.
+    the graph it colored; it is built by `of_ids` and makes `assignment`
+    only on first access, in the order the edges got colored.  A coloring
+    built from pairs has None there.
     """
 
     __slots__ = ("_assignment", "by_id", "_edges", "_order")

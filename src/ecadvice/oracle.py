@@ -21,12 +21,12 @@ overfull.
 
 The oracle works on edge ids and vertex indices (see graphs): it reads
 the optimal coloring by id, splits literal from subset edges by id, and
-the partition orients each edge, places the residual subgraph's edges and
-colors each subset by g's edge ids, keeping its per-vertex state in lists
-by vertex index.  The partition is the one place that decides an edge's
-front endpoint: it maps the label order to positions once and compares
-the positions of each edge's ends.  Labels appear only in the orders it
-takes and in each record's front endpoint.
+the partition orients each edge and places the residual subgraph's edges,
+keeping its per-vertex state in lists by vertex index, then colors all
+subsets with one peel of their disjoint union.  The partition is the one
+place that decides an edge's front endpoint: it maps the label order to
+positions once and compares the positions of each edge's ends.  Labels
+appear only in the orders it takes and in each record's front endpoint.
 g's one degeneracy order serves the residual too, since restricting an
 order to a subgraph can only lower back-degrees.  The partition hands back
 its plan, one EdgeAdvice named tuple per residual edge (mode, color,
@@ -98,10 +98,12 @@ def build_partition(
     visible.  With back-degree <= d the rank never exceeds d.
 
     Each subset is a subgraph of g, so its degeneracy is at most d and the
-    peel of color_degenerate gives it a 2d-coloring without search; it
-    colors the subset's edge ids over g, so no subset is rebuilt as a
-    Graph.  The per-vertex subset counts that steer the placement also
-    guard the bound: no subset may reach degree above 2d at any vertex.
+    peel of color_degenerate gives it a 2d-coloring without search.  One
+    peel colors the subsets side by side, each as it colors that subset
+    alone: subset j's vertices take the next indices, in g's index order,
+    and its edges follow in arrival order.  The per-vertex subset counts
+    that steer the placement also guard the bound: no subset may reach
+    degree above 2d at any vertex, so every subset's peel has k = 2d.
 
     Returns the plan by g's edge ids, plan[i] = EdgeAdvice(1, color in the
     subset, subset, rank, front) for i in `ids` and None for other edges,
@@ -198,17 +200,26 @@ def build_partition(
         p = next(p for p, k in placed.items() if k > 2 * d)
         v, j = divmod(p, stride)
         raise AssertionError(f"subset {j} reached degree {placed[p]} at vertex {labels[v]}")
-    plan: list[Optional[EdgeAdvice]] = [None] * m  # each of ids lands in one subset
     partition: dict[int, list[Edge]] = {}
-    new = tuple.__new__  # skips the named tuple's Python-level __new__
+    ends: list[tuple[int, int]] = []
+    names: list[int] = []
     for j, sub in members.items():
         sub.sort(key=arrival.__getitem__)
         partition[j] = [edges[i] for i in sub]
-        col = _peel_color(g, d, 2 * d, sub)
-        if col is None:  # the back-degree check bounds sub's degeneracy by d
-            raise AssertionError(f"the peel of subset {j} got stuck")
-        for i, c in zip(sub, col.by_id):
-            plan[i] = new(EdgeAdvice, (1, c, j, rank[i], labels[front[i]]))
+        verts = sorted({v for i in sub for v in uv[i]})
+        local = dict(zip(verts, range(len(names), len(names) + len(verts))))
+        names.extend(labels[v] for v in verts)
+        ends.extend((local[a], local[b]) for a, b in map(uv.__getitem__, sub))
+    color = _peel_color(ends, names, d, 2 * d)
+    if color is None:  # the back-degree check bounds each subset's degeneracy by d
+        raise AssertionError("the peel of the subsets got stuck")
+    plan: list[Optional[EdgeAdvice]] = [None] * m  # each of ids lands in one subset
+    new = tuple.__new__  # skips the named tuple's Python-level __new__
+    t = 0
+    for j, sub in members.items():
+        for i in sub:
+            plan[i] = new(EdgeAdvice, (1, color[t], j, rank[i], labels[front[i]]))
+            t += 1
     return plan, partition
 
 
@@ -251,9 +262,9 @@ def optimal_coloring(
         return delta, color_degenerate(g, dgn)
     # the peel at k = delta with every vertex eligible certifies class 1
     # whenever it does not get stuck; the palette is 1..delta as above
-    peeled = _peel_color(g, delta, delta)
+    peeled = _peel_color(g.uv, g.vertices, delta, delta)
     if peeled is not None:
-        return delta, peeled
+        return delta, Coloring.of_ids(g.edges, peeled)
     plus = vizing_plus_one(g)  # palette 1..delta or 1..delta+1 (see _peel_color)
     if len(plus.palette) == delta:
         return delta, plus

@@ -209,6 +209,12 @@ def test_header_truncation_raises(bits):
         read_header(bits)
 
 
+@pytest.mark.parametrize("bits", ["102", "x0", "1x0", "2"])
+def test_header_non_bit_raises(bits):
+    with pytest.raises(MalformedTape):
+        read_header(bits)
+
+
 def test_tape_layout():
     recs = [pack_record(5, "strict", 0, c, 0) for c in (1, 2, 3)]
     tape = encode_tape(recs, 7)

@@ -13,12 +13,14 @@ from ecadvice import (
     PreconditionViolated,
     ResourceLimit,
     build_coupled_pair,
+    build_partition,
     chromatic_index,
     color_degenerate,
     degeneracy,
     exact_color,
     gen_bipartite,
     gen_d_degenerate,
+    gen_star,
     is_bipartite,
     is_proper,
     konig_color,
@@ -231,11 +233,12 @@ def peel_graphs(draw):
 @given(peel_graphs())
 @settings(max_examples=150, deadline=None)
 def test_complete_max_degree_peel_is_a_max_degree_coloring(g):
-    col = _peel_color(g, g.max_degree, g.max_degree)
+    color = _peel_color(g.uv, g.vertices, g.max_degree, g.max_degree)
     if len(set(g.deg)) == 1:
-        assert col is None  # on a regular graph the peel cannot start
-    if col is None:
+        assert color is None  # on a regular graph the peel cannot start
+    if color is None:
         return
+    col = Coloring.of_ids(g.edges, color)
     assert is_proper(g, col) and len(col) == g.m
     assert col.palette <= frozenset(range(1, g.max_degree + 1))
 
@@ -243,8 +246,10 @@ def test_complete_max_degree_peel_is_a_max_degree_coloring(g):
 @pytest.mark.parametrize("seed", range(3))
 def test_max_degree_peel_colors_dense_random_graphs(seed):
     g = graph(gnp_pairs(60, 0.4, seed))
-    col = _peel_color(g, g.max_degree, g.max_degree)
-    assert col is not None and is_proper(g, col) and len(col) == g.m
+    color = _peel_color(g.uv, g.vertices, g.max_degree, g.max_degree)
+    assert color is not None
+    col = Coloring.of_ids(g.edges, color)
+    assert is_proper(g, col) and len(col) == g.m
     assert col.palette == frozenset(range(1, g.max_degree + 1))
 
 
@@ -327,24 +332,35 @@ def test_color_degenerate_matches_brute_force(g):
             assert len(col.palette) == brute_force_chromatic_index(g) == g.max_degree
 
 
-@given(
-    st.integers(min_value=2, max_value=40),
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=0, max_value=10_000),
-    st.data(),
-)
+@st.composite
+def bundled_graphs(draw):
+    """(g, d) with max_degree >= 2d: a d-degenerate graph, or a star wide
+    enough to split into hundreds of bundles."""
+    if draw(st.booleans()):
+        d = draw(st.integers(min_value=1, max_value=4))
+        n = draw(st.integers(min_value=20, max_value=120))
+        return Graph.from_stream(gen_d_degenerate(n, d, draw(st.integers(0, 10_000)))), d
+    d = draw(st.integers(min_value=1, max_value=2))
+    return Graph.from_stream(gen_star(draw(st.integers(min_value=400, max_value=800)))), d
+
+
+@given(bundled_graphs())
 @settings(max_examples=80, deadline=None)
-def test_color_degenerate_on_ids_matches_rebuilt_subgraph(n, d, seed, data):
-    g = Graph.from_stream(gen_d_degenerate(n, d, seed))
-    ids = data.draw(st.one_of(
-        st.just([]),
-        st.just(list(range(g.m))),
-        st.lists(st.sampled_from(range(g.m)), unique=True).map(sorted) if g.m else st.just([]),
-    ))
-    col = _peel_color(g, d, 2 * d, ids)
-    ref = color_degenerate(Graph([g.edges[i] for i in ids]), d)
-    assert list(col.by_id) == list(ref.by_id)
-    assert list(col.assignment.items()) == list(ref.assignment.items())
+def test_one_peel_colors_each_bundle_as_alone(gd):
+    # build_partition colors all bundles in one peel of their disjoint
+    # union; each must get exactly the coloring the peel gives it alone
+    g, d = gd
+    if g.max_degree < 2 * d:
+        return
+    _, order = degeneracy(g)
+    colors = optimal_coloring(g, budget=0)[1].by_id
+    b = g.max_degree % (2 * d)  # colors 1..b stay literal, as in build_advice
+    plan, partition = build_partition(g, d, order, [i for i, c in enumerate(colors) if c > b])
+    assert sorted(partition) == list(range(1, len(partition) + 1))
+    for j, sub in partition.items():
+        ref = color_degenerate(Graph(sub), d)
+        assert [plan[e.arrival].color for e in sub] == ref.by_id, j
+        assert all(plan[e.arrival].subset == j for e in sub)
 
 
 def tight_pairs(n: int, d: int, seed: int) -> list[tuple[int, int]]:

@@ -355,6 +355,18 @@ def test_truncated_tape_exhausts():
         simulate(oracle.stream, AdviceAlgorithm("robust"), src)
 
 
+@pytest.mark.parametrize("mode", ["robust", "strict"])
+def test_non_bit_header_is_malformed_tape(mode):
+    oracle = build_advice(gen_d_degenerate(12, 2, 18), 2, mode=mode)
+    assert oracle.d == 2  # header "100": a unary prefix and a value field
+    tape = encode_tape(oracle.records, oracle.d)
+    # a '2' read as a 1 in the prefix would still decode d = 2
+    for at in (0, header_bits(oracle.d) - 1):
+        src = TapeSource(tape[:at] + "2" + tape[at + 1 :])
+        with pytest.raises(MalformedTape):
+            simulate(oracle.stream, AdviceAlgorithm(mode), src)
+
+
 def test_leftover_advice_raises():
     oracle = build_advice(gen_d_degenerate(12, 2, 18), 2)
     records = [r.bits for r in oracle.records]

@@ -3,14 +3,14 @@
 Every instance has max degree >= 2d, so it is class 1 and the optimum is
 the max degree itself.  Each runs with a node budget of 0: a single exact
 search node would raise ResourceLimit, so these runs pin that the oracle
-reaches every coloring (konig_color or color_degenerate, whole graph and
-per bundle) without search.  The three small d=2 and d=3 instances are the
-ones whose per-bundle search used to exhaust a 500k-node budget, and the
-5-degenerate one with 49,985 edges pins that the constructive coloring
-stays near-linear.  The 20000-vertex forest pins that the degeneracy peel
-is not quadratic in n, and the 3000-leaf star that the subset partition is
-not quadratic in the degree of the center; the memory tests at the end
-bound that directly, since time alone does not.
+reaches every coloring (konig_color or color_degenerate, on the whole graph
+and on the bundles' union) without search.  The three small d=2 and d=3
+instances are the ones whose per-bundle search used to exhaust a 500k-node
+budget, and the 5-degenerate one with 49,985 edges pins that the
+constructive coloring stays near-linear.  The 20000-vertex forest pins that
+the degeneracy peel is not quadratic in n, and the 3000-leaf star that the
+subset partition is not quadratic in the degree of the center; the memory
+tests at the end bound that directly, since time alone does not.
 """
 
 import tracemalloc
@@ -107,9 +107,11 @@ def test_ledger_is_linear_on_a_wide_star():
 
 
 def test_partition_state_is_sized_by_each_bundle(monkeypatch):
-    # d = 1 splits the 3000-leaf star into 1500 bundles of two edges; state
-    # sized by the whole graph would be n per bundle, or n * delta/2d counts
-    # (4.5 million) for the subset placement
+    # d = 1 splits the 3000-leaf star into 1500 bundles of two edges, all
+    # colored by one peel: one ledger over 3000 edges and 4500 vertices
+    # (the center once per bundle).  State sized by the whole graph would be
+    # n per bundle, or n * delta/2d counts (4.5 million) for the subset
+    # placement
     g = Graph.from_stream(gen_star(3000))
     _, order = degeneracy(g)
     sizes = []
@@ -121,5 +123,5 @@ def test_partition_state_is_sized_by_each_bundle(monkeypatch):
 
     monkeypatch.setattr(ecadvice.coloring, "_Ledger", Sized)
     peak = traced_peak(lambda: build_partition(g, 1, order, range(g.m)))
-    assert sizes == [(2, 3, 3, 3)] * 1500
+    assert sizes == [(3000, 4500, 4500, 4500)]
     assert peak < 8 * 2**20
