@@ -124,14 +124,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         run = run_advice(stream, args.d, mode=args.mode, model=args.model, budget=args.budget)
         report = run.report
         ok = bool(report.optimal)
-    out = {"config": config, **report.summary(), "per_edge_bits": report.per_edge_bits}
-    _emit(out)
-    if args.coloring_out:
+    if args.coloring_out:  # written first: a path that fails leaves stdout empty
         # the run colors the edges in arrival order (see runtime.Referee)
         colors = report.coloring.assignment.values()
         lines = [f"{e.u} {e.v} {c}" for e, c in zip(stream.edges, colors, strict=True)]
         with open(args.coloring_out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
+    _emit({"config": config, **report.summary(), "per_edge_bits": report.per_edge_bits})
     _note(f"colors={report.colors_used} advice_bits={report.advice_bits_read}")
     return 0 if ok else 1
 

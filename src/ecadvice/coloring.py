@@ -20,7 +20,8 @@ max_degree, a complete peel is a max_degree coloring, the oracle's
 class-1 certificate.  They share one recoloring ledger (per vertex index,
 a bitmask of the colors present, so the smallest free color is the lowest
 zero bit, plus a dict from color c to the edge that holds c while bit c is
-set) and its one alternating-path flip and one fan rotation.
+set) and its one fan rotation and its one alternating-path flip, the only
+walk along a path: a flip that lands where it must not is flipped back.
 
 Every engine works on edge ids and vertex indices (see graphs).  The peel
 takes a bare edge list on indices, so the oracle colors all its bundles in
@@ -171,7 +172,13 @@ class _Ledger:
     number of edges, vertices and recolorings, whatever k is.  The masks
     are not: a vertex holding color c keeps a (c+1)-bit int, so the leaves
     of a star with max_degree D hold about D*D/2 bits in all.  labels[v]
-    names v in messages."""
+    names v in messages.
+
+    flip is the only walk along an alternating path.  A caller that must
+    know the far end first flips, reads the end it returns, and flips the
+    path back when it is the wrong one: the reverse flip restores every
+    used bit, every slot whose bit is set and the key order of color; only
+    stale slots can differ, and none is read."""
 
     def __init__(self, ends: Sequence[tuple[int, int]], labels: Sequence[int], k: int):
         self.k = k
@@ -203,21 +210,6 @@ class _Ledger:
         self.used[u] ^= 1 << c
         self.used[v] ^= 1 << c
         return c
-
-    def chain(self, start: int, first: int, second: int) -> int:
-        """The far end of the alternating first/second path that leaves
-        start on first."""
-        at, used, ends = self.at, self.used, self.ends
-        cur, want = start, first
-        seen = {start}
-        while used[cur] >> want & 1:
-            u, v = ends[at[cur][want]]
-            cur = u if v == cur else v
-            if cur in seen:  # paths are simple; a repeat would be a bug
-                raise AssertionError("alternating path revisited a vertex")
-            seen.add(cur)
-            want = second if want == first else first
-        return cur
 
     def flip(self, start: int, first: int, second: int) -> int:
         """Swap colors first/second along the alternating path that leaves
@@ -251,14 +243,14 @@ class _Ledger:
         used[cur] ^= 1 << first | 1 << second
         return cur
 
-    def rotate(self, anchor: int, fan: list[int], ids: list[int], c: int) -> None:
+    def rotate(self, fan: list[int], ids: list[int], c: int) -> None:
         """Color the uncolored edge ids[0] by rotating a fan prefix.
 
-        ids[t] is the edge anchor-fan[t].  Step t of the fan is valid while
-        the color of edge ids[t+1] is free at fan[t].  Take the shortest
-        valid prefix whose last vertex misses c (c must be free at anchor),
-        shift each edge's color one step back along it, and give its last
-        edge c.
+        ids[t] is the edge from the fan's center to fan[t].  Step t of the
+        fan is valid while the color of edge ids[t+1] is free at fan[t].
+        Take the shortest valid prefix whose last vertex misses c (c must be
+        free at the center), shift each edge's color one step back along
+        it, and give its last edge c.
         """
         used, color = self.used, self.color
         end = -1
@@ -289,9 +281,7 @@ def konig_color(g: Graph) -> Coloring:
     for i, (u, v) in enumerate(g.uv):
         a = ledger.free(u)
         b = ledger.free(v)
-        if a == b:
-            c = a
-        elif not used[v] >> a & 1:
+        if not used[v] >> a & 1:
             c = a
         elif not used[u] >> b & 1:
             c = b
@@ -352,8 +342,10 @@ def _peel_color(
     both ends or is placed by a multi-fan at x rooted at y: when a fan
     vertex shares a free color alpha with x the fan path to it rotates;
     when two fan vertices miss one color beta, the alpha/beta chain is
-    flipped from the one that is not the far end of x's chain, and the
-    shortest still-valid prefix ending at a vertex missing alpha rotates.
+    flipped from the later one; if that flip's path ends at x, it is
+    flipped back and the chain is flipped from the first fan vertex missing
+    beta instead, and the shortest still-valid prefix ending at a vertex
+    missing alpha rotates.
     Vizing's adjacency lemma says one of these always applies to an edge
     that met the peel condition, for any k >= max_degree, so a failure is
     a bug.
@@ -441,9 +433,10 @@ def _peel_color(
             if clash:
                 beta = (clash & -clash).bit_length() - 1
                 alpha = (free_x & -free_x).bit_length() - 1
-                if ledger.chain(z, alpha, beta) == x:
+                if ledger.flip(z, alpha, beta) == x:
+                    ledger.flip(z, beta, alpha)  # undo: the path ends at x
                     z = next(w for w in fan if not used[w] >> beta & 1)
-                ledger.flip(z, alpha, beta)
+                    ledger.flip(z, alpha, beta)
                 break
             missed |= mz
             while mz:
@@ -463,5 +456,5 @@ def _peel_color(
             z = parent[z]
             path.append(z)
         path.reverse()
-        ledger.rotate(x, path, [via[w] for w in path], alpha)
+        ledger.rotate(path, [via[w] for w in path], alpha)
     return ledger.color

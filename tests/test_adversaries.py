@@ -122,6 +122,8 @@ def test_permutation_instance_shape(delta):
 def test_permutation_instance_rejects_non_permutation():
     with pytest.raises(PreconditionViolated):
         build_permutation_instance(3, (0, 0, 1))
+    with pytest.raises(PreconditionViolated):
+        build_permutation_instance(1)  # no permutation game below delta = 2
 
 
 def test_permutation_game_forces_greedy():
@@ -206,10 +208,18 @@ def test_rigidity_decides_the_separating_colorings(n, monkeypatch):
         assert sum(1 for _ in proper_colorings(searched["exact_color"], k)) == separating
 
 
-def test_rigidity_needs_the_wider_coloring(monkeypatch):
-    # a coloring that overshot n + 2 colors would leave rigidity unproved
-    wide = Coloring({(0, i): i for i in range(1, 6)})
-    monkeypatch.setattr(adversaries, "vizing_plus_one", lambda g: wide)
+def _wide(g, *args, **kwargs):
+    return Coloring({(0, i): i for i in range(1, 6)})
+
+
+@pytest.mark.parametrize(
+    "engine", ["konig_color", "exact_color", "vizing_plus_one"], ids=["konig", "exact", "wider"]
+)
+def test_rigidity_needs_the_wider_coloring(engine, monkeypatch):
+    # at n = 2 each verdict alone leaves rigidity unproved: a gadget palette
+    # other than n + 1 colors, an (n+1)-coloring of the joined graph, or a
+    # coloring of it that overshot n + 2 colors
+    monkeypatch.setattr(adversaries, engine, _wide)
     assert not rigidity_check(2)
 
 

@@ -22,11 +22,15 @@ from ecadvice.advice import decode_int, encode_int
 
 def test_ceil_log2_table():
     assert [ceil_log2(x) for x in range(1, 10)] == [0, 1, 2, 2, 3, 3, 3, 3, 4]
+    with pytest.raises(PreconditionViolated):
+        ceil_log2(0)
 
 
 @given(st.integers(min_value=0, max_value=2**16 - 1), st.integers(min_value=0, max_value=16))
 def test_int_codec_round_trip(value, width):
     if value >= (1 << width):
+        with pytest.raises(PreconditionViolated):
+            encode_int(value, width)
         return
     bits = encode_int(value, width)
     assert len(bits) == width
@@ -104,9 +108,18 @@ def test_length_inversion_long_records(mode):
 
 
 def test_pad_degeneracy_rejects_nonpositive():
-    for d in (0, -3):
-        with pytest.raises(PreconditionViolated):
-            pad_degeneracy(d)
+    # as do the other functions of a degeneracy bound
+    for reject in (pad_degeneracy, bits_per_edge, encode_header):
+        for d in (0, -3):
+            with pytest.raises(PreconditionViolated):
+                reject(d)
+
+
+def test_codec_rejects_unknown_mode():
+    with pytest.raises(PreconditionViolated):
+        bits_per_edge(1, "lax")
+    with pytest.raises(PreconditionViolated):
+        pack_record(1, "lax", 0, 1, 0)
 
 
 def test_length_inversion_rejects_gaps():

@@ -117,6 +117,16 @@ def test_run_writes_coloring_file(tmp_path, capsys):
     assert is_proper(Graph.from_stream(stream(cycle_pairs(4))), colors)
 
 
+@pytest.mark.parametrize("alg", ["advice", "greedy"])
+def test_run_unwritable_coloring_out_prints_no_report(tmp_path, capsys, alg):
+    path = write_stream(tmp_path, cycle_pairs(4))
+    target = str(tmp_path / "missing" / "x.colors")
+    code, stdout, stderr = run_cli(capsys, "run", path, "--alg", alg, "--coloring-out", target)
+    assert code == 2
+    assert stdout == ""
+    assert "error" in stderr
+
+
 def test_run_rejects_missing_file(capsys):
     code, _, stderr = run_cli(capsys, "run", "/nonexistent/stream.txt")
     assert code == 2
@@ -287,6 +297,15 @@ def test_check_rigidity(capsys):
     code, stdout, _ = run_cli(capsys, "check", "rigidity", "--n", "2")
     assert code == 0
     assert json.loads(stdout)["passed"] is True
+
+
+def test_check_rigidity_failure_exits_one(capsys, monkeypatch):
+    import ecadvice.cli
+
+    monkeypatch.setattr(ecadvice.cli, "rigidity_check", lambda n, budget=None: False)
+    code, stdout, _ = run_cli(capsys, "check", "rigidity", "--n", "2")
+    assert code == 1
+    assert json.loads(stdout) == {"check": "rigidity", "n": 2, "passed": False}
 
 
 @pytest.mark.parametrize("model", ["request", "tape"])
