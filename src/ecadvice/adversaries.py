@@ -74,17 +74,12 @@ class EliminationRound:
 
 @dataclass
 class EliminationTranscript:
-    delta: int
     alpha: int
     beta: int
     rounds: list[EliminationRound]
     stream: EdgeStream
     colors_used: list[int]
-    alive: list[bool]
-
-    @property
-    def all_dead(self) -> bool:
-        return not any(self.alive)
+    all_dead: bool
 
 
 def elimination_game(
@@ -161,13 +156,12 @@ def elimination_game(
         played.append(EliminationRound(row, alive_before, alive_after, selected, joint))
 
     return EliminationTranscript(
-        delta,
         alpha,
         beta,
         played,
         EdgeStream(tuple(edges)),
         [m.palette_size() for m in members],
-        [m.alive for m in members],
+        not any(m.alive for m in members),
     )
 
 
@@ -181,7 +175,6 @@ def rounds_to_extinction(family_size: int, beta: int) -> int:
 @dataclass
 class PermutationInstance:
     stream: EdgeStream
-    delta: int
     pi: tuple[int, ...]
 
 
@@ -215,7 +208,7 @@ def build_permutation_instance(delta: int, pi: Optional[Sequence[int]] = None) -
     for i in range(delta):
         pairs += coupler_edges(n, x_star[i][1], y_star[pi[i]][1], label)
         label += 2 * n
-    return PermutationInstance(stream_from_pairs(pairs), delta, pi)
+    return PermutationInstance(stream_from_pairs(pairs), pi)
 
 
 @dataclass

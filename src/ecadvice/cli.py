@@ -99,8 +99,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     g = Graph.from_stream(stream)
-    dgn = degeneracy(g)[0] if g.n else 0
-    _note(f"n={g.n} m={g.m} delta={g.max_degree} degeneracy={dgn}")
+    _note(f"n={g.n} m={g.m} delta={g.max_degree} degeneracy={degeneracy(g)[0]}")
     return 0
 
 
@@ -163,6 +162,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
                 }
             )
         g = Graph.from_stream(transcript.stream)
+        forest = is_forest(g)
         summary = {
             "game": "elimination",
             "delta": args.delta,
@@ -171,13 +171,13 @@ def cmd_adversary(args: argparse.Namespace) -> int:
             "family_size": len(family),
             "rounds_played": len(transcript.rounds),
             "m": g.m,
-            "forest": is_forest(g),
+            "forest": forest,
             "max_degree": g.max_degree,
             "colors_used": transcript.colors_used,
             "all_dead": transcript.all_dead,
         }
         _emit(summary)
-        ok = transcript.all_dead and is_forest(g) and g.max_degree <= args.delta
+        ok = transcript.all_dead and forest and g.max_degree <= args.delta
         return 0 if ok else 1
 
     # permutation game

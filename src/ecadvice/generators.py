@@ -43,7 +43,7 @@ def gen_forest(n: int, seed: int) -> EdgeStream:
         if rng.random() < 0.9:
             pairs.append((rng.randrange(i), i))
     if not pairs and n >= 2:
-        pairs.append((0, 1))  # keep the stream nonempty so degeneracy is defined
+        pairs.append((0, 1))  # a forest of n >= 2 vertices always has an edge
     return _shuffled_stream(pairs, rng)
 
 

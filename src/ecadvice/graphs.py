@@ -108,10 +108,7 @@ def parse_stream(text: str) -> EdgeStream:
             pairs.append((int(u), int(v)))
         except ValueError as exc:  # more digits than int() converts
             raise ParseError(f"line {lineno}: label too long") from exc
-    try:
-        return stream_from_pairs(pairs)
-    except (SelfLoop, DuplicateEdge) as exc:
-        raise type(exc)(str(exc)) from None
+    return stream_from_pairs(pairs)
 
 
 def serialize_stream(stream: EdgeStream, comments: Sequence[str] = ()) -> str:
@@ -237,7 +234,7 @@ def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
 
     Returns d and the vertex order (labels), the reverse peeling sequence,
     so each vertex sees at most d neighbors before itself.  d is the largest
-    residual minimum degree observed while peeling.
+    residual minimum degree observed while peeling, 0 on no vertices.
 
     The minimum comes from a bucket queue (Matula and Beck): bucket[r] is a
     heap of the vertex indices whose residual was r when they were pushed,
@@ -252,8 +249,6 @@ def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
     >>> degeneracy(g)  # 0, 1, 3 and 4 tie at residual 1: 0 is peeled first
     (1, (4, 3, 2, 1, 0))
     """
-    if g.n == 0:
-        raise PreconditionViolated("degeneracy of an empty graph is undefined")
     adj = g.adj
     residual = list(g.deg)  # -1 once peeled; an alive neighbor's is >= 1
     bucket: list[list[int]] = [[] for _ in range(g.max_degree + 1)]

@@ -303,12 +303,9 @@ def build_advice(
         raise PreconditionViolated(f"unknown mode {mode!r}")
     budget = node_budget(budget)  # refused here even when no search runs
     edges = stream.edges
-    if not edges:
-        dd = pad_degeneracy(d if d is not None else 1)
-        return OracleResult(dd, mode, 0, 0, [], [], stream, Coloring({}), {})
     g = Graph.from_stream(stream)
     dgn, order = degeneracy(g)
-    requested = dgn if d is None else d
+    requested = max(dgn, 1) if d is None else d  # an empty stream has dgn 0
     if dgn > requested:
         raise PreconditionViolated(f"stream has degeneracy {dgn}, above {requested}")
     dd = pad_degeneracy(requested)

@@ -88,7 +88,10 @@ class TapeSource:
 
     def finish(self) -> None:
         """Raise when bits are left over after the last edge: a tape one bit
-        too long otherwise decodes, shifted, into some other coloring."""
+        too long otherwise decodes, shifted, into some other coloring.  An
+        empty stream reads nothing, and its tape may hold one header."""
+        if not self._pos and self._bits:
+            self._pos = read_header(self._bits)[1]  # not metered
         left = len(self._bits) - self._pos
         if left:
             raise MalformedTape(f"{left} bits left unread after the last edge")
@@ -258,7 +261,6 @@ class AdviceAlgorithm(OnlineAlgorithm):
 
 @dataclass
 class RunReport:
-    algorithm: str
     model: Optional[str]
     mode: Optional[str]
     n: int
@@ -330,16 +332,15 @@ class Referee:
 def simulate(stream: EdgeStream, alg: OnlineAlgorithm, advice=None) -> RunReport:
     """Reveal edges in arrival order, enforcing properness at every step.
 
-    Advice must be used up by the last edge; an empty stream reads none.
+    Advice must be used up by the last edge, an empty stream's too.
     """
     referee = Referee()
     for edge in stream.edges:
         referee.record(edge, alg.step(edge, advice))
-    if advice is not None and stream.m:
+    if advice is not None:
         advice.finish()
     used = referee.used
     return RunReport(
-        algorithm=type(alg).__name__,
         model=getattr(advice, "model", None),
         mode=getattr(alg, "mode", None),
         n=len(used),

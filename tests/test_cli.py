@@ -215,6 +215,7 @@ def test_zero_budget_overfull_and_even_order_class_2(tmp_path, capsys):
     ["gen", "forest", "--n", "-1"],
     ["gen", "star", "--delta", "-1"],
     ["adversary", "elimination", "--delta", "2", "--rounds", "-1"],
+    ["adversary", "permutation", "--delta", "3", "--alg", "bogus"],
 ])
 def test_bad_generator_arguments_exit_two(capsys, argv):
     code, stdout, stderr = run_cli(capsys, *argv)

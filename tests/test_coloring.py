@@ -588,6 +588,8 @@ def test_engine_coloring_builds_its_pairs_on_first_access():
     assert col._assignment is None  # palette and len read by_id
     assert list(col.assignment.items()) == [((7, 9), 3), ((3, 7), 1), ((3, 9), 2)]
     assert col == Coloring({(3, 7): 1, (3, 9): 2, (7, 9): 3})
+    assert col != col.assignment  # a Coloring equals only a Coloring
+    assert repr(Coloring({(1, 2): 1})) == "Coloring(assignment={(1, 2): 1})"
     with pytest.raises(TypeError):
         Coloring(None)
 

@@ -101,6 +101,9 @@ def test_forest_and_star_reject_negative_sizes():
         gen_forest(-1, 0)
     with pytest.raises(PreconditionViolated):
         gen_star(-1)
+    for n, d in ((-1, 2), (5, 0)):
+        with pytest.raises(PreconditionViolated):
+            gen_d_degenerate(n, d, 0)
     assert gen_forest(0, 0).m == 0 and gen_star(0).m == 0
 
 

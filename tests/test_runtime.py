@@ -55,7 +55,6 @@ def test_greedy_path_colors():
     report = run_greedy(stream(path_pairs(3)))
     assert report.coloring.assignment == {(0, 1): 1, (1, 2): 2, (2, 3): 1}
     assert report.colors_used == 2
-    assert report.algorithm == "Greedy"
 
 
 @given(random_pair_lists(max_vertices=14, max_edges=26))
@@ -391,6 +390,13 @@ def test_empty_stream_reads_no_advice():
         run = run_advice(EdgeStream(()), 1, model=model)
         assert run.report.advice_bits_read == 0
         assert verify_run(run) == []
+    # a tape nothing reads may hold one header, and nothing more
+    for source in (RequestSource([]), TapeSource(""), TapeSource("0"), TapeSource("11000")):
+        assert simulate(EdgeStream(()), AdviceAlgorithm(), source).advice_bits_read == 0
+    with pytest.raises(MalformedAdvice):
+        simulate(EdgeStream(()), AdviceAlgorithm(), RequestSource(["010"]))
+    with pytest.raises(MalformedTape):
+        simulate(EdgeStream(()), AdviceAlgorithm(), TapeSource("0111000"))
 
 
 def test_corrupt_record_raises_malformed():
