@@ -59,9 +59,6 @@ class _Member:
     def observe(self, edge: Edge) -> None:
         self.referee.record(edge, self.alg.step(edge, None))
 
-    def palette_size(self) -> int:
-        return len(set(self.referee.assignment.values()))
-
 
 @dataclass(frozen=True)
 class EliminationRound:
@@ -125,7 +122,7 @@ def elimination_game(
         centers.append(row_centers)
 
     for member in members:
-        member.alive = member.palette_size() <= threshold
+        member.alive = member.referee.colors_used <= threshold
 
     played: list[EliminationRound] = []
     for row in range(rounds):
@@ -138,8 +135,8 @@ def elimination_game(
                 continue
             # no joint edge reaches a row's centers before the row is
             # played, so a center's colors are exactly its star's
-            used = member.referee.used
-            sets = [frozenset(used[center]) for center in centers[row]]
+            colors_at = member.referee.colors_at
+            sets = [colors_at(center) for center in centers[row]]
             choice = select_same_colored_stars(sets, delta)
             votes[choice] = votes.get(choice, 0) + 1
         selected = min(votes, key=lambda s: (-votes[s], s))
@@ -147,7 +144,7 @@ def elimination_game(
         for s in selected:
             reveal(joint, centers[row][s])
         for member in members:
-            if member.alive and member.palette_size() > threshold:
+            if member.alive and member.referee.colors_used > threshold:
                 member.alive = False
         alive_after = sum(m.alive for m in members)
         kills_due = -(-alive_before // beta)  # ceil
@@ -160,7 +157,7 @@ def elimination_game(
         beta,
         played,
         EdgeStream(tuple(edges)),
-        [m.palette_size() for m in members],
+        [m.referee.colors_used for m in members],
         not any(m.alive for m in members),
     )
 

@@ -306,9 +306,9 @@ def build_advice(
     g = Graph.from_stream(stream)
     dgn, order = degeneracy(g)
     requested = max(dgn, 1) if d is None else d  # an empty stream has dgn 0
+    dd = pad_degeneracy(requested)  # refuses d < 1 before d is compared
     if dgn > requested:
         raise PreconditionViolated(f"stream has degeneracy {dgn}, above {requested}")
-    dd = pad_degeneracy(requested)
     delta = g.max_degree
     chi, opt = optimal_coloring(g, budget=budget, dgn=dgn)
 

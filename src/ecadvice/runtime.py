@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import zip_longest
+from functools import cached_property
+from itertools import chain, zip_longest
 from typing import Iterable, NamedTuple, Optional
 
 from .advice import (
@@ -261,11 +262,13 @@ class AdviceAlgorithm(OnlineAlgorithm):
 
 @dataclass
 class RunReport:
+    """One run's outcome.  `n` and `delta` are counted from the coloring's
+    pairs on first read: a run of a whole stream colors every edge, so they
+    are the stream graph's vertex count and max degree."""
+
     model: Optional[str]
     mode: Optional[str]
-    n: int
     m: int
-    delta: int
     d: Optional[int]
     colors_used: int
     advice_bits_read: int
@@ -273,6 +276,18 @@ class RunReport:
     coloring: Coloring
     chromatic_index: Optional[int] = None
     optimal: Optional[bool] = None
+
+    @cached_property
+    def _degrees(self) -> Counter:
+        return Counter(chain.from_iterable(self.coloring.assignment))
+
+    @property
+    def n(self) -> int:
+        return len(self._degrees)
+
+    @property
+    def delta(self) -> int:
+        return max(self._degrees.values(), default=0)
 
     def summary(self) -> dict:
         return {
@@ -289,17 +304,28 @@ class RunReport:
 
 
 class Referee:
-    """The run ledger: each edge's color and the colors present at each
-    vertex, checked on every step an online algorithm takes.
+    """The run ledger: each edge's color and, per color, the vertices where
+    it is present, checked on every step an online algorithm takes.
 
-    `assignment` gains one pair per step, in step order.  simulate steps in
-    arrival order, and a strict-mode replay stream keeps every arrival and
-    pair of the stream it orients, so a run's colors, read in order, are
-    the colors of the input stream's edges in arrival order."""
+    Keyed by color, not by vertex: a step probes one set, the one of its
+    color, and a vertex gets no container of its own, so the ledger holds
+    one set per color and 2m entries in all.  `assignment` gains one pair
+    per step, in step order.  simulate steps in arrival order, and a
+    strict-mode replay stream keeps every arrival and pair of the stream it
+    orients, so a run's colors, read in order, are the colors of the input
+    stream's edges in arrival order."""
 
     def __init__(self) -> None:
         self.assignment: dict[Pair, int] = {}
-        self.used: dict[int, set[int]] = {}
+        self.holders: dict[int, set[int]] = {}
+
+    @property
+    def colors_used(self) -> int:
+        return len(self.holders)
+
+    def colors_at(self, v: int) -> frozenset[int]:
+        """The colors on v's edges, in O(colors used)."""
+        return frozenset(c for c, at in self.holders.items() if v in at)
 
     def record(self, edge: Edge, color) -> None:
         """Accept a positive int color that is new at both endpoints for an
@@ -315,18 +341,15 @@ class Referee:
             raise RecoloringAttempt(f"edge {pair} colored twice")
         if u == v:
             raise SelfLoop(f"edge {edge.arrival} joins {u} to itself")
-        used = self.used
-        au = used.get(u)
-        if au is None:
-            au = used[u] = set()
-        av = used.get(v)
-        if av is None:
-            av = used[v] = set()
-        if color in au or color in av:
+        at = self.holders.get(color)
+        if at is None:
+            self.holders[color] = {u, v}
+        elif u in at or v in at:
             raise ImproperColoring(f"edge {pair}: color {color} already present")
+        else:
+            at.add(u)
+            at.add(v)
         assignment[pair] = color
-        au.add(color)
-        av.add(color)
 
 
 def simulate(stream: EdgeStream, alg: OnlineAlgorithm, advice=None) -> RunReport:
@@ -339,16 +362,12 @@ def simulate(stream: EdgeStream, alg: OnlineAlgorithm, advice=None) -> RunReport
         referee.record(edge, alg.step(edge, advice))
     if advice is not None:
         advice.finish()
-    used = referee.used
     return RunReport(
         model=getattr(advice, "model", None),
         mode=getattr(alg, "mode", None),
-        n=len(used),
         m=stream.m,
-        # a proper coloring puts deg(v) distinct colors at v
-        delta=max(map(len, used.values()), default=0),
         d=getattr(alg, "d", None),
-        colors_used=len(set(referee.assignment.values())),
+        colors_used=referee.colors_used,
         advice_bits_read=getattr(advice, "bits_read", 0),
         per_edge_bits=getattr(alg, "record_length", None) or 0,
         coloring=Coloring(referee.assignment),

@@ -146,6 +146,15 @@ def test_run_rejects_underestimated_d(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_run_rejects_d_below_one(tmp_path, capsys, d):
+    # d is refused before the stream's degeneracy is compared with it
+    path = write_stream(tmp_path, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    code, stdout, stderr = run_cli(capsys, "run", path, "--d", d)
+    assert (code, stdout) == (2, "")
+    assert "d must be >= 1" in stderr and "degeneracy" not in stderr
+
+
 def test_run_budget_exhaustion_exits_three(tmp_path, capsys):
     from .conftest import petersen_pairs
 

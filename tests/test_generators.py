@@ -24,8 +24,7 @@ from ecadvice import (
 )
 def test_gen_d_degenerate_respects_bound(n, d, seed):
     g = Graph.from_stream(gen_d_degenerate(n, d, seed))
-    if g.m:
-        assert degeneracy(g)[0] <= d
+    assert degeneracy(g)[0] <= d
 
 
 def test_gen_d_degenerate_deterministic():

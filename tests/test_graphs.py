@@ -138,7 +138,7 @@ def test_degeneracy_frozen_values():
     assert degeneracy(graph(petersen_pairs()))[0] == 3
 
 
-def test_degeneracy_rejects_empty():
+def test_degeneracy_accepts_empty():
     # a graph with no vertices is not refused: its degeneracy is 0
     assert degeneracy(Graph.from_stream(stream_from_pairs([]))) == (0, ())
 

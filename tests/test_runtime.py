@@ -26,6 +26,7 @@ from ecadvice import (
     build_advice,
     encode_tape,
     gen_d_degenerate,
+    gen_forest,
     gen_star,
     header_bits,
     is_proper,
@@ -39,7 +40,8 @@ from ecadvice import (
 )
 from ecadvice.advice import ceil_log2, encode_int
 from ecadvice.oracle import EdgeAdvice
-from ecadvice.runtime import DecodedStep, OnlineAlgorithm
+from ecadvice import runtime
+from ecadvice.runtime import DecodedStep, OnlineAlgorithm, Referee
 
 from .conftest import (
     complete_pairs,
@@ -176,7 +178,7 @@ def test_simulate_rejects_non_positive_color():
 @example([], "")
 @settings(max_examples=60)
 def test_simulate_shape_matches_graph(pairs, bits):
-    # simulate derives n, m and delta from its run ledger, not from a Graph
+    # a report counts n and delta from its coloring's pairs, not from a Graph
     s = stream(pairs)
     g = Graph.from_stream(s)
     for alg in (Greedy(), GreedyVariant(bits)):
@@ -196,6 +198,80 @@ def test_simulate_rejects_self_loop():
     s = EdgeStream((Edge(0, 0, 0), Edge(0, 1, 1)))
     with pytest.raises(SelfLoop):
         simulate(s, Greedy())
+
+
+class _VertexSetReferee:
+    """Reference run ledger keyed by vertex: the set of colors at each."""
+
+    def __init__(self):
+        self.assignment = {}
+        self.used = {}
+
+    def record(self, edge, color):
+        pair = edge.pair
+        if type(color) is not int or color < 1:
+            raise ImproperColoring(color)
+        if pair in self.assignment:
+            raise RecoloringAttempt(pair)
+        if edge.u == edge.v:
+            raise SelfLoop(pair)
+        at_u = self.used.setdefault(edge.u, set())
+        at_v = self.used.setdefault(edge.v, set())
+        if color in at_u or color in at_v:
+            raise ImproperColoring(color)
+        self.assignment[pair] = color
+        at_u.add(color)
+        at_v.add(color)
+
+
+_ODD_COLORS = st.sampled_from([True, False, 0, -1, -7, 10**30, 2.0, "2", None])
+_STEPS = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 4) | _ODD_COLORS),
+    max_size=40,
+)
+
+
+def _outcome(referee, edge, color):
+    try:
+        referee.record(edge, color)
+    except (ImproperColoring, RecoloringAttempt, SelfLoop) as exc:
+        return type(exc)
+    return None
+
+
+@given(_STEPS)
+@example([(0, 1, True), (0, 0, 1), (0, 1, 1), (1, 0, 2), (1, 2, 1), (2, 3, 10**30)])
+@settings(max_examples=300)
+def test_referee_matches_a_vertex_set_ledger(steps):
+    # loops, repeated pairs and colors that are not positive ints are drawn
+    # often; every step must be accepted or refused alike, with one type
+    referee, reference = Referee(), _VertexSetReferee()
+    for i, (u, v, color) in enumerate(steps):
+        edge = Edge(u, v, i)
+        assert _outcome(referee, edge, color) is _outcome(reference, edge, color)
+        assert referee.assignment == reference.assignment
+    for w in range(6):
+        on_edges = {c for pair, c in referee.assignment.items() if w in pair}
+        assert referee.colors_at(w) == on_edges == reference.used.get(w, set())
+    assert referee.colors_used == len(set(referee.assignment.values()))
+
+
+def test_referee_holds_one_set_per_color(monkeypatch):
+    # a bound on structure, not on time: one vertex set per color and one
+    # entry per edge end, no container per vertex
+    made = []
+
+    class Kept(Referee):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(runtime, "Referee", Kept)
+    r = simulate(gen_forest(5000, 3), Greedy())
+    (referee,) = made
+    assert sorted(vars(referee)) == ["assignment", "holders"]
+    assert len(referee.holders) == referee.colors_used == r.colors_used
+    assert sum(map(len, referee.holders.values())) == 2 * r.m
 
 
 def test_request_source_meters_and_exhausts():
