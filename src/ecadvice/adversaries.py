@@ -9,7 +9,8 @@ colored, forcing delta + 1 colors out of anyone who committed too early.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count, product
 from math import ceil, comb, log
 from typing import Callable, Optional, Sequence
 
@@ -40,7 +41,7 @@ def select_same_colored_stars(
     best: Optional[tuple[int, ...]] = None
     for indices in groups.values():
         if len(indices) >= delta:
-            candidate = tuple(sorted(indices)[:delta])
+            candidate = tuple(indices[:delta])
             if best is None or candidate < best:
                 best = candidate
     if best is None:
@@ -48,16 +49,6 @@ def select_same_colored_stars(
             f"no {delta} stars share a color set among {len(star_colors)}"
         )
     return best
-
-
-@dataclass
-class _Member:
-    alg: OnlineAlgorithm
-    referee: Referee = field(default_factory=Referee)
-    alive: bool = True
-
-    def observe(self, edge: Edge) -> None:
-        self.referee.record(edge, self.alg.step(edge, None))
 
 
 @dataclass(frozen=True)
@@ -71,8 +62,6 @@ class EliminationRound:
 
 @dataclass
 class EliminationTranscript:
-    alpha: int
-    beta: int
     rounds: list[EliminationRound]
     stream: EdgeStream
     colors_used: list[int]
@@ -93,22 +82,19 @@ def elimination_game(
     alpha, beta = pigeonhole_thresholds(delta)
     if rounds < 0:
         raise PreconditionViolated(f"round count {rounds} is negative")
-    members = [_Member(alg) for alg in family]
+    referees = [Referee() for _ in family]
+    # every member, dead or alive, sees every edge
+    observers = [(alg.step, ref.record) for alg, ref in zip(family, referees)]
     threshold = 2 * delta - 2
 
     edges: list[Edge] = []
-    next_label = 0
-
-    def fresh() -> int:
-        nonlocal next_label
-        next_label += 1
-        return next_label - 1
+    fresh = count().__next__
 
     def reveal(u: int, v: int) -> None:
         edge = Edge(u, v, len(edges))
         edges.append(edge)
-        for member in members:
-            member.observe(edge)
+        for step, record in observers:
+            record(edge, step(edge, None))
 
     centers: list[list[int]] = []
     for _ in range(rounds):
@@ -121,44 +107,34 @@ def elimination_game(
             row_centers.append(center)
         centers.append(row_centers)
 
-    for member in members:
-        member.alive = member.referee.colors_used <= threshold
-
+    survivors = [ref for ref in referees if ref.colors_used <= threshold]
     played: list[EliminationRound] = []
     for row in range(rounds):
-        alive_before = sum(m.alive for m in members)
-        if alive_before == 0:
+        if not survivors:
             break
         votes: dict[tuple[int, ...], int] = {}
-        for member in members:
-            if not member.alive:
-                continue
+        for ref in survivors:
             # no joint edge reaches a row's centers before the row is
             # played, so a center's colors are exactly its star's
-            colors_at = member.referee.colors_at
-            sets = [colors_at(center) for center in centers[row]]
+            sets = [ref.colors_at(center) for center in centers[row]]
             choice = select_same_colored_stars(sets, delta)
             votes[choice] = votes.get(choice, 0) + 1
         selected = min(votes, key=lambda s: (-votes[s], s))
         joint = fresh()
         for s in selected:
             reveal(joint, centers[row][s])
-        for member in members:
-            if member.alive and member.referee.colors_used > threshold:
-                member.alive = False
-        alive_after = sum(m.alive for m in members)
+        alive_before = len(survivors)
+        survivors = [ref for ref in survivors if ref.colors_used <= threshold]
         kills_due = -(-alive_before // beta)  # ceil
-        if alive_after > alive_before - kills_due:
+        if len(survivors) > alive_before - kills_due:
             raise AssertionError("round killed fewer members than the pigeonhole bound")
-        played.append(EliminationRound(row, alive_before, alive_after, selected, joint))
+        played.append(EliminationRound(row, alive_before, len(survivors), selected, joint))
 
     return EliminationTranscript(
-        alpha,
-        beta,
         played,
         EdgeStream(tuple(edges)),
-        [m.referee.colors_used for m in members],
-        not any(m.alive for m in members),
+        [ref.colors_used for ref in referees],
+        not survivors,
     )
 
 
@@ -272,12 +248,7 @@ def variant_family(bit_length: int, *, cycle: bool = True) -> list[GreedyVariant
     """All 2**bit_length greedy variants driven by distinct bit strings."""
     if bit_length < 0:
         raise PreconditionViolated(f"bit length {bit_length} is negative")
-    if bit_length == 0:
-        return [GreedyVariant("", cycle=cycle)]
-    return [
-        GreedyVariant(format(i, f"0{bit_length}b"), cycle=cycle)
-        for i in range(2**bit_length)
-    ]
+    return [GreedyVariant("".join(bits), cycle=cycle) for bits in product("01", repeat=bit_length)]
 
 
 def prefix_family(max_bits: int) -> list[GreedyVariant]:

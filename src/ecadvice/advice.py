@@ -87,25 +87,22 @@ def pad_degeneracy(d: int) -> int:
 def degeneracy_from_length(length: int, mode: str = "strict") -> int:
     """Invert bits_per_edge, returning the padded representative.
 
-    bits_per_edge is monotone in d, and constant between consecutive powers
-    of two, where neither field width changes.  A binary search finds the
-    smallest j with bits_per_edge(2**j) >= length; then only 2**j, or the
-    d below it, can match.  The search takes O(log length) steps on numbers
-    of O(length) bits.  Raises MalformedAdvice when no d maps to `length`.
+    For d >= 2 write k = ceil(log2 d): the color field takes k + 1 bits,
+    and the rank field k bits, or k + 1 when d = 2**k.  So a strict length
+    L is 2k + 3 for d = 2**k and 2k + 2 for 2**(k-1) < d < 2**k, which is
+    nonempty once k >= 2; d = 1 alone has L = 3.  Raises MalformedAdvice
+    when no d maps to `length`.
 
     >>> degeneracy_from_length(60, "strict")
     536870911
     """
-    lo, hi = 0, max(length, 1)  # bits_per_edge(2**j) > j
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if bits_per_edge(1 << mid, mode) < length:
-            lo = mid + 1
-        else:
-            hi = mid
-    for d in (1 << lo, (1 << lo) - 1):
-        if d >= 1 and bits_per_edge(d, mode) == length:
-            return pad_degeneracy(d)
+    strict = length - bits_per_edge(1, mode) + 3  # raises on an unknown mode
+    if strict == 3:
+        return 1
+    if strict >= 5 and strict % 2:
+        return 1 << (strict - 3) // 2
+    if strict >= 6:  # even
+        return (1 << (strict - 2) // 2) - 1
     raise MalformedAdvice(f"no degeneracy bound has {length}-bit records")
 
 

@@ -145,7 +145,7 @@ def _parse_family(spec: str):
 def cmd_adversary(args: argparse.Namespace) -> int:
     if args.game == "elimination":
         family = _parse_family(args.family)
-        _, beta = pigeonhole_thresholds(args.delta)
+        alpha, beta = pigeonhole_thresholds(args.delta)
         if args.rounds is not None:
             rounds = args.rounds
         else:
@@ -166,8 +166,8 @@ def cmd_adversary(args: argparse.Namespace) -> int:
         summary = {
             "game": "elimination",
             "delta": args.delta,
-            "alpha": transcript.alpha,
-            "beta": transcript.beta,
+            "alpha": alpha,
+            "beta": beta,
             "family_size": len(family),
             "rounds_played": len(transcript.rounds),
             "m": g.m,

@@ -112,7 +112,14 @@ def parse_stream(text: str) -> EdgeStream:
 
 
 def serialize_stream(stream: EdgeStream, comments: Sequence[str] = ()) -> str:
-    """Inverse of parse_stream (up to comments)."""
+    """Inverse of parse_stream (up to comments).
+
+    A comment holding an ASCII line break would end early and could read
+    back as edges, so it is refused with PreconditionViolated.
+    """
+    for c in comments:
+        if _ASCII_BREAK.search(c):
+            raise PreconditionViolated(f"comment {c!r} holds a line break")
     lines = [f"# {c}" for c in comments]
     lines.extend(f"{e.u} {e.v}" for e in stream.edges)
     return "\n".join(lines) + "\n"

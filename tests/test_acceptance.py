@@ -17,6 +17,7 @@ from ecadvice import (
     GreedyVariant,
     build_permutation_instance,
     ceil_log2,
+    chromatic_index,
     elimination_game,
     exact_color,
     gen_d_degenerate,
@@ -252,4 +253,7 @@ def test_readme_library_tour_runs():
     code = tour.split("```python\n", 1)[1].split("```", 1)[0]
     namespace: dict = {}
     exec(compile(code, "README.md", "exec"), namespace)
-    assert namespace["run"].report.optimal
+    report, s = namespace["run"].report, namespace["s"]
+    assert report.optimal
+    assert report.advice_bits_read == s.m * bits_per_edge(2, "robust")
+    assert report.colors_used == chromatic_index(Graph.from_stream(s))

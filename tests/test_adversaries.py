@@ -2,14 +2,12 @@ import pytest
 
 from ecadvice import (
     Coloring,
-    Edge,
     Graph,
     Greedy,
     GreedyVariant,
     ImproperColoring,
     NoMonochromeFamily,
     PreconditionViolated,
-    SelfLoop,
     build_coupled_pair,
     build_permutation_instance,
     chromatic_index,
@@ -24,10 +22,11 @@ from ecadvice import (
     rounds_to_extinction,
     run_advice,
     select_same_colored_stars,
+    simulate,
     variant_family,
 )
 from ecadvice import adversaries
-from ecadvice.adversaries import _Member, prefix_family
+from ecadvice.adversaries import prefix_family
 from ecadvice.runtime import OnlineAlgorithm
 
 
@@ -87,12 +86,27 @@ def test_elimination_variant_family_b4():
     t = elimination_game(2, family, budget)
     assert t.all_dead
     assert len(t.rounds) <= budget
+    beta = pigeonhole_thresholds(2)[1]
     for r in t.rounds:
         # the pigeonhole decay, re-checked from the transcript
-        assert r.alive_after <= r.alive_before - (-(-r.alive_before // t.beta))
+        assert r.alive_after <= r.alive_before - (-(-r.alive_before // beta))
     g = Graph.from_stream(t.stream)
     assert is_forest(g) and g.max_degree <= 2
     assert all(c >= 3 for c in t.colors_used)  # dead means above 2*delta - 2
+
+
+def test_elimination_palettes_replay_on_the_whole_stream():
+    # every member, dead or alive, colors every revealed edge, so a fresh
+    # copy replaying the final stream ends on the palette the game reports
+    def family():
+        return variant_family(2) + variant_family(2, cycle=False)
+
+    _, beta = pigeonhole_thresholds(3)
+    t = elimination_game(3, family(), rounds_to_extinction(8, beta))
+    assert len(t.rounds) == 2
+    assert t.colors_used == [5, 6, 6, 5, 5, 5, 5, 5]
+    for i, alg in enumerate(family()):
+        assert simulate(t.stream, alg).colors_used == t.colors_used[i]
 
 
 def test_elimination_stops_early_once_everyone_is_dead():
@@ -249,14 +263,6 @@ def test_elimination_rejects_misbehaving_member(color):
     # disjoint delta=2 stars and clashes on the first joining edge
     with pytest.raises(ImproperColoring):
         elimination_game(2, [Greedy(), _Constant(color)], 1)
-
-
-def test_elimination_member_rejects_self_loop():
-    # the game never reveals a loop; a member's run ledger still refuses one
-    member = _Member(Greedy())
-    member.observe(Edge(0, 1, 0))
-    with pytest.raises(SelfLoop):
-        member.observe(Edge(2, 2, 1))
 
 
 def test_permutation_forced_verdict_consistency():

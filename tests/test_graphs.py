@@ -123,6 +123,20 @@ def test_parse_serialize_round_trip(pairs):
     assert [e.pair for e in again.edges] == [e.pair for e in s.edges]
 
 
+@pytest.mark.parametrize("comment", ["pi: 1\n5 6", "x\r7 8", "x\x0c7 8", "x\x1c7 8"])
+def test_serialize_refuses_comment_with_line_break(comment):
+    # parse_stream would end the comment at the break and read the rest as an edge
+    with pytest.raises(PreconditionViolated):
+        serialize_stream(stream_from_pairs([(1, 2)]), [comment])
+
+
+def test_serialize_keeps_comment_with_unicode_line_separator():
+    # parse_stream breaks lines only at ASCII breaks, so U+2028 stays inside
+    s = stream_from_pairs([(1, 2)])
+    text = serialize_stream(s, ["x\u20283 4"])
+    assert [e.pair for e in parse_stream(text).edges] == [(1, 2)]
+
+
 def test_graph_counts():
     g = graph(complete_pairs(4))
     assert g.n == 4 and g.m == 6 and g.max_degree == 3
