@@ -224,15 +224,16 @@ def permutation_game(
 
 
 def rigidity_check(n: int, *, budget: Optional[int] = None) -> bool:
-    """Verify the coupled pair's color rigidity by exhaustive search.
+    """Verify the coupled pair's color rigidity.
 
     True iff the instance is (n+1)-edge-colorable, no proper (n+1)-coloring
     gives the two pendant edges different colors, and some (n+2)-coloring
     does.  Joining the two pendant leaves into one vertex makes the pendant
     edges adjacent, so a coloring of the joined graph is exactly a
-    coloring of the gadget that separates them: the search must find no
+    coloring of the gadget that separates them: exact_color must find no
     (n+1)-coloring of it, and vizing_plus_one (Vizing's theorem) an
-    (n+2)-coloring.
+    (n+2)-coloring.  With (n+1)**2 + 1 edges on 2n+3 vertices the joined
+    graph is overfull, so exact_color refutes it without search.
     """
     stream, e_l, e_r = build_coupled_pair(n)
     g = Graph.from_stream(stream)

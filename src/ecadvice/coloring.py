@@ -6,8 +6,8 @@ capped by a node budget.  It runs on an explicit stack and keeps each
 edge's saturation up to date incrementally, so a search node costs
 O(max_degree) and there is no recursion limit on the graph size.  It has
 one job, deciding whether a graph is k-edge-colorable: the class of a
-graph with max_degree < 2*degeneracy, and the rigidity gadget with its
-pendant leaves joined (see adversaries).
+graph with max_degree < 2*degeneracy.  An overfull graph, such as the
+joined rigidity gadget (see adversaries), it refutes without search.
 
 The polynomial constructions need no search: konig_color gives
 max_degree colors on a bipartite graph, and one peel and re-add engine
@@ -52,9 +52,11 @@ def node_budget(budget: Optional[int]) -> int:
 def exact_color(g: Graph, k: int, *, budget: Optional[int] = None) -> Optional[Coloring]:
     """Search for a proper edge coloring with colors 1..k.
 
-    Returns None when no such coloring exists.  Colors above the largest one
-    used so far are interchangeable, so branching is capped at max_used+1,
-    which keeps the search complete while pruning palette permutations.
+    Returns None when no such coloring exists, before any search node when
+    g has more than k*(n//2) edges: a color class is a matching of at most
+    n//2 edges.  Colors above the largest one used so far are
+    interchangeable, so branching is capped at max_used+1, which keeps the
+    search complete while pruning palette permutations.
 
     Each node colors the uncolored edge whose endpoints already see the most
     distinct colors, ties going to the larger degree sum and then the
@@ -70,7 +72,7 @@ def exact_color(g: Graph, k: int, *, budget: Optional[int] = None) -> Optional[C
 
     if g.m == 0:
         return Coloring.of_ids(g.edges, {})
-    if k < g.max_degree:
+    if k < g.max_degree or g.m > k * (g.n // 2):
         return None
 
     # Rank the edges best first by the static tie-break (the sort is stable,

@@ -17,7 +17,7 @@ peel of color_degenerate builds both the max_degree coloring and every
 subset's 2d-coloring without search.  The exact search runs only to decide
 the class of a graph with max_degree < 2*degeneracy that neither the
 max_degree peel nor the max_degree+1 coloring settles and that is not
-overfull.
+overfull (exact_color refutes an overfull graph by counting its edges).
 
 The oracle works on edge ids and vertex indices (see graphs): it reads
 the optimal coloring by id, splits literal from subset edges by id, and
@@ -246,9 +246,9 @@ def optimal_coloring(
     `dgn` is g's degeneracy, computed when not given.  Bipartite graphs and
     graphs with max_degree >= 2*dgn are class 1 and get a max_degree
     coloring by construction.  Of the rest, a complete max_degree peel or a
-    max_degree+1 coloring that lands on max_degree colors settles class 1,
-    and an overfull graph (more than max_degree*(n//2) edges) is class 2;
-    only the others reach the exact search.
+    max_degree+1 coloring that lands on max_degree colors settles class 1;
+    exact_color decides the others, and refutes an overfull graph (more
+    than max_degree*(n//2) edges) by that count, before any search node.
     """
     delta = g.max_degree
     try:
@@ -268,10 +268,6 @@ def optimal_coloring(
     plus = vizing_plus_one(g)  # palette 1..delta or 1..delta+1 (see _peel_color)
     if len(plus.palette) == delta:
         return delta, plus
-    if g.m > delta * (g.n // 2):
-        # overfull: a color class is a matching of at most n//2 edges, so
-        # delta classes cannot hold every edge
-        return delta + 1, plus
     witness = exact_color(g, delta, budget=budget)
     if witness is not None:
         return delta, witness

@@ -393,7 +393,7 @@ def verify_run(run: AdviceRun, *, budget: Optional[int] = None) -> list[str]:
     per violated property, [] when all hold.  A message is led by its
     property: proper, optimal (with max_degree <= chi <= max_degree + 1,
     chi == max_degree once max_degree >= 2d, and chi == max_degree + 1 only
-    when the graph is overfull or exact_color finds no max_degree coloring;
+    when exact_color finds no max_degree coloring, by count or by search;
     ResourceLimit past `budget`), bits (exact, with the header on a
     non-empty tape), rank (<= d), bundles (max degree <= 2d) or decoder.
     """
@@ -410,9 +410,9 @@ def verify_run(run: AdviceRun, *, budget: Optional[int] = None) -> list[str]:
     planned = [(adv.mode, adv.subset, adv.rank) for adv in oracle.per_edge]
     decoded = [(step.mode, step.subset, step.rank) for step in run.algorithm.decoded]
     diverged = [i for i, (a, b) in enumerate(zip_longest(planned, decoded)) if a != b]
-    # chi = delta + 1 needs delta < 2d, and g overfull or not delta-colorable
-    chi_fits = delta <= chi <= delta + 1 and (chi == delta or (delta < 2 * d and (
-        g.m > delta * (g.n // 2) or exact_color(g, delta, budget=budget) is None)))
+    # chi = delta + 1 needs delta < 2d, and g not delta-colorable
+    chi_fits = delta <= chi <= delta + 1 and (
+        chi == delta or delta < 2 * d and exact_color(g, delta, budget=budget) is None)
     checks = [
         ("proper", colored == m and proper, f"{colored} of {m} edges colored, no clash: {proper}"),
         ("optimal", used == chi and report.optimal and chi_fits,

@@ -309,6 +309,14 @@ def test_check_rigidity(capsys):
     assert json.loads(stdout)["passed"] is True
 
 
+def test_check_rigidity_needs_no_search_budget(capsys):
+    # the joined gadget is overfull, so a zero budget proves rigidity
+    code, stdout, _ = run_cli(capsys, "check", "rigidity", "--n", "5", "--budget", "0")
+    assert code == 0
+    assert json.loads(stdout) == {"check": "rigidity", "n": 5, "passed": True}
+    assert run_cli(capsys, "check", "rigidity", "--n", "5", "--budget", "-1")[0] == 2
+
+
 def test_check_rigidity_failure_exits_one(capsys, monkeypatch):
     import ecadvice.cli
 
@@ -403,10 +411,9 @@ _STREAM_TEXT = st.one_of(
 def _argvs(draw):
     """Every subcommand with option values drawn at bounded sizes.
 
-    `check rigidity --n 24` searches up to the 10^7-node default budget and
     `adversary elimination --delta 4 --family variants:2` plays 723,445
-    rounds; each takes minutes, so rigidity stays at n <= 3 and elimination
-    at Δ <= 3 with families of at most 2^3.
+    rounds and takes minutes, so elimination stays at Δ <= 3 with families
+    of at most 2^3.
     """
     opt = lambda flag, values: [flag, draw(values)] if draw(st.booleans()) else []  # noqa: E731
     mode_model = opt("--mode", st.sampled_from(["robust", "strict"])) + opt(
@@ -441,7 +448,7 @@ def _argvs(draw):
                 *opt("--mode", st.sampled_from(["robust", "strict"])),
                 *(["--oracle"] if draw(st.booleans()) else [])]
     elif command == "rigidity":
-        argv = ["check", "rigidity", *opt("--n", _ints(3)), *budget]
+        argv = ["check", "rigidity", *opt("--n", _ints(24)), *budget]
     else:
         argv = ["check", "invariants",
                 *opt("--kind", st.sampled_from(["d-degenerate", "forest"])),

@@ -124,20 +124,34 @@ def _d5_bundle():
     return Graph([e for e in g.edges if witness[e.pair] > g.max_degree - 14]), 14
 
 
-def _joined_pair_n3():
+def _joined_pair(n):
     # the rigidity gadget with its pendant leaves joined (see rigidity_check)
-    stream, e_l, e_r = build_coupled_pair(3)
+    stream, e_l, e_r = build_coupled_pair(n)
     last = Edge(e_l.u, e_r.v, e_r.arrival)
-    return Graph(stream.edges[:-1] + (last,)), 4
+    return Graph(stream.edges[:-1] + (last,))
+
+
+def _plus_disjoint_edges(g, count):
+    # g plus `count` new edges on new vertices: the max degree (when >= 1)
+    # and the chromatic index stay, and each edge adds one to the
+    # k*(n//2) edges that k color classes can hold
+    top = max(g.vertices, default=0)
+    late = max((e.arrival for e in g.edges), default=-1)
+    extra = [Edge(top + 2 * i + 1, top + 2 * i + 2, late + i + 1) for i in range(count)]
+    return Graph(g.edges + tuple(extra))
 
 
 # (instance builder, nodes the search spends to finish, colorable); the
 # counts are pinned so that node accounting, and with it every budget
-# verdict, cannot drift
+# verdict, cannot drift.  The joined pair is overfull, so it carries one
+# disjoint edge (two more vertices) to make the search, not the count,
+# refute it; the search spends what it spent on the joined pair alone.
 BUDGET_CASES = {
     "petersen-k3": (lambda: (graph(petersen_pairs()), 3), 30, False),
     "d5-bundle": (_d5_bundle, 202, True),
-    "joined-pair-n3": (_joined_pair_n3, 200, False),
+    **{f"joined-pair-n{n}-plus-edge":
+       (lambda n=n: (_plus_disjoint_edges(_joined_pair(n), 1), n + 1), nodes, False)
+       for n, nodes in [(1, 5), (2, 16), (3, 200), (4, 14_046)]},
 }
 
 
@@ -149,6 +163,18 @@ def test_exact_color_budget_trips(case):
         exact_color(g, k, budget=nodes - 1)
     witness = exact_color(g, k, budget=nodes)
     assert (witness is not None) == colorable
+
+
+def test_exact_color_refutes_an_overfull_graph_without_search():
+    for n in range(61):
+        joined = _joined_pair(n)
+        assert joined.m == (n + 1) * (joined.n // 2) + 1
+        assert exact_color(joined, n + 1, budget=0) is None
+
+
+def test_negative_budget_is_refused_on_an_overfull_graph():
+    with pytest.raises(PreconditionViolated):
+        exact_color(graph(complete_pairs(5)), 4, budget=-1)
 
 
 def test_exact_color_has_no_depth_limit():
@@ -436,7 +462,9 @@ def test_chromatic_index_random_degenerate(n, seed):
 
 
 def test_overfull_certificate_agrees_with_exact_search():
-    # an overfull graph is class 2, so it needs no search budget
+    # an overfull graph is class 2, so it needs no search budget; the search
+    # agrees on the same graph plus enough disjoint edges to undo the excess,
+    # which keeps its class
     overfull = 0
     for n in range(5, 10):
         for d in range(3, 6):
@@ -445,19 +473,22 @@ def test_overfull_certificate_agrees_with_exact_search():
                 delta = g.max_degree
                 colorable = exact_color(g, delta) is not None
                 assert chromatic_index(g) == (delta if colorable else delta + 1)
-                if g.m > delta * (g.n // 2):
+                excess = g.m - delta * (g.n // 2)
+                if excess > 0:
                     overfull += 1
                     assert not colorable
                     assert chromatic_index(g, budget=0) == delta + 1
+                    wider = _plus_disjoint_edges(g, excess)
+                    assert wider.max_degree == delta
+                    assert wider.m <= delta * (wider.n // 2)
+                    assert exact_color(wider, delta) is None
     assert overfull >= 10
 
 
 def test_class_decision_agrees_with_exact_search():
     # graphs that are not bipartite and have max_degree < 2*degeneracy: the
-    # peel, the max_degree+1 coloring, the overfull test or the search
-    # decides chi, and it must be what the search alone decides.  An
-    # overfull graph is class 2 by counting; the search cannot prove it on
-    # the n = 9, d = 6 graphs (K9 less three edges) within 10^7 nodes.
+    # peel, the max_degree+1 coloring or exact_color decides chi, and it
+    # must be what exact_color alone decides
     decided = 0
     for n in range(4, 10):
         for d in range(2, 7):
@@ -468,10 +499,7 @@ def test_class_decision_agrees_with_exact_search():
                 decided += 1
                 delta = g.max_degree
                 chi, col = optimal_coloring(g)
-                if g.m > delta * (g.n // 2):
-                    assert chi == delta + 1
-                else:
-                    assert chi == (delta if exact_color(g, delta) is not None else delta + 1)
+                assert chi == (delta if exact_color(g, delta) is not None else delta + 1)
                 assert is_proper(g, col) and len(col) == g.m
                 assert col.palette == frozenset(range(1, chi + 1))
     assert decided >= 100
