@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, product
-from math import ceil, comb, log
+from math import ceil, comb, log, log1p
 from typing import Callable, Optional, Sequence
 
 from .coloring import exact_color, konig_color, vizing_plus_one
@@ -142,7 +142,8 @@ def rounds_to_extinction(family_size: int, beta: int) -> int:
     """Rounds guaranteed to empty a family under the per-round decay."""
     if family_size < 1:
         return 0
-    return ceil(log(family_size) / log(beta / (beta - 1))) + 1
+    # log(beta / (beta - 1)) rounds to log(1.0) = 0 once beta passes 2**53
+    return ceil(log(family_size) / -log1p(-1 / beta)) + 1
 
 
 @dataclass

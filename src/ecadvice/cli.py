@@ -11,6 +11,9 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
+from itertools import chain
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .adversaries import (
@@ -129,7 +132,21 @@ def cmd_run(args: argparse.Namespace) -> int:
         lines = [f"{e.u} {e.v} {c}" for e, c in zip(stream.edges, colors, strict=True)]
         with open(args.coloring_out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
-    _emit({"config": config, **report.summary(), "per_edge_bits": report.per_edge_bits})
+    edges = stream.edges
+    degree = Counter(chain(map(attrgetter("u"), edges), map(attrgetter("v"), edges)))
+    _emit({
+        "config": config,
+        "colors_used": report.colors_used,
+        "chromatic_index": report.chromatic_index,
+        "optimal": report.optimal,
+        "advice_bits_read": report.advice_bits_read,
+        "m": report.m,
+        "n": len(degree),
+        "delta": max(degree.values(), default=0),
+        "d": report.d,
+        "mode": report.mode,
+        "per_edge_bits": report.per_edge_bits,
+    })
     _note(f"colors={report.colors_used} advice_bits={report.advice_bits_read}")
     return 0 if ok else 1
 

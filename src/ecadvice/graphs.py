@@ -8,8 +8,8 @@ Inside a Graph an edge is named by its position in `edges`, its edge id,
 and a vertex by its position in `vertices`, its index: the labels sorted,
 so a tie broken by smallest index is broken by smallest label.  `uv[i]`
 holds edge i's endpoints as listed, by index, `adj[v]` lists v's
-neighbors by index, each followed by the id of the edge to it, in edge
-order, and `deg[v]` is v's degree.  The degeneracy peel, the engines, the
+neighbors by index, once per edge, in edge order, and `deg[v]` is v's
+degree, the length of `adj[v]`.  The degeneracy peel, the engines, the
 partition and the oracle run on these lists; labels appear only at the API
 boundary (the orders `degeneracy` returns and `build_partition` takes,
 error messages), and normalized endpoint pairs (`Edge.pair`, the keys of a
@@ -145,15 +145,11 @@ class Graph:
         if len(seen) < len(iu) or not seen.isdisjoint(zip(iv, iu)):
             _reject(self.edges)  # a repeat, reversed or not; a loop is its own reverse
         adj: list[list[int]] = [[] for _ in range(n)]
-        for i, a, b in zip(range(len(iu)), iu, iv):
-            at_a = adj[a]
-            at_a.append(b)
-            at_a.append(i)
-            at_b = adj[b]
-            at_b.append(a)
-            at_b.append(i)
+        for a, b in self.uv:
+            adj[a].append(b)
+            adj[b].append(a)
         self.adj = adj
-        self.deg: list[int] = [len(a) >> 1 for a in adj]
+        self.deg: list[int] = list(map(len, adj))
         self.max_degree = max(self.deg, default=0)
 
     @classmethod
@@ -275,7 +271,7 @@ def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
         if r > d:
             d = r
         peeled.append(v)
-        for w in adj[v][::2]:
+        for w in adj[v]:
             x = residual[w] - 1
             if x >= 0:
                 residual[w] = x
@@ -299,7 +295,7 @@ def two_color(g: Graph) -> list[int]:
         while queue:
             v = queue.popleft()
             s = side[v]
-            for w in adj[v][::2]:
+            for w in adj[v]:
                 if side[w] < 0:
                     side[w] = 1 - s
                     queue.append(w)

@@ -12,11 +12,11 @@ Two regimes, split on the (padded) degeneracy bound d:
   indices still open at the edge's front endpoint, and the consumer can
   rebuild the subset index because both sides only count earlier arrivals.
 
-A graph of degeneracy <= d with max_degree >= 2d is class 1, and the
-peel of color_degenerate builds both the max_degree coloring and every
-subset's 2d-coloring without search.  The exact search runs only to decide
-the class of a graph with max_degree < 2*degeneracy that neither the
-max_degree peel nor the max_degree+1 coloring settles and that is not
+A graph of degeneracy <= d with max_degree >= 2d is class 1, and the peel
+of coloring._peel_color at threshold d builds both the max_degree coloring
+and every subset's 2d-coloring without search.  The exact search runs only
+to decide the class of a graph with max_degree < 2*degeneracy that neither
+the max_degree peel nor the max_degree+1 coloring settles and that is not
 overfull (exact_color refutes an overfull graph by counting its edges).
 
 The oracle works on edge ids and vertex indices (see graphs): it reads
@@ -42,7 +42,6 @@ from .advice import AdviceRecord, pack_record, pad_degeneracy
 from .coloring import (
     Coloring,
     _peel_color,
-    color_degenerate,
     exact_color,
     konig_color,
     node_budget,
@@ -243,12 +242,15 @@ def optimal_coloring(
 ) -> tuple[int, Coloring]:
     """(chromatic index, witness coloring); palette is exactly 1..chi.
 
-    `dgn` is g's degeneracy, computed when not given.  Bipartite graphs and
-    graphs with max_degree >= 2*dgn are class 1 and get a max_degree
-    coloring by construction.  Of the rest, a complete max_degree peel or a
-    max_degree+1 coloring that lands on max_degree colors settles class 1;
-    exact_color decides the others, and refutes an overfull graph (more
-    than max_degree*(n//2) edges) by that count, before any search node.
+    `dgn` is g's degeneracy, computed when not given.  Bipartite graphs get
+    a max_degree coloring from konig_color.  Every other graph meets one
+    max_degree peel: at threshold dgn when max_degree >= 2*dgn, where the
+    peel never gets stuck (the graph is class 1), and at threshold
+    max_degree otherwise, where a complete peel settles class 1.  Of the
+    rest, a max_degree+1 coloring that lands on max_degree colors settles
+    class 1; exact_color decides the others, and refutes an overfull graph
+    (more than max_degree*(n//2) edges) by that count, before any search
+    node.
     """
     delta = g.max_degree
     try:
@@ -257,12 +259,9 @@ def optimal_coloring(
         pass
     if dgn is None:
         dgn = degeneracy(g)[0]
-    if delta >= 2 * dgn:
-        # a vertex of degree delta sees every color, so the palette is 1..delta
-        return delta, color_degenerate(g, dgn)
-    # the peel at k = delta with every vertex eligible certifies class 1
-    # whenever it does not get stuck; the palette is 1..delta as above
-    peeled = _peel_color(g.uv, g.vertices, delta, delta)
+    # a complete peel at k = delta is a delta-coloring, and a vertex of
+    # degree delta sees every color, so the palette is 1..delta
+    peeled = _peel_color(g.uv, g.vertices, dgn if delta >= 2 * dgn else delta, delta)
     if peeled is not None:
         return delta, Coloring.of_ids(g.edges, peeled)
     plus = vizing_plus_one(g)  # palette 1..delta or 1..delta+1 (see _peel_color)
@@ -321,7 +320,7 @@ def build_advice(
         # a vertex of degree delta sees every color, so it keeps a*2dd
         # residual edges; in a proper coloring none keeps more
         top = g.deg.index(delta)
-        if sum(colors[i] > b for i in g.adj[top][1::2]) != a * 2 * dd:
+        if sum(top in g.uv[i] for i in rest) != a * 2 * dd:
             raise AssertionError("residual subgraph lost the expected max degree")
         plan, partition = build_partition(g, dd, order, rest)
 

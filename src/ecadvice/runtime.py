@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, zip_longest
+from itertools import zip_longest
 from typing import Iterable, NamedTuple, Optional
 
 from .advice import (
@@ -262,9 +261,7 @@ class AdviceAlgorithm(OnlineAlgorithm):
 
 @dataclass
 class RunReport:
-    """One run's outcome.  `n` and `delta` are counted from the coloring's
-    pairs on first read: a run of a whole stream colors every edge, so they
-    are the stream graph's vertex count and max degree."""
+    """One run's outcome."""
 
     model: Optional[str]
     mode: Optional[str]
@@ -276,31 +273,6 @@ class RunReport:
     coloring: Coloring
     chromatic_index: Optional[int] = None
     optimal: Optional[bool] = None
-
-    @cached_property
-    def _degrees(self) -> Counter:
-        return Counter(chain.from_iterable(self.coloring.assignment))
-
-    @property
-    def n(self) -> int:
-        return len(self._degrees)
-
-    @property
-    def delta(self) -> int:
-        return max(self._degrees.values(), default=0)
-
-    def summary(self) -> dict:
-        return {
-            "colors_used": self.colors_used,
-            "chromatic_index": self.chromatic_index,
-            "optimal": self.optimal,
-            "advice_bits_read": self.advice_bits_read,
-            "m": self.m,
-            "n": self.n,
-            "delta": self.delta,
-            "d": self.d,
-            "mode": self.mode,
-        }
 
 
 class Referee:

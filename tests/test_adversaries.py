@@ -120,6 +120,8 @@ def test_rounds_to_extinction_values():
     assert rounds_to_extinction(16, 3) == 8
     assert rounds_to_extinction(256, 3) == 15
     assert rounds_to_extinction(0, 3) == 0
+    beta = pigeonhole_thresholds(7)[1]
+    assert beta > 2**53 and rounds_to_extinction(1, beta) == 1
 
 
 @pytest.mark.parametrize("delta", [2, 3, 4])

@@ -256,6 +256,14 @@ def test_adversary_elimination_variants(capsys):
     assert summary["all_dead"] is True
 
 
+def test_adversary_elimination_past_float_precision(capsys):
+    # beta(7) is above 2**53, where beta / (beta - 1) rounds to 1.0
+    code, stdout, _ = run_cli(capsys, "adversary", "elimination", "--delta", "7")
+    assert code == 0
+    summary = json.loads(stdout.splitlines()[-1])
+    assert (summary["rounds_played"], summary["m"]) == (1, 33_277)
+
+
 def test_adversary_elimination_zero_rounds_fails(capsys):
     code, stdout, _ = run_cli(
         capsys,

@@ -352,3 +352,43 @@ def test_cli_run_on_dense_bipartite_stream_is_pinned(
     assert main(["run", "bip.stream", *extra, "--coloring-out", colors]) == 0
     assert capsys.readouterr().out == stdout
     assert hashlib.sha256((tmp_path / colors).read_bytes()).hexdigest() == digest
+
+
+EMPTY_STREAM_SHA256 = "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"
+EMPTY_RUNS = [
+    # (extra argv, stdout): n 0 and delta 0 come from a stream with no edge ends
+    (
+        ["--mode", "robust", "--model", "request"],
+        '{"advice_bits_read": 0, "chromatic_index": 0, "colors_used": 0, "config": '
+        '{"algorithm": "advice", "budget": null, "command": "run", "d": null, "mode": "robust", '
+        '"model": "request", "stream": "empty.stream", "stream_sha256": '
+        f'"{EMPTY_STREAM_SHA256}"}}, "d": null, "delta": 0, "m": 0, "mode": "robust", '
+        '"n": 0, "optimal": true, "per_edge_bits": 0}\n',
+    ),
+    (
+        ["--mode", "strict", "--model", "tape"],
+        '{"advice_bits_read": 0, "chromatic_index": 0, "colors_used": 0, "config": '
+        '{"algorithm": "advice", "budget": null, "command": "run", "d": null, "mode": "strict", '
+        '"model": "tape", "stream": "empty.stream", "stream_sha256": '
+        f'"{EMPTY_STREAM_SHA256}"}}, "d": null, "delta": 0, "m": 0, "mode": "strict", '
+        '"n": 0, "optimal": true, "per_edge_bits": 0}\n',
+    ),
+    (
+        ["--alg", "greedy"],
+        '{"advice_bits_read": 0, "chromatic_index": null, "colors_used": 0, "config": '
+        '{"algorithm": "greedy", "budget": null, "command": "run", "d": null, "mode": null, '
+        '"model": null, "stream": "empty.stream", "stream_sha256": '
+        f'"{EMPTY_STREAM_SHA256}"}}, "d": null, "delta": 0, "m": 0, "mode": null, '
+        '"n": 0, "optimal": null, "per_edge_bits": 0}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "extra,stdout", EMPTY_RUNS, ids=["robust-request", "strict-tape", "greedy"]
+)
+def test_cli_run_on_empty_stream_is_pinned(tmp_path, monkeypatch, capsys, extra, stdout):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.stream").write_text(serialize_stream(stream_from_pairs([])))
+    assert main(["run", "empty.stream", *extra]) == 0
+    assert capsys.readouterr().out == stdout

@@ -143,6 +143,13 @@ def test_graph_counts():
     assert g.deg[0] == 3
 
 
+def test_adjacency_lists_neighbor_indices_in_edge_order():
+    # labels 2, 5, 7, 9 are indices 0..3; label 5 meets 9, 2, 7 in that order
+    g = graph([(5, 9), (2, 5), (7, 5), (9, 2)])
+    assert g.adj == [[1, 3], [3, 0, 2], [1], [1, 0]]
+    assert g.deg == [len(a) for a in g.adj] == [2, 3, 1, 2]
+
+
 def test_degeneracy_frozen_values():
     # K4 peels at 3; a star or any forest at 1; cycles at 2
     assert degeneracy(graph(complete_pairs(4)))[0] == 3

@@ -1,4 +1,10 @@
 import copy
+import gc
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stdout
 from itertools import count
 
 import pytest
@@ -25,6 +31,7 @@ from ecadvice import (
     bits_per_edge,
     build_advice,
     encode_tape,
+    gen_bipartite,
     gen_d_degenerate,
     gen_forest,
     gen_star,
@@ -34,11 +41,21 @@ from ecadvice import (
     pad_degeneracy,
     run_advice,
     run_greedy,
+    serialize_stream,
     simulate,
     unpack_record,
     verify_run,
 )
+from ecadvice.adversaries import (
+    elimination_game,
+    permutation_game,
+    pigeonhole_thresholds,
+    rigidity_check,
+    rounds_to_extinction,
+    variant_family,
+)
 from ecadvice.advice import ceil_log2, encode_int
+from ecadvice.cli import main
 from ecadvice.oracle import EdgeAdvice
 from ecadvice import runtime
 from ecadvice.runtime import DecodedStep, OnlineAlgorithm, Referee
@@ -174,16 +191,29 @@ def test_simulate_rejects_non_positive_color():
         simulate(stream([(0, 1), (2, 3)]), _Boolean())
 
 
-@given(random_pair_lists(max_vertices=12, max_edges=24), st.text("01", max_size=4))
-@example([], "")
-@settings(max_examples=60)
-def test_simulate_shape_matches_graph(pairs, bits):
-    # a report counts n and delta from its coloring's pairs, not from a Graph
+def run_json(s: EdgeStream, *argv: str) -> dict:
+    """The JSON line `ecadvice run` prints for the stream s."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.stream")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize_stream(s))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["run", path, *argv]) == 0
+    return json.loads(out.getvalue())
+
+
+@given(random_pair_lists(max_vertices=12, max_edges=24))
+@example([])
+@settings(max_examples=60, deadline=None)
+def test_simulate_shape_matches_graph(pairs):
+    # `ecadvice run` counts n and delta from the stream's edge ends, not
+    # from a Graph
     s = stream(pairs)
     g = Graph.from_stream(s)
-    for alg in (Greedy(), GreedyVariant(bits)):
-        r = simulate(s, alg)
-        assert (r.n, r.m, r.delta) == (g.n, g.m, g.max_degree)
+    for argv in (["--alg", "greedy"], ["--mode", "strict", "--model", "tape"]):
+        out = run_json(s, *argv)
+        assert (out["n"], out["m"], out["delta"]) == (g.n, g.m, g.max_degree)
 
 
 def test_simulate_rejects_recoloring():
@@ -488,8 +518,9 @@ def test_advice_algorithm_requires_source():
 
 
 def test_report_summary_keys():
-    run = run_advice(gen_star(2), 1)
-    assert set(run.report.summary()) == {
+    assert set(run_json(gen_star(2), "--d", "1")) == {
+        "config",
+        "per_edge_bits",
         "colors_used",
         "chromatic_index",
         "optimal",
@@ -780,3 +811,52 @@ def test_codec_runs_once_per_distinct_record(case, mode, model):
         f = unpack_record(b, oracle.d, mode)
         decoded.append((i, f.mode_flag, f.rank if f.mode_flag else None, f.color))
     assert [(x.arrival, x.mode, x.rank, x.color) for x in run.algorithm.decoded] == decoded
+
+
+def unreachable_after(call) -> int:
+    """What gc.collect() finds after call() with the collector paused; the
+    collector's state is restored even when call raises."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        kept = call()  # noqa: F841 - held, so only garbage is counted
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+GC_STREAMS = {
+    "forest": gen_forest(300, 1),
+    "d3": gen_d_degenerate(60, 3, 1),
+    "bipartite-dense": gen_bipartite(20, 20, 0.5, 1),
+    "star": gen_star(50),
+    "empty": stream([]),
+}
+
+
+@pytest.mark.parametrize("name", GC_STREAMS)
+def test_pipeline_leaves_no_cyclic_garbage(name):
+    # pausing the collector over a run is safe only if a run makes no
+    # reference cycles for it to find
+    s = GC_STREAMS[name]
+    for mode in ("robust", "strict"):
+        for model in ("request", "tape"):
+            def advice_run():
+                run = run_advice(s, mode=mode, model=model)
+                return run, verify_run(run)
+
+            assert unreachable_after(advice_run) == 0, (mode, model)
+    assert unreachable_after(lambda: run_greedy(s)) == 0
+
+
+def test_adversary_games_leave_no_cyclic_garbage():
+    beta = pigeonhole_thresholds(3)[1]
+    calls = [
+        lambda: elimination_game(3, variant_family(3), rounds_to_extinction(8, beta)),
+        lambda: permutation_game(8, Greedy),
+        lambda: permutation_game(8, Greedy, final_run=lambda s: run_advice(s).report),
+        lambda: rigidity_check(24, budget=0),
+    ]
+    assert [unreachable_after(call) for call in calls] == [0, 0, 0, 0]

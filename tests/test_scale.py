@@ -3,8 +3,9 @@
 Every instance has max degree >= 2d, so it is class 1 and the optimum is
 the max degree itself.  Each runs with a node budget of 0: a single exact
 search node would raise ResourceLimit, so these runs pin that the oracle
-reaches every coloring (konig_color or color_degenerate, on the whole graph
-and on the bundles' union) without search.  The three small d=2 and d=3
+reaches every coloring without search: konig_color, or the adjacency-lemma
+peel of color_degenerate, once on the whole graph and once on the bundles'
+union.  The three small d=2 and d=3
 instances are the ones whose per-bundle search used to exhaust a 500k-node
 budget, and the 5-degenerate one with 49,985 edges pins that the
 constructive coloring stays near-linear.  The 20000-vertex forest pins that
