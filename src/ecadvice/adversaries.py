@@ -139,11 +139,21 @@ def elimination_game(
 
 
 def rounds_to_extinction(family_size: int, beta: int) -> int:
-    """Rounds guaranteed to empty a family under the per-round decay."""
+    """Rounds guaranteed to empty a family under the per-round decay.
+
+    Raises PreconditionViolated where floats cannot hold the count: 1/beta
+    underflows to 0 once beta reaches 2**1075 (delta >= 25), and with
+    two or more members the count passes the float range at delta = 24.
+    """
     if family_size < 1:
         return 0
     # log(beta / (beta - 1)) rounds to log(1.0) = 0 once beta passes 2**53
-    return ceil(log(family_size) / -log1p(-1 / beta)) + 1
+    try:
+        return ceil(log(family_size) / -log1p(-1 / beta)) + 1
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise PreconditionViolated(
+            f"no float round count for a family of {family_size} at a beta of {beta.bit_length()} bits"
+        ) from exc
 
 
 @dataclass

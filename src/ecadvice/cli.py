@@ -8,6 +8,7 @@ checked property failed, 2 usage or input errors, 3 search budget blown.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -255,7 +256,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if not failures else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared, so no
+    caller may change it."""
     parser = argparse.ArgumentParser(prog="ecadvice", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -272,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--pi", type=str, default=None, help="comma-separated permutation")
     gen.add_argument("-o", "--out", type=str, default=None)
-    gen.set_defaults(func=cmd_gen)
 
     run = sub.add_parser("run", help="run an online algorithm on a stream")
     run.add_argument("stream")
@@ -282,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--d", type=int, default=None)
     run.add_argument("--budget", type=int, default=None)
     run.add_argument("--coloring-out", type=str, default=None)
-    run.set_defaults(func=cmd_run)
 
     adv = sub.add_parser("adversary", help="play a lower-bound game")
     adv.add_argument("game", choices=["elimination", "permutation"])
@@ -293,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     adv.add_argument("--mode", choices=["robust", "strict"], default="robust")
     adv.add_argument("--oracle", action="store_true",
                      help="recompute records for the completed instance")
-    adv.set_defaults(func=cmd_adversary)
 
     chk = sub.add_parser("check", help="verify structural properties")
     chk.add_argument("what", choices=["rigidity", "invariants"])
@@ -305,15 +306,18 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--mode", choices=["robust", "strict"], default="robust")
     chk.add_argument("--model", choices=["request", "tape"], default="request")
     chk.add_argument("--budget", type=int, default=None)
-    chk.set_defaults(func=cmd_check)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, not bound into the cached parser, so a cmd_*
+    # rebound in this module takes effect
+    command = {
+        "gen": cmd_gen, "run": cmd_run, "adversary": cmd_adversary, "check": cmd_check,
+    }[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ResourceLimit as exc:
         _note(f"resource limit: {exc}")
         return 3

@@ -66,21 +66,23 @@ class EdgeStream:
 
 def stream_from_pairs(pairs: Iterable[tuple[int, int]]) -> EdgeStream:
     """Build a stream from ordered (u, v) pairs, assigning arrival indices."""
-    edges = []
-    seen: set[Pair] = set()
-    for i, (u, v) in enumerate(pairs):
-        if u == v:
-            raise SelfLoop(f"edge {i} joins {u} to itself")
-        key = edge_pair(u, v)
-        if key in seen:
-            raise DuplicateEdge(f"edge {i} repeats pair {key}")
-        seen.add(key)
-        edges.append(Edge(u, v, i))
-    return EdgeStream(tuple(edges))
+    pairs = list(pairs)
+    return _stream_from_columns([u for u, _ in pairs], [v for _, v in pairs])
+
+
+def _stream_from_columns(us: Sequence[int], vs: Sequence[int]) -> EdgeStream:
+    """The stream whose edge i is (us[i], vs[i]), checked for loops and
+    repeats the way Graph checks its edges."""
+    edges = tuple(map(Edge, us, vs, range(len(us))))
+    _require_simple(edges, us, vs)
+    return EdgeStream(edges)
 
 
 # the line breaks of str.splitlines that are ASCII
 _ASCII_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e]")
+# the comment-free text serialize_stream writes: two digit runs a line, each
+# line ended by "\n"
+_PLAIN = re.compile(r"(?:[0-9]+[ \t]+[0-9]+\n)*")
 
 
 def parse_stream(text: str) -> EdgeStream:
@@ -89,7 +91,18 @@ def parse_stream(text: str) -> EdgeStream:
     Lines break only at ASCII line breaks, and outside comments a line is
     ASCII: a non-ASCII space or digit is a ParseError, not a separator or a
     label.
+
+    Plain text, as serialize_stream writes it without comments, is read in
+    bulk; anything else, and a label too long for int(), goes through the
+    line loop, which alone writes the ParseErrors.
     """
+    if _PLAIN.fullmatch(text):
+        try:
+            labels = list(map(int, text.split()))
+        except ValueError:  # more digits than int() converts: the loop names the line
+            pass
+        else:
+            return _stream_from_columns(labels[0::2], labels[1::2])
     pairs = []
     for lineno, raw in enumerate(_ASCII_BREAK.split(text), start=1):
         line = raw.split("#", 1)[0]
@@ -141,9 +154,7 @@ class Graph:
         at = dict(zip(self.vertices, range(n))).__getitem__
         iu, iv = list(map(at, us)), list(map(at, vs))
         self.uv: list[tuple[int, int]] = list(zip(iu, iv))
-        seen = set(self.uv)
-        if len(seen) < len(iu) or not seen.isdisjoint(zip(iv, iu)):
-            _reject(self.edges)  # a repeat, reversed or not; a loop is its own reverse
+        _require_simple(self.edges, iu, iv)
         adj: list[list[int]] = [[] for _ in range(n)]
         for a, b in self.uv:
             adj[a].append(b)
@@ -219,6 +230,15 @@ class Coloring:
 
     def __repr__(self) -> str:
         return f"Coloring(assignment={self.assignment!r})"
+
+
+def _require_simple(edges: Sequence[Edge], us: Sequence[int], vs: Sequence[int]) -> None:
+    """Raise as _reject does if edges, whose ends are (us[i], vs[i]) by
+    label or by index, hold a loop or a repeated pair; one set check finds
+    out whether they do."""
+    seen = set(zip(us, vs))
+    if len(seen) < len(us) or not seen.isdisjoint(zip(vs, us)):
+        _reject(edges)  # a repeat, reversed or not; a loop is its own reverse
 
 
 def _reject(edges: Sequence[Edge]) -> None:

@@ -124,6 +124,14 @@ def test_rounds_to_extinction_values():
     assert beta > 2**53 and rounds_to_extinction(1, beta) == 1
 
 
+@pytest.mark.parametrize("delta,family_size", [(25, 1), (25, 2), (24, 2), (40, 8)])
+def test_rounds_to_extinction_refuses_past_float_range(delta, family_size):
+    # 1/beta underflows to 0.0 from delta 25 on; at delta 24 the count for
+    # two or more members is past the float range
+    with pytest.raises(PreconditionViolated):
+        rounds_to_extinction(family_size, pigeonhole_thresholds(delta)[1])
+
+
 @pytest.mark.parametrize("delta", [2, 3, 4])
 def test_permutation_instance_shape(delta):
     inst = build_permutation_instance(delta)

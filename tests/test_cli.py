@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecadvice import Graph, parse_stream, run_advice
+from ecadvice import cli
 from ecadvice.cli import main
 
 from .conftest import cycle_pairs, stream
@@ -264,6 +265,16 @@ def test_adversary_elimination_past_float_precision(capsys):
     assert (summary["rounds_played"], summary["m"]) == (1, 33_277)
 
 
+@pytest.mark.parametrize("argv", [["--delta", "25"], ["--delta", "24", "--family", "variants:1"]])
+def test_adversary_elimination_past_float_range_is_usage_error(capsys, argv):
+    # 1/beta(25) underflows to 0.0, and beta(24) puts two members' round
+    # count past the float range: refused before any game starts
+    code, stdout, stderr = run_cli(capsys, "adversary", "elimination", *argv)
+    assert code == 2
+    assert stdout == ""
+    assert "PreconditionViolated" in stderr
+
+
 def test_adversary_elimination_zero_rounds_fails(capsys):
     code, stdout, _ = run_cli(
         capsys,
@@ -376,6 +387,29 @@ def test_check_invariants_forest(capsys):
     )
     assert code == 0
     assert json.loads(stdout)["passed"] is True
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_main_dispatches_to_the_current_cmd_run(tmp_path, capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_run", lambda args: seen.append(args.stream) or 0)
+    path = write_stream(tmp_path, cycle_pairs(4))
+    code, stdout, _ = run_cli(capsys, "run", path)
+    assert (code, stdout, seen) == (0, "", [path])
+
+
+def test_consecutive_runs_print_their_own_config(tmp_path, capsys):
+    # the cached parser carries nothing from one call into the next
+    path = write_stream(tmp_path, cycle_pairs(4))
+    configs = []
+    for argv in (["--mode", "strict", "--d", "2"], ["--mode", "robust"]):
+        code, stdout, _ = run_cli(capsys, "run", path, *argv)
+        assert code == 0
+        configs.append(json.loads(stdout)["config"])
+    assert [(c["mode"], c["d"]) for c in configs] == [("strict", 2), ("robust", None)]
 
 
 def test_module_entry_point():
