@@ -1,6 +1,8 @@
 """Online edge coloring of d-degenerate graphs with per-edge advice."""
 
 from .advice import (
+    RequestSource,
+    TapeSource,
     bits_per_edge,
     ceil_log2,
     degeneracy_from_length,
@@ -73,8 +75,6 @@ from .runtime import (
     AdviceAlgorithm,
     Greedy,
     GreedyVariant,
-    RequestSource,
-    TapeSource,
     run_advice,
     run_greedy,
     simulate,

@@ -20,6 +20,10 @@ from .generators import build_coupled_pair, coupler_edges
 from .graphs import Edge, EdgeStream, Graph, Pair, stream_from_pairs
 from .runtime import GreedyVariant, OnlineAlgorithm, Referee, RunReport, simulate
 
+# the most star edges the elimination game reveals before round 1 (delta 10
+# with one member reveals 3,938,229); more would take minutes and gigabytes
+MAX_STAR_EDGES = 4_000_000
+
 
 def pigeonhole_thresholds(delta: int) -> tuple[int, int]:
     """(alpha, beta): alpha stars force delta identically colored ones under
@@ -77,11 +81,14 @@ def elimination_game(
     Per round, at least ceil(alive/beta) members pick the same star family
     and are forced over the threshold, so alive counts shrink by at least
     that much; the game stops early once nobody survives.  The revealed
-    graph stays a forest with max degree delta.
+    graph stays a forest with max degree delta.  Star rows of more than
+    MAX_STAR_EDGES edges are refused before anything is revealed.
     """
     alpha, beta = pigeonhole_thresholds(delta)
     if rounds < 0:
         raise PreconditionViolated(f"round count {rounds} is negative")
+    if rounds * alpha * (delta - 1) > MAX_STAR_EDGES:
+        raise PreconditionViolated(f"{rounds * alpha} stars hold over {MAX_STAR_EDGES} edges")
     referees = [Referee() for _ in family]
     # every member, dead or alive, sees every edge
     observers = [(alg.step, ref.record) for alg, ref in zip(family, referees)]

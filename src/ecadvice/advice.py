@@ -1,21 +1,24 @@
-"""Advice record layout and the self-delimiting tape codec.
+"""Advice record layout, the self-delimiting tape codec, and the sources.
 
 A record carries, per edge: a mode flag, optionally a front flag (robust
 layout only), a color field of ceil(log2(2d)) bits storing color-1, and a
 rank field of ceil(log2(d+1)) bits.  Fields are big-endian, filler bits
-zero.  Records are strings of '0'/'1' so dumps stay greppable.
+zero.  A record is a string of '0'/'1', so dumps stay greppable.
 
 A record is an immutable value, and a record length admits at most
 2**bits_per_edge distinct records however many edges there are, so the
 oracle packs, and the consumer parses, each distinct record once per run
 and reuses the result for every edge that carries it.
+
+A source frames the records for the consumer: `open(mode)` gives d, from the
+first record's length (`RequestSource`) or the header (`TapeSource`), and
+`next_record()` one record per edge, metered in `bits_read`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import MalformedAdvice, MalformedTape, PreconditionViolated
+from .errors import AdviceExhausted, MalformedAdvice, MalformedTape, PreconditionViolated
 
 
 def ceil_log2(x: int) -> int:
@@ -113,12 +116,15 @@ class RecordFields(NamedTuple):
     rank: int               # 0..d for subset records, filler 0 otherwise
 
 
-@dataclass(frozen=True)
-class AdviceRecord:
-    bits: str
+class AdviceRecord(str):
+    """One packed record: the string of its bits."""
 
-    def __len__(self) -> int:
-        return len(self.bits)
+    __slots__ = ()
+
+    @property
+    def bits(self) -> str:
+        """str(self), kept only as the benchmark builds AdviceRecord(...) and reads .bits."""
+        return str(self)
 
 
 def _flag(name: str, value: int) -> str:
@@ -224,11 +230,83 @@ def read_header(bits: str, pos: int = 0) -> tuple[int, int]:
     return d, pos + width
 
 
-def encode_tape(records: Iterable[AdviceRecord], d: int) -> str:
+def encode_tape(records: Iterable[str], d: int) -> str:
     """The tape's bit string: the header for d, then the records in
     arrival order."""
-    return encode_header(d) + "".join(r.bits for r in records)
+    return encode_header(d) + "".join(records)
 
 
 def header_bits(d: int) -> int:
     return 2 * ceil_log2(d) + 1
+
+
+class RequestSource:
+    """Hands out one whole record per edge; bits are counted as delivered."""
+
+    model = "request"
+
+    def __init__(self, records: Iterable[str]):
+        self._records = list(records)
+        self._next = 0
+        self.bits_read = 0
+
+    def open(self, mode: str) -> int:
+        """d, from the length of the next record, which stays unread."""
+        if self._next >= len(self._records):
+            raise AdviceExhausted(f"no record for edge {self._next}")
+        return degeneracy_from_length(len(self._records[self._next]), mode)
+
+    def next_record(self) -> str:
+        if self._next >= len(self._records):
+            raise AdviceExhausted(f"no record for edge {self._next}")
+        bits = self._records[self._next]
+        self._next += 1
+        self.bits_read += len(bits)
+        return bits
+
+    def finish(self) -> None:
+        """Raise when records are left over after the last edge."""
+        left = len(self._records) - self._next
+        if left:
+            raise MalformedAdvice(f"{left} records left unread after the last edge")
+
+
+class TapeSource:
+    """Cursor over a single bit string; reads past the end raise."""
+
+    model = "tape"
+
+    def __init__(self, tape: str):
+        self._bits = tape
+        self._pos = 0
+        self._length = 0
+        self.bits_read = 0
+
+    def read(self, k: int) -> str:
+        if self._pos + k > len(self._bits):
+            raise AdviceExhausted(f"requested {k} bits at {self._pos} of {len(self._bits)}")
+        out = self._bits[self._pos : self._pos + k]
+        self._pos += k
+        self.bits_read += k
+        return out
+
+    def open(self, mode: str) -> int:
+        """d, from the header, read and metered; it fixes the record length."""
+        d, pos = read_header(self._bits, self._pos)
+        self.bits_read += pos - self._pos
+        self._pos = pos
+        self._length = bits_per_edge(d, mode)
+        return d
+
+    def next_record(self) -> str:
+        return self.read(self._length)
+
+    def finish(self) -> None:
+        """Raise when bits are left over after the last edge: a tape one bit
+        too long otherwise decodes, shifted, into some other coloring.  An
+        empty stream reads nothing, and its tape may hold one header."""
+        if not self._pos and self._bits:
+            self._pos = read_header(self._bits)[1]  # not metered
+        left = len(self._bits) - self._pos
+        if left:
+            raise MalformedTape(f"{left} bits left unread after the last edge")

@@ -352,18 +352,5 @@ def is_proper(g: Graph, coloring) -> bool:
 
 
 def is_forest(g: Graph) -> bool:
-    """Acyclicity via union-find over the edge list."""
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.uv:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    """A graph is a forest exactly when its degeneracy is at most 1."""
+    return degeneracy(g)[0] <= 1

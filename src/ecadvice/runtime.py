@@ -1,100 +1,37 @@
-"""Online algorithms, advice sources, and the stream simulator.
+"""Online algorithms and the stream simulator.
 
 The simulator owns the coloring: an algorithm only ever returns a color
 for the edge just revealed, properness is re-checked after every step, and
-advice consumption is metered by the source.
+advice consumption is metered by the source.  The advice sources live in
+`advice`, which frames the records, and are re-exported here.
 """
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .advice import (
-    AdviceRecord,
     RecordFields,
+    RequestSource,
+    TapeSource,
     bits_per_edge,
-    degeneracy_from_length,
     encode_tape,
     header_bits,
-    read_header,
     unpack_record,
 )
 from .coloring import Coloring, exact_color, node_budget
 from .errors import (
     AdviceExhausted,
     ImproperColoring,
-    MalformedAdvice,
-    MalformedTape,
     PreconditionViolated,
     RecoloringAttempt,
     SelfLoop,
 )
 from .graphs import Edge, EdgeStream, Graph, Pair, is_proper
 from .oracle import OracleResult, build_advice
-
-
-class RequestSource:
-    """Hands out one whole record per edge; bits are counted as delivered."""
-
-    model = "request"
-
-    def __init__(self, records: Iterable[AdviceRecord | str]):
-        self._records = [r.bits if isinstance(r, AdviceRecord) else r for r in records]
-        self._next = 0
-        self.bits_read = 0
-
-    def next_record(self) -> str:
-        if self._next >= len(self._records):
-            raise AdviceExhausted(f"no record for edge {self._next}")
-        bits = self._records[self._next]
-        self._next += 1
-        self.bits_read += len(bits)
-        return bits
-
-    def finish(self) -> None:
-        """Raise when records are left over after the last edge."""
-        left = len(self._records) - self._next
-        if left:
-            raise MalformedAdvice(f"{left} records left unread after the last edge")
-
-
-class TapeSource:
-    """Cursor over a single bit string; reads past the end raise."""
-
-    model = "tape"
-
-    def __init__(self, tape: str):
-        self._bits = tape
-        self._pos = 0
-        self.bits_read = 0
-
-    def read(self, k: int) -> str:
-        if self._pos + k > len(self._bits):
-            raise AdviceExhausted(
-                f"requested {k} bits at {self._pos} of {len(self._bits)}"
-            )
-        out = self._bits[self._pos : self._pos + k]
-        self._pos += k
-        self.bits_read += k
-        return out
-
-    def read_degeneracy(self) -> int:
-        d, pos = read_header(self._bits, self._pos)
-        self.bits_read += pos - self._pos
-        self._pos = pos
-        return d
-
-    def finish(self) -> None:
-        """Raise when bits are left over after the last edge: a tape one bit
-        too long otherwise decodes, shifted, into some other coloring.  An
-        empty stream reads nothing, and its tape may hold one header."""
-        if not self._pos and self._bits:
-            self._pos = read_header(self._bits)[1]  # not metered
-        left = len(self._bits) - self._pos
-        if left:
-            raise MalformedTape(f"{left} bits left unread after the last edge")
 
 
 class OnlineAlgorithm:
@@ -174,12 +111,12 @@ _new = tuple.__new__
 class AdviceAlgorithm(OnlineAlgorithm):
     """Consumes one record per edge and reproduces the oracle's coloring.
 
-    The degeneracy bound is never given out of band: in the request model
-    it is recovered from the record length, in the tape model from the
-    self-delimiting header.  Subset routing rebuilds the eligible-index set
-    from per-vertex counters over previously arrived subset edges, then the
-    rank picks the target; this matches the oracle because both only look
-    at earlier arrivals around the front endpoint.
+    The degeneracy bound is never given out of band: the first step takes
+    it from `advice.open(mode)`, and every step reads one record with
+    `advice.next_record()`.  Subset routing counts each vertex's earlier
+    subset edges per subset; the rank picks the target among the subsets
+    not yet full (2d edges) at the front endpoint.  This matches the oracle
+    because both only look at earlier arrivals around the front endpoint.
     """
 
     def __init__(self, mode: str = "robust"):
@@ -189,6 +126,9 @@ class AdviceAlgorithm(OnlineAlgorithm):
         self.d: Optional[int] = None
         self.record_length: Optional[int] = None
         self._counts: dict[int, dict[int, int]] = {}
+        # vertex -> ascending subsets holding 2d edges there; counts only
+        # rise, so a subset listed once stays listed
+        self._full: dict[int, list[int]] = {}
         # provisional color -> final color, numbered in order of first
         # appearance; a literal record's provisional color is -color, a
         # subset record's (subset - 1) * 2d + color
@@ -198,35 +138,22 @@ class AdviceAlgorithm(OnlineAlgorithm):
         self._fields: dict[str, RecordFields] = {}
         self.decoded: list[DecodedStep] = []
 
-    def _fetch(self, advice) -> str:
-        if advice is None:
-            raise AdviceExhausted("advice source required")
-        if advice.model == "request":
-            bits = advice.next_record()
-            if self.d is None:
-                self.d = degeneracy_from_length(len(bits), self.mode)
-                self.record_length = len(bits)
-            return bits
-        if self.d is None:
-            self.d = advice.read_degeneracy()
-            self.record_length = bits_per_edge(self.d, self.mode)
-        return advice.read(self.record_length)
-
     def _locate_subset(self, front: int, rank: int) -> int:
-        counts = self._counts.get(front)
-        if counts is None:
-            return rank + 1  # every subset is open at a vertex not seen yet
-        cap = 2 * self.d - 1
-        j, seen = 1, 0
-        while True:
-            if counts.get(j, 0) <= cap:
-                if seen == rank:
-                    return j
-                seen += 1
+        """The (rank+1)-th subset not full at front, in O(full subsets there)."""
+        j = rank + 1
+        for full in self._full.get(front, ()):
+            if full > j:
+                break
             j += 1
+        return j
 
     def step(self, edge: Edge, advice) -> int:
-        bits = self._fetch(advice)
+        if advice is None:
+            raise AdviceExhausted("advice source required")
+        if self.d is None:
+            self.d = advice.open(self.mode)
+            self.record_length = bits_per_edge(self.d, self.mode)
+        bits = advice.next_record()
         fields = self._fields.get(bits)
         if fields is None:
             fields = self._fields[bits] = unpack_record(bits, self.d, self.mode)
@@ -243,14 +170,16 @@ class AdviceAlgorithm(OnlineAlgorithm):
             else:
                 front = v if u < v else u
             subset = self._locate_subset(front, rank)
-            counts = self._counts
+            counts, cap = self._counts, 2 * self.d
             for w in (u, v):
                 per = counts.get(w)
                 if per is None:
                     counts[w] = {subset: 1}
                 else:
-                    per[subset] = per.get(subset, 0) + 1
-            provisional = (subset - 1) * 2 * self.d + color
+                    n = per[subset] = per.get(subset, 0) + 1
+                    if n == cap:
+                        insort(self._full.setdefault(w, []), subset)
+            provisional = (subset - 1) * cap + color
             self.decoded.append(_new(DecodedStep, (edge.arrival, 1, subset, rank, color)))
         rename = self._rename
         final = rename.get(provisional)
@@ -410,10 +339,8 @@ def run_advice(
     if model not in ("request", "tape"):
         raise PreconditionViolated(f"unknown advice model {model!r}")
     oracle = build_advice(stream, d, mode=mode, budget=budget)
-    if model == "request":
-        source: RequestSource | TapeSource = RequestSource(oracle.records)
-    else:
-        source = TapeSource(encode_tape(oracle.records, oracle.d))
+    source = (RequestSource(oracle.records) if model == "request"
+              else TapeSource(encode_tape(oracle.records, oracle.d)))
     alg = AdviceAlgorithm(mode)
     report = simulate(oracle.stream, alg, source)
     report.chromatic_index = oracle.chromatic_index

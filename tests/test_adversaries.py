@@ -275,6 +275,28 @@ def test_elimination_rejects_misbehaving_member(color):
         elimination_game(2, [Greedy(), _Constant(color)], 1)
 
 
+class _Exploding(OnlineAlgorithm):
+    def step(self, edge, advice=None):
+        raise AssertionError(f"edge {edge.arrival} was revealed")
+
+
+@pytest.mark.parametrize("delta, size", [(11, 1), (4, 4)])
+def test_elimination_refuses_oversized_star_rows(delta, size):
+    # delta 11 with one member, and delta 4 with four, would reveal 18 M
+    # and 132 M star edges before round 1: refused before any is revealed
+    rounds = rounds_to_extinction(size, pigeonhole_thresholds(delta)[1])
+    with pytest.raises(PreconditionViolated):
+        elimination_game(delta, [_Exploding() for _ in range(size)], rounds)
+
+
+def test_elimination_plays_the_largest_fitting_game():
+    # delta 10's 3,938,229 star edges fit under the limit: the game starts
+    rounds = rounds_to_extinction(1, pigeonhole_thresholds(10)[1])
+    assert rounds * pigeonhole_thresholds(10)[0] * 9 <= adversaries.MAX_STAR_EDGES
+    with pytest.raises(AssertionError, match="edge 0 was revealed"):
+        elimination_game(10, [_Exploding()], rounds)
+
+
 def test_permutation_forced_verdict_consistency():
     # chromatic index of the completed instance stays delta, so "forced"
     # really is suboptimality, not an artifact of the instance

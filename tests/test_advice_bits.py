@@ -177,6 +177,14 @@ def test_pack_rejects_fields_unpack_rejects(d, mode_flag, color, rank):
         pack_record(d, "strict", mode_flag, color, rank)
 
 
+def test_record_is_its_string():
+    rec = pack_record(3, "strict", 1, 2, 3)
+    assert isinstance(rec, str)
+    assert rec == "100111" and rec.bits == "100111"
+    assert "".join([rec, rec]) == "100111" * 2
+    assert encode_tape([rec], 3) == encode_header(3) + "100111"
+
+
 def test_unpack_rejects_bad_length():
     rec = pack_record(3, "strict", 0, 1, 0)
     with pytest.raises(MalformedAdvice):

@@ -275,6 +275,22 @@ def test_adversary_elimination_past_float_range_is_usage_error(capsys, argv):
     assert "PreconditionViolated" in stderr
 
 
+class _Exploding:
+    def step(self, edge, advice=None):
+        raise AssertionError(f"edge {edge.arrival} was revealed")
+
+
+@pytest.mark.parametrize("argv", [["--delta", "11"], ["--delta", "4", "--family", "variants:2"]])
+def test_adversary_elimination_oversized_game_is_usage_error(capsys, monkeypatch, argv):
+    # their star rows hold 18 M and 132 M edges: refused before any is revealed
+    monkeypatch.setattr(cli, "Greedy", _Exploding)
+    monkeypatch.setattr(cli, "variant_family", lambda k: [_Exploding() for _ in range(2**k)])
+    code, stdout, stderr = run_cli(capsys, "adversary", "elimination", *argv)
+    assert code == 2
+    assert stdout == ""
+    assert "PreconditionViolated" in stderr
+
+
 def test_adversary_elimination_zero_rounds_fails(capsys):
     code, stdout, _ = run_cli(
         capsys,
@@ -453,8 +469,8 @@ _STREAM_TEXT = st.one_of(
 def _argvs(draw):
     """Every subcommand with option values drawn at bounded sizes.
 
-    `adversary elimination --delta 4 --family variants:2` plays 723,445
-    rounds and takes minutes, so elimination stays at Δ <= 3 with families
+    `adversary elimination --delta 10` fits under the game's size limit but
+    takes most of a minute, so elimination stays at Δ <= 3 with families
     of at most 2^3.
     """
     opt = lambda flag, values: [flag, draw(values)] if draw(st.booleans()) else []  # noqa: E731

@@ -304,6 +304,31 @@ def test_is_proper_accepts_and_rejects():
     assert is_proper(g, {(0, 1): 1})
 
 
+def _union_find_forest(pairs) -> bool:
+    """Acyclicity the plain way: an edge whose ends are already joined
+    closes a cycle."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for u, v in pairs:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
 def test_is_forest():
     assert is_forest(graph(path_pairs(5)))
     assert not is_forest(graph(cycle_pairs(4)))
+    assert is_forest(graph([]))
+
+
+@given(random_pair_lists())
+@settings(max_examples=200, deadline=None)
+def test_is_forest_agrees_with_union_find(pairs):
+    assert is_forest(graph(pairs)) == _union_find_forest(pairs)

@@ -54,7 +54,8 @@ from ecadvice.adversaries import (
     rounds_to_extinction,
     variant_family,
 )
-from ecadvice.advice import ceil_log2, encode_int
+from ecadvice import advice
+from ecadvice.advice import ceil_log2, degeneracy_from_length, encode_int
 from ecadvice.cli import main
 from ecadvice.oracle import EdgeAdvice
 from ecadvice import runtime
@@ -323,9 +324,35 @@ def test_tape_source_meters_and_exhausts():
 
 def test_tape_source_reads_header():
     src = TapeSource("1110101" + "11")
-    assert src.read_degeneracy() == 5
+    assert src.open("strict") == 5
     assert src.bits_read == 7
     assert src.read(2) == "11"
+
+
+def test_request_source_open_meters_nothing():
+    src = RequestSource(["011010", "111000"])  # six strict bits: d = 3
+    assert src.open("strict") == 3
+    assert src.bits_read == 0
+    assert src.next_record() == "011010"
+    with pytest.raises(AdviceExhausted, match="no record for edge 0"):
+        RequestSource([]).open("strict")
+
+
+@pytest.mark.parametrize("mode", ["strict", "robust"])
+def test_tape_source_next_record_reads_one_record_length(mode):
+    d = 5
+    per = bits_per_edge(d, mode)
+    src = TapeSource(encode_tape([], d) + "1" * per + "0" * per)
+    assert src.open(mode) == d
+    assert src.next_record() == "1" * per
+    assert src.next_record() == "0" * per
+    assert src.bits_read == header_bits(d) + 2 * per
+    src.finish()
+
+
+def test_sources_are_defined_in_advice():
+    assert runtime.RequestSource is advice.RequestSource
+    assert runtime.TapeSource is advice.TapeSource
 
 
 @pytest.mark.parametrize("mode", ["robust", "strict"])
@@ -503,6 +530,20 @@ def test_empty_stream_reads_no_advice():
         simulate(EdgeStream(()), AdviceAlgorithm(), RequestSource(["010"]))
     with pytest.raises(MalformedTape):
         simulate(EdgeStream(()), AdviceAlgorithm(), TapeSource("0111000"))
+
+
+@pytest.mark.parametrize("length", [44, 100, 200])
+@pytest.mark.parametrize("model", ["request", "tape"])
+def test_large_claimed_rank_fails_fast(length, model):
+    # two subset records at rank d on edges sharing the front endpoint 0:
+    # both land in subset d + 1 with color 1, so the second edge clashes;
+    # finding subset d + 1 costs nothing, however large d is
+    d = degeneracy_from_length(length, "strict")
+    records = [pack_record(d, "strict", 1, 1, d)] * 2
+    assert len(records[0]) == length
+    src = RequestSource(records) if model == "request" else TapeSource(encode_tape(records, d))
+    with pytest.raises(ImproperColoring):
+        simulate(stream([(0, 1), (0, 2)]), AdviceAlgorithm("strict"), src)
 
 
 def test_corrupt_record_raises_malformed():
