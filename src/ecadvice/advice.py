@@ -282,14 +282,6 @@ class TapeSource:
         self._length = 0
         self.bits_read = 0
 
-    def read(self, k: int) -> str:
-        if self._pos + k > len(self._bits):
-            raise AdviceExhausted(f"requested {k} bits at {self._pos} of {len(self._bits)}")
-        out = self._bits[self._pos : self._pos + k]
-        self._pos += k
-        self.bits_read += k
-        return out
-
     def open(self, mode: str) -> int:
         """d, from the header, read and metered; it fixes the record length."""
         d, pos = read_header(self._bits, self._pos)
@@ -299,7 +291,13 @@ class TapeSource:
         return d
 
     def next_record(self) -> str:
-        return self.read(self._length)
+        pos, k = self._pos, self._length
+        end = pos + k
+        if end > len(self._bits):
+            raise AdviceExhausted(f"requested {k} bits at {pos} of {len(self._bits)}")
+        self._pos = end
+        self.bits_read += k
+        return self._bits[pos:end]
 
     def finish(self) -> None:
         """Raise when bits are left over after the last edge: a tape one bit

@@ -7,7 +7,7 @@ advice consumption is metered by the source.  The advice sources live in
 """
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -117,6 +117,14 @@ class AdviceAlgorithm(OnlineAlgorithm):
     subset edges per subset; the rank picks the target among the subsets
     not yet full (2d edges) at the front endpoint.  This matches the oracle
     because both only look at earlier arrivals around the front endpoint.
+
+    A vertex's full subsets are kept as ascending runs of consecutive
+    indices, so the lookup costs one step per run below the target, not
+    one per full subset: at a hub that is the front of all its edges, every
+    subset but the few pinned open by late edges sits in one run, and an
+    edge there costs the same whatever the hub's degree.  A literal record
+    is decoded once, on its first edge; later edges that carry it cost one
+    dict lookup.
     """
 
     def __init__(self, mode: str = "robust"):
@@ -126,26 +134,33 @@ class AdviceAlgorithm(OnlineAlgorithm):
         self.d: Optional[int] = None
         self.record_length: Optional[int] = None
         self._counts: dict[int, dict[int, int]] = {}
-        # vertex -> ascending subsets holding 2d edges there; counts only
-        # rise, so a subset listed once stays listed
-        self._full: dict[int, list[int]] = {}
+        # vertex -> its full subsets as ascending runs [first, last], none
+        # adjacent to the next; counts only rise, so a full subset stays in
+        # its run
+        self._runs: dict[int, list[list[int]]] = {}
         # provisional color -> final color, numbered in order of first
         # appearance; a literal record's provisional color is -color, a
         # subset record's (subset - 1) * 2d + color
         self._rename: dict[int, int] = {}
-        # record bits -> parsed fields; d and mode are fixed once the first
-        # record is read, and a record that fails to parse is never stored
-        self._fields: dict[str, RecordFields] = {}
+        # record bits -> a subset record's RecordFields, or a literal
+        # record's (final color, color) from its first edge on; d and mode
+        # are fixed once the first record is read, and a record that fails
+        # to parse is never stored
+        self._fields: dict[str, RecordFields | tuple[int, int]] = {}
         self.decoded: list[DecodedStep] = []
 
-    def _locate_subset(self, front: int, rank: int) -> int:
-        """The (rank+1)-th subset not full at front, in O(full subsets there)."""
-        j = rank + 1
-        for full in self._full.get(front, ()):
-            if full > j:
-                break
-            j += 1
-        return j
+    def _parse(self, bits: str) -> RecordFields | tuple[int, int]:
+        fields = unpack_record(bits, self.d, self.mode)
+        if fields.mode_flag == 1:
+            entry = fields
+        else:
+            rename = self._rename
+            final = rename.get(-fields.color)
+            if final is None:
+                final = rename[-fields.color] = len(rename) + 1
+            entry = (final, fields.color)
+        self._fields[bits] = entry
+        return entry
 
     def step(self, edge: Edge, advice) -> int:
         if advice is None:
@@ -156,36 +171,67 @@ class AdviceAlgorithm(OnlineAlgorithm):
         bits = advice.next_record()
         fields = self._fields.get(bits)
         if fields is None:
-            fields = self._fields[bits] = unpack_record(bits, self.d, self.mode)
-        mode_flag, front_flag, color, rank = fields
-        if mode_flag == 0:
-            provisional = -color
+            fields = self._parse(bits)
+        if type(fields) is tuple:  # a literal record: (final color, color)
+            final, color = fields
             self.decoded.append(_new(DecodedStep, (edge.arrival, 0, None, None, color)))
+            return final
+        _, front_flag, color, rank = fields
+        u, v = edge.u, edge.v
+        if self.mode == "strict":
+            front = u
+        elif front_flag == 0:
+            front = u if u < v else v
         else:
-            u, v = edge.u, edge.v
-            if self.mode == "strict":
-                front = u
-            elif front_flag == 0:
-                front = u if u < v else v
+            front = v if u < v else u
+        # the (rank+1)-th subset not full at front: every run that starts
+        # at or below the candidate lies wholly below the answer
+        subset = rank + 1
+        runs_at = self._runs
+        for first, last in runs_at.get(front, ()):
+            if first > subset:
+                break
+            subset += last - first + 1
+        counts, cap = self._counts, 2 * self.d
+        for w in (u, v):
+            per = counts.get(w)
+            if per is None:
+                counts[w] = {subset: 1}
             else:
-                front = v if u < v else u
-            subset = self._locate_subset(front, rank)
-            counts, cap = self._counts, 2 * self.d
-            for w in (u, v):
-                per = counts.get(w)
-                if per is None:
-                    counts[w] = {subset: 1}
-                else:
-                    n = per[subset] = per.get(subset, 0) + 1
-                    if n == cap:
-                        insort(self._full.setdefault(w, []), subset)
-            provisional = (subset - 1) * cap + color
-            self.decoded.append(_new(DecodedStep, (edge.arrival, 1, subset, rank, color)))
+                n = per[subset] = per.get(subset, 0) + 1
+                if n == cap:
+                    runs = runs_at.get(w)
+                    if runs is None:
+                        runs_at[w] = [[subset, subset]]
+                    elif runs[-1][1] == subset - 1:
+                        runs[-1][1] = subset
+                    else:
+                        _add_run(runs, subset)
+        provisional = (subset - 1) * cap + color
+        self.decoded.append(_new(DecodedStep, (edge.arrival, 1, subset, rank, color)))
         rename = self._rename
         final = rename.get(provisional)
         if final is None:
             final = rename[provisional] = len(rename) + 1
         return final
+
+
+def _add_run(runs: list[list[int]], x: int) -> None:
+    """Put x, which is in no run, into the ascending runs: extend the run
+    ending at x - 1, join it to the run starting at x + 1, or start [x, x]."""
+    i = bisect(runs, [x])  # the runs before i start below x
+    below = runs[i - 1] if i else None
+    above = runs[i] if i < len(runs) else None
+    if below is not None and below[1] == x - 1:
+        if above is not None and above[0] == x + 1:
+            below[1] = above[1]
+            del runs[i]
+        else:
+            below[1] = x
+    elif above is not None and above[0] == x + 1:
+        above[0] = x
+    else:
+        runs.insert(i, [x, x])
 
 
 @dataclass
@@ -259,8 +305,9 @@ def simulate(stream: EdgeStream, alg: OnlineAlgorithm, advice=None) -> RunReport
     Advice must be used up by the last edge, an empty stream's too.
     """
     referee = Referee()
+    step, record = alg.step, referee.record
     for edge in stream.edges:
-        referee.record(edge, alg.step(edge, advice))
+        record(edge, step(edge, advice))
     if advice is not None:
         advice.finish()
     return RunReport(

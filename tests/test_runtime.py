@@ -315,18 +315,22 @@ def test_request_source_meters_and_exhausts():
 
 
 def test_tape_source_meters_and_exhausts():
-    src = TapeSource("0101")
-    assert src.read(3) == "010"
-    assert src.bits_read == 3
-    with pytest.raises(AdviceExhausted):
-        src.read(2)
+    # header "0" gives d = 1 and 3-bit strict records; the second is cut short
+    src = TapeSource("0" + "010" + "11")
+    assert src.open("strict") == 1
+    assert src.next_record() == "010"
+    assert src.bits_read == 4
+    with pytest.raises(AdviceExhausted, match="requested 3 bits at 4 of 6"):
+        src.next_record()
+    assert src.bits_read == 4
 
 
 def test_tape_source_reads_header():
-    src = TapeSource("1110101" + "11")
+    src = TapeSource("1110101" + "11010110")  # d = 5: 8-bit strict records
     assert src.open("strict") == 5
     assert src.bits_read == 7
-    assert src.read(2) == "11"
+    assert src.next_record() == "11010110"
+    assert src.bits_read == 15
 
 
 def test_request_source_open_meters_nothing():
@@ -443,18 +447,9 @@ class _ReferenceDecoder:
         return self.rename.setdefault(key, len(self.rename) + 1)
 
 
-@given(
-    random_pair_lists(max_vertices=8, max_edges=24),
-    st.integers(min_value=1, max_value=4),
-    st.sampled_from(["robust", "strict"]),
-    st.sampled_from(["request", "tape"]),
-    st.data(),
-)
-@settings(max_examples=200, deadline=None)
-def test_decoder_matches_reference_rule_on_any_valid_records(pairs, k, mode, model, data):
+def _matches_reference(pairs, d, mode, model, data):
     # records the oracle never emits too: any flags, colors 1..2d and ranks
     # 0..d, such as a nonzero rank at a front endpoint seen for the first time
-    d = pad_degeneracy(k)
     flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     s = stream([(v, u) if flip else (u, v) for (u, v), flip in zip(pairs, flips)])
     record = st.tuples(
@@ -470,6 +465,86 @@ def test_decoder_matches_reference_rule_on_any_valid_records(pairs, k, mode, mod
     for e, rec in zip(s.edges, records):
         assert alg.step(e, src) == ref.step(e, unpack_record(rec.bits, d, mode))
     assert alg.decoded == ref.decoded
+
+
+@given(
+    random_pair_lists(max_vertices=8, max_edges=24),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from(["robust", "strict"]),
+    st.sampled_from(["request", "tape"]),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_decoder_matches_reference_rule_on_any_valid_records(pairs, k, mode, model, data):
+    _matches_reference(pairs, pad_degeneracy(k), mode, model, data)
+
+
+@st.composite
+def hub_pair_lists(draw):
+    """A star of 20-150 leaves around vertex 0, plus a few edges between
+    leaves, in any order: the hub fills many subsets, so its runs of full
+    subsets start, grow, join and appear below one another."""
+    leaves = draw(st.integers(min_value=20, max_value=150))
+    pairs = {(0, i) for i in range(1, leaves + 1)}
+    leaf = st.integers(min_value=1, max_value=leaves)
+    for u, v in draw(st.lists(st.tuples(leaf, leaf), max_size=4)):
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    return draw(st.permutations(sorted(pairs)))
+
+
+@given(
+    hub_pair_lists(),
+    st.sampled_from([1, 2]),
+    st.sampled_from(["robust", "strict"]),
+    st.sampled_from(["request", "tape"]),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_decoder_matches_reference_rule_at_a_hub(pairs, d, mode, model, data):
+    _matches_reference(pairs, d, mode, model, data)
+
+
+@pytest.mark.parametrize("runs, x, after", [
+    ([], 4, [[4, 4]]),                          # the first run
+    ([[2, 3]], 4, [[2, 4]]),                     # extends the top run
+    ([[2, 3]], 6, [[2, 3], [6, 6]]),             # a new top run
+    ([[2, 3], [6, 7]], 4, [[2, 4], [6, 7]]),     # extends a run below the top
+    ([[2, 3], [5, 7]], 4, [[2, 7]]),             # joins two runs
+    ([[3, 3], [6, 7]], 5, [[3, 3], [5, 7]]),     # extends a run downward
+    ([[3, 3], [6, 7]], 1, [[1, 1], [3, 3], [6, 7]]),  # a new run below all
+])
+def test_add_run_keeps_runs_ascending_and_maximal(runs, x, after):
+    runtime._add_run(runs, x)
+    assert runs == after
+
+
+@pytest.mark.parametrize("model", ["request", "tape"])
+def test_literal_record_repeated_with_other_filler_decodes_alike(model):
+    d, mode = 2, "robust"  # records: mode flag, front flag, 2 color bits, 2 rank bits
+    keys = [
+        (0, 3, 0, 0),
+        (0, 1, 0, 0),
+        (0, 3, 3, 1),  # color 3 again, other filler and front flag
+        (1, 3, 0, 0),  # subset 1, color 3: a provisional color of its own
+        (0, 3, 2, 0),
+        (0, 3, 3, 1),
+    ]
+    records = [pack_record(d, mode, *key) for key in keys]
+    assert len(set(records)) == 5 and len({r for r, k in zip(records, keys) if k[:2] == (0, 3)}) == 3
+    s = stream([(2 * i, 2 * i + 1) for i in range(len(keys))])  # a matching
+    src = RequestSource(records) if model == "request" else TapeSource(encode_tape(records, d))
+    alg = AdviceAlgorithm(mode)
+    report = simulate(s, alg, src)
+    assert list(report.coloring.assignment.values()) == [1, 2, 1, 3, 1, 1]
+    assert alg.decoded == [
+        DecodedStep(0, 0, None, None, 3),
+        DecodedStep(1, 0, None, None, 1),
+        DecodedStep(2, 0, None, None, 3),
+        DecodedStep(3, 1, 1, 0, 3),
+        DecodedStep(4, 0, None, None, 3),
+        DecodedStep(5, 0, None, None, 3),
+    ]
 
 
 def test_truncated_request_records_exhaust():
