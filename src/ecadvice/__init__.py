@@ -40,7 +40,6 @@ from .adversaries import (
 )
 from .coloring import (
     Coloring,
-    color_degenerate,
     exact_color,
     konig_color,
     vizing_plus_one,
@@ -68,7 +67,6 @@ from .graphs import (
 from .oracle import (
     build_advice,
     build_partition,
-    chromatic_index,
     optimal_coloring,
 )
 from .runtime import (

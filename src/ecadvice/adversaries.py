@@ -20,9 +20,10 @@ from .generators import build_coupled_pair, coupler_edges
 from .graphs import Edge, EdgeStream, Graph, Pair, stream_from_pairs
 from .runtime import GreedyVariant, OnlineAlgorithm, Referee, RunReport, simulate
 
-# the most star edges the elimination game reveals before round 1 (delta 10
-# with one member reveals 3,938,229); more would take minutes and gigabytes
-MAX_STAR_EDGES = 4_000_000
+# the most steps the elimination game's members take on its star rows: one
+# step per member and star edge (delta 10 with one member reveals 3,938,229
+# star edges); more would take minutes and gigabytes
+MAX_STAR_STEPS = 4_000_000
 
 
 def pigeonhole_thresholds(delta: int) -> tuple[int, int]:
@@ -72,6 +73,19 @@ class EliminationTranscript:
     all_dead: bool
 
 
+def check_elimination_size(delta: int, members: int, rounds: int) -> None:
+    """Refuse an elimination game whose members would take more than
+    MAX_STAR_STEPS steps on its star rows.  Every member colors every star
+    edge, and counts as one step even where no star edge is revealed."""
+    alpha, _ = pigeonhole_thresholds(delta)
+    if rounds < 0:
+        raise PreconditionViolated(f"round count {rounds} is negative")
+    if members * max(rounds * alpha * (delta - 1), 1) > MAX_STAR_STEPS:
+        raise PreconditionViolated(
+            f"{members} members on {rounds * alpha} stars take over {MAX_STAR_STEPS} steps"
+        )
+
+
 def elimination_game(
     delta: int, family: Sequence[OnlineAlgorithm], rounds: int
 ) -> EliminationTranscript:
@@ -81,14 +95,11 @@ def elimination_game(
     Per round, at least ceil(alive/beta) members pick the same star family
     and are forced over the threshold, so alive counts shrink by at least
     that much; the game stops early once nobody survives.  The revealed
-    graph stays a forest with max degree delta.  Star rows of more than
-    MAX_STAR_EDGES edges are refused before anything is revealed.
+    graph stays a forest with max degree delta.  A game past
+    check_elimination_size is refused before anything is revealed.
     """
     alpha, beta = pigeonhole_thresholds(delta)
-    if rounds < 0:
-        raise PreconditionViolated(f"round count {rounds} is negative")
-    if rounds * alpha * (delta - 1) > MAX_STAR_EDGES:
-        raise PreconditionViolated(f"{rounds * alpha} stars hold over {MAX_STAR_EDGES} edges")
+    check_elimination_size(delta, len(family), rounds)
     referees = [Referee() for _ in family]
     # every member, dead or alive, sees every edge
     observers = [(alg.step, ref.record) for alg, ref in zip(family, referees)]
@@ -263,16 +274,8 @@ def rigidity_check(n: int, *, budget: Optional[int] = None) -> bool:
     return len(vizing_plus_one(joined).palette) <= n + 2
 
 
-def variant_family(bit_length: int, *, cycle: bool = True) -> list[GreedyVariant]:
+def variant_family(bit_length: int) -> list[GreedyVariant]:
     """All 2**bit_length greedy variants driven by distinct bit strings."""
     if bit_length < 0:
         raise PreconditionViolated(f"bit length {bit_length} is negative")
-    return [GreedyVariant("".join(bits), cycle=cycle) for bits in product("01", repeat=bit_length)]
-
-
-def prefix_family(max_bits: int) -> list[GreedyVariant]:
-    """Every variant whose advice string is shorter than max_bits."""
-    out = []
-    for length in range(max_bits):
-        out.extend(variant_family(length, cycle=False))
-    return out
+    return [GreedyVariant("".join(bits)) for bits in product("01", repeat=bit_length)]

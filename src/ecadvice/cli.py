@@ -15,10 +15,12 @@ import sys
 from collections import Counter
 from itertools import chain
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .adversaries import (
+    MAX_STAR_STEPS,
     build_permutation_instance,
+    check_elimination_size,
     elimination_game,
     permutation_game,
     pigeonhole_thresholds,
@@ -152,22 +154,30 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _parse_family(spec: str):
+def _parse_family(spec: str) -> tuple[int, Callable[[], list]]:
+    """(member count, a builder of the members) for a --family spec."""
     if spec == "greedy":
-        return [Greedy()]
+        return 1, lambda: [Greedy()]
     if spec.startswith("variants:"):
-        return variant_family(int(spec.split(":", 1)[1]))
+        bits = int(spec.split(":", 1)[1])
+        if bits < 0:
+            raise PreconditionViolated(f"bit length {bits} is negative")
+        if bits >= MAX_STAR_STEPS.bit_length():  # each member takes a step at least
+            raise PreconditionViolated(f"2**{bits} members take over {MAX_STAR_STEPS} steps")
+        return 2**bits, lambda: variant_family(bits)
     raise PreconditionViolated(f"unknown family {spec!r}")
 
 
 def cmd_adversary(args: argparse.Namespace) -> int:
     if args.game == "elimination":
-        family = _parse_family(args.family)
+        size, build = _parse_family(args.family)
         alpha, beta = pigeonhole_thresholds(args.delta)
         if args.rounds is not None:
             rounds = args.rounds
         else:
-            rounds = rounds_to_extinction(len(family), beta)
+            rounds = rounds_to_extinction(size, beta)
+        check_elimination_size(args.delta, size, rounds)  # before any member is built
+        family = build()
         transcript = elimination_game(args.delta, family, rounds)
         for r in transcript.rounds:
             _emit(

@@ -12,9 +12,9 @@ joined rigidity gadget (see adversaries), it refutes without search.
 The polynomial constructions need no search: konig_color gives
 max_degree colors on a bipartite graph, and one peel and re-add engine
 (Vizing's adjacency lemma) gives the rest.  It takes the eligibility
-threshold and the palette floor apart: color_degenerate is the engine with
-threshold d and floor 2d, max(max_degree, 2d) colors on a graph of
-degeneracy <= d; vizing_plus_one is threshold max_degree and floor
+threshold and the palette floor apart: _peel_color at threshold d and
+floor 2d gives max(max_degree, 2d) colors on a graph of degeneracy <= d
+(the oracle's bundles); vizing_plus_one is threshold max_degree and floor
 max_degree+1, where the peel cannot get stuck; and with both at
 max_degree, a complete peel is a max_degree coloring, the oracle's
 class-1 certificate.  They share one recoloring ledger (per vertex index,
@@ -300,29 +300,13 @@ def konig_color(g: Graph) -> Coloring:
 def vizing_plus_one(g: Graph) -> Coloring:
     """Proper coloring with at most max_degree+1 colors in polynomial time.
 
-    The adjacency-lemma peel of color_degenerate with every vertex eligible
+    The adjacency-lemma peel of _peel_color with every vertex eligible
     and k = max_degree+1: no vertex has degree k, so every edge is eligible
     and the peel never gets stuck (Vizing's theorem).
     """
     color = _peel_color(g.uv, g.vertices, g.max_degree, g.max_degree + 1)
     if color is None:
         raise AssertionError("the max_degree+1 peel got stuck")
-    return Coloring.of_ids(g.edges, color)
-
-
-def color_degenerate(g: Graph, d: int) -> Coloring:
-    """Proper coloring with colors 1..max(max_degree, 2d) when degeneracy <= d.
-
-    By Vizing's adjacency lemma the peel of _peel_color never gets stuck on
-    a graph of degeneracy <= d while k >= 2d, so a stuck peel proves the
-    degeneracy exceeds d (PreconditionViolated).  One call of the same peel
-    colors all the oracle's bundles (see oracle.build_partition).
-    """
-    if d < 0:
-        raise PreconditionViolated("d must be nonnegative")
-    color = _peel_color(g.uv, g.vertices, d, 2 * d)
-    if color is None:
-        raise PreconditionViolated(f"degeneracy exceeds {d}")
     return Coloring.of_ids(g.edges, color)
 
 
@@ -338,7 +322,9 @@ def _peel_color(
     k - deg(y) neighbors of degree k.  Degrees and degree-k counts only
     fall, so an edge once eligible stays eligible, and an edge that is not
     yet eligible is looked at again only when deg(y) falls or x's count
-    reaches the value the edge waits for: the peel costs O(m*d).
+    reaches the value the edge waits for: the peel costs O(m*d).  With
+    floor >= 2d it never gets stuck on a graph of degeneracy <= d, so a
+    stuck peel there proves the degeneracy exceeds d.
 
     Re-add the edges in reverse peel order.  Each takes a color free at
     both ends or is placed by a multi-fan at x rooted at y: when a fan

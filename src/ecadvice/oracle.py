@@ -96,8 +96,9 @@ def build_partition(
     that look open when only earlier arrivals at the front endpoint are
     visible.  With back-degree <= d the rank never exceeds d.
 
-    Each subset is a subgraph of g, so its degeneracy is at most d and the
-    peel of color_degenerate gives it a 2d-coloring without search.  One
+    Each subset is a subgraph of g, so its degeneracy is at most d and
+    _peel_color at threshold d and floor 2d gives it a 2d-coloring without
+    search.  One
     peel colors the subsets side by side, each as it colors that subset
     alone: subset j's vertices take the next indices, in g's index order,
     and its edges follow in arrival order.  The per-vertex subset counts
@@ -271,12 +272,6 @@ def optimal_coloring(
     if witness is not None:
         return delta, witness
     return delta + 1, plus
-
-
-def chromatic_index(g: Graph, *, budget: Optional[int] = None) -> int:
-    """max_degree or max_degree+1; bipartite graphs and graphs with
-    max_degree >= 2*degeneracy settle without search."""
-    return optimal_coloring(g, budget=budget)[0]
 
 
 def build_advice(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import strategies as st
@@ -45,6 +46,11 @@ def checked_vizing(g: Graph):
 def about(problems: list[str], *properties: str) -> list[str]:
     """The verify_run messages that name one of `properties`."""
     return [p for p in problems if p.split(":", 1)[0] in properties]
+
+
+def bit_strings(max_bits: int) -> list[str]:
+    """Every 0/1 string shorter than max_bits, shortest first."""
+    return ["".join(bits) for n in range(max_bits) for bits in product("01", repeat=n)]
 
 
 def path_pairs(m: int) -> list[tuple[int, int]]:

@@ -17,7 +17,6 @@ from ecadvice import (
     GreedyVariant,
     build_permutation_instance,
     ceil_log2,
-    chromatic_index,
     elimination_game,
     exact_color,
     gen_d_degenerate,
@@ -26,6 +25,7 @@ from ecadvice import (
     is_forest,
     is_proper,
     konig_color,
+    optimal_coloring,
     permutation_game,
     pigeonhole_thresholds,
     rigidity_check,
@@ -36,10 +36,16 @@ from ecadvice import (
     verify_run,
 )
 from ecadvice.advice import bits_per_edge
-from ecadvice.adversaries import prefix_family
 
 from .test_coloring import CORPUS, product_colorable
-from .conftest import about, brute_force_chromatic_index, brute_force_colorable, checked_vizing, graph
+from .conftest import (
+    about,
+    bit_strings,
+    brute_force_chromatic_index,
+    brute_force_colorable,
+    checked_vizing,
+    graph,
+)
 
 PER_CLASS = 200
 
@@ -201,8 +207,7 @@ def test_criterion_7_permutation_instances():
             failures.append(f"delta={delta}: greedy not forced past delta")
     members = 0
     for delta in (2, 3):
-        for member in prefix_family(ceil_log2(math.factorial(delta))):
-            bits = member.bits
+        for bits in bit_strings(ceil_log2(math.factorial(delta))):
             res = permutation_game(delta, lambda: GreedyVariant(bits, cycle=False))
             members += 1
             if not res.forced:
@@ -256,4 +261,4 @@ def test_readme_library_tour_runs():
     report, s = namespace["run"].report, namespace["s"]
     assert report.optimal
     assert report.advice_bits_read == s.m * bits_per_edge(2, "robust")
-    assert report.colors_used == chromatic_index(Graph.from_stream(s))
+    assert report.colors_used == optimal_coloring(Graph.from_stream(s))[0]

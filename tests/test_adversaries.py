@@ -10,12 +10,12 @@ from ecadvice import (
     PreconditionViolated,
     build_coupled_pair,
     build_permutation_instance,
-    chromatic_index,
     elimination_game,
     is_bipartite,
     is_forest,
     is_proper,
     konig_color,
+    optimal_coloring,
     permutation_game,
     pigeonhole_thresholds,
     rigidity_check,
@@ -26,8 +26,9 @@ from ecadvice import (
     variant_family,
 )
 from ecadvice import adversaries
-from ecadvice.adversaries import prefix_family
 from ecadvice.runtime import OnlineAlgorithm
+
+from .conftest import bit_strings
 
 
 @pytest.mark.parametrize(
@@ -99,7 +100,7 @@ def test_elimination_palettes_replay_on_the_whole_stream():
     # every member, dead or alive, colors every revealed edge, so a fresh
     # copy replaying the final stream ends on the palette the game reports
     def family():
-        return variant_family(2) + variant_family(2, cycle=False)
+        return variant_family(2) + [GreedyVariant(m.bits, cycle=False) for m in variant_family(2)]
 
     _, beta = pigeonhole_thresholds(3)
     t = elimination_game(3, family(), rounds_to_extinction(8, beta))
@@ -159,8 +160,7 @@ def test_permutation_game_forces_greedy():
 
 
 def test_permutation_game_forces_prefix_variants():
-    for member in prefix_family(3):
-        bits = member.bits
+    for bits in bit_strings(3):
         res = permutation_game(3, lambda: GreedyVariant(bits, cycle=False))
         assert res.forced, f"variant {bits!r} stayed at delta colors"
 
@@ -250,8 +250,7 @@ def test_rigidity_needs_the_wider_coloring(engine, monkeypatch):
 def test_variant_family_sizes():
     assert len(variant_family(0)) == 1
     assert len(variant_family(3)) == 8
-    assert len(prefix_family(3)) == 7  # lengths 0, 1, 2
-    assert len({m.bits for m in prefix_family(3)}) == 7
+    assert len({m.bits for m in variant_family(3)}) == 8
 
 
 def test_variant_family_rejects_negative_length():
@@ -290,15 +289,30 @@ def test_elimination_refuses_oversized_star_rows(delta, size):
 
 
 def test_elimination_plays_the_largest_fitting_game():
-    # delta 10's 3,938,229 star edges fit under the limit: the game starts
+    # delta 10's 3,938,229 star edges fit under the limit with one member:
+    # the game starts; two members would take twice the steps
     rounds = rounds_to_extinction(1, pigeonhole_thresholds(10)[1])
-    assert rounds * pigeonhole_thresholds(10)[0] * 9 <= adversaries.MAX_STAR_EDGES
+    assert rounds * pigeonhole_thresholds(10)[0] * 9 <= adversaries.MAX_STAR_STEPS
     with pytest.raises(AssertionError, match="edge 0 was revealed"):
         elimination_game(10, [_Exploding()], rounds)
+    with pytest.raises(PreconditionViolated):
+        elimination_game(10, [_Exploding(), _Exploding()], rounds)
+
+
+def test_elimination_limit_counts_every_member_step():
+    # at delta 3, 1,189 rounds reveal 30,914 star edges: 129 members take
+    # 3,987,906 steps and start, 130 take 4,018,820 and are refused
+    alpha, beta = pigeonhole_thresholds(3)
+    rounds = rounds_to_extinction(64, beta)
+    assert (rounds, rounds * alpha * 2) == (1189, 30_914)
+    with pytest.raises(AssertionError, match="edge 0 was revealed"):
+        elimination_game(3, [_Exploding() for _ in range(129)], rounds)
+    with pytest.raises(PreconditionViolated):
+        elimination_game(3, [_Exploding() for _ in range(130)], rounds)
 
 
 def test_permutation_forced_verdict_consistency():
     # chromatic index of the completed instance stays delta, so "forced"
     # really is suboptimality, not an artifact of the instance
     inst = build_permutation_instance(3, (1, 0, 2))
-    assert chromatic_index(Graph.from_stream(inst.stream)) == 3
+    assert optimal_coloring(Graph.from_stream(inst.stream))[0] == 3

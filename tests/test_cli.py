@@ -291,6 +291,36 @@ def test_adversary_elimination_oversized_game_is_usage_error(capsys, monkeypatch
     assert "PreconditionViolated" in stderr
 
 
+@pytest.mark.parametrize("bits", ["10", "40"])
+def test_adversary_elimination_refuses_a_large_family_before_building_it(capsys, monkeypatch, bits):
+    # at delta 3, 2**10 members would take 53 M steps on the star rows; no
+    # member is built, and 2**40 would not fit in memory
+    def family(k):
+        raise AssertionError(f"a family of 2**{k} members was built")
+
+    monkeypatch.setattr(cli, "variant_family", family)
+    code, stdout, stderr = run_cli(
+        capsys, "adversary", "elimination", "--delta", "3", "--family", f"variants:{bits}"
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "PreconditionViolated" in stderr
+
+
+def test_adversary_elimination_plays_the_largest_fitting_family(capsys, monkeypatch):
+    # at delta 3, 2**6 members take 1,978,496 steps on the star rows and
+    # start; 2**7 take 4,615,936 and are refused before one is built
+    monkeypatch.setattr(cli, "variant_family", lambda k: [_Exploding() for _ in range(2**k)])
+    with pytest.raises(AssertionError, match="edge 0 was revealed"):
+        cli.main(["adversary", "elimination", "--delta", "3", "--family", "variants:6"])
+    code, stdout, stderr = run_cli(
+        capsys, "adversary", "elimination", "--delta", "3", "--family", "variants:7"
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "PreconditionViolated" in stderr
+
+
 def test_adversary_elimination_zero_rounds_fails(capsys):
     code, stdout, _ = run_cli(
         capsys,

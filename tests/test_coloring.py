@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,6 @@ from ecadvice import (
     ResourceLimit,
     build_coupled_pair,
     build_partition,
-    chromatic_index,
-    color_degenerate,
     degeneracy,
     exact_color,
     gen_bipartite,
@@ -94,15 +93,15 @@ def test_exact_color_matches_brute_force(pairs):
 
 
 def test_chromatic_index_frozen_values():
-    assert chromatic_index(graph(complete_pairs(4))) == 3
-    assert chromatic_index(graph(cycle_pairs(5))) == 3  # odd cycle is class 2
-    assert chromatic_index(graph(cycle_pairs(6))) == 2
-    assert chromatic_index(graph(star_pairs(7))) == 7
-    assert chromatic_index(graph(petersen_pairs())) == 4  # classic class-2 cubic graph
+    assert optimal_coloring(graph(complete_pairs(4)))[0] == 3
+    assert optimal_coloring(graph(cycle_pairs(5)))[0] == 3  # odd cycle is class 2
+    assert optimal_coloring(graph(cycle_pairs(6)))[0] == 2
+    assert optimal_coloring(graph(star_pairs(7)))[0] == 7
+    assert optimal_coloring(graph(petersen_pairs()))[0] == 4  # classic class-2 cubic graph
 
 
 def test_chromatic_index_empty():
-    assert chromatic_index(Graph(())) == 0
+    assert optimal_coloring(Graph(()))[0] == 0
     col = exact_color(Graph(()), 0)
     assert col is not None and len(col) == 0 and col.by_id == []
     assert col.palette == frozenset() and col.assignment == {}
@@ -111,7 +110,7 @@ def test_chromatic_index_empty():
 @pytest.mark.parametrize("pairs", CORPUS)
 def test_chromatic_index_matches_brute_force(pairs):
     g = graph(pairs)
-    assert chromatic_index(g) == brute_force_chromatic_index(g)
+    assert optimal_coloring(g)[0] == brute_force_chromatic_index(g)
 
 
 def _d5_bundle():
@@ -307,9 +306,16 @@ def test_konig_uses_exactly_delta(a, b, seed):
     assert len(col.palette) == g.max_degree
 
 
+def peel(g: Graph, d: int) -> Optional[Coloring]:
+    """The peel at threshold d and floor 2d, as the oracle colors its
+    bundles; None when it gets stuck."""
+    color = _peel_color(g.uv, g.vertices, d, 2 * d)
+    return None if color is None else Coloring.of_ids(g.edges, color)
+
+
 def test_color_degenerate_star():
     g = graph(star_pairs(4))
-    col = color_degenerate(g, 1)
+    col = peel(g, 1)
     assert is_proper(g, col)
     assert len(col.palette) == 4
 
@@ -321,16 +327,13 @@ def test_exact_color_rejects_negative_k():
 
 def test_color_degenerate_preconditions():
     # degeneracy above the claimed bound: the peel gets stuck
-    with pytest.raises(PreconditionViolated):
-        color_degenerate(graph(complete_pairs(4)), 1)
-    with pytest.raises(PreconditionViolated):
-        color_degenerate(graph(path_pairs(2)), -1)
+    assert peel(graph(complete_pairs(4)), 1) is None
 
 
 def test_color_degenerate_below_twice_d_uses_2d_palette():
     # C5 has degeneracy 2 and max degree 2 < 2d: the palette is 1..2d = 1..4
     g = graph(cycle_pairs(5))
-    col = color_degenerate(g, 2)
+    col = peel(g, 2)
     assert is_proper(g, col) and len(col) == g.m
     assert max(col.palette) <= 4
 
@@ -353,10 +356,9 @@ def test_color_degenerate_matches_brute_force(g):
     if g.m == 0:
         return
     dgn, _ = degeneracy(g)
-    with pytest.raises(PreconditionViolated):
-        color_degenerate(g, dgn - 1)
+    assert peel(g, dgn - 1) is None
     for d in range(dgn, dgn + 3):
-        col = color_degenerate(g, d)
+        col = peel(g, d)
         assert is_proper(g, col) and len(col) == g.m
         assert col.palette <= set(range(1, max(g.max_degree, 2 * d) + 1))
         assert col.palette == frozenset(range(1, len(col.palette) + 1))
@@ -390,7 +392,7 @@ def test_one_peel_colors_each_bundle_as_alone(gd):
     plan, partition = build_partition(g, d, order, [i for i, c in enumerate(colors) if c > b])
     assert sorted(partition) == list(range(1, len(partition) + 1))
     for j, sub in partition.items():
-        ref = color_degenerate(Graph(sub), d)
+        ref = peel(Graph(sub), d)
         assert [plan[e.arrival].color for e in sub] == ref.by_id, j
         assert all(plan[e.arrival].subset == j for e in sub)
 
@@ -429,7 +431,7 @@ def test_color_degenerate_tight_graphs(d):
     digest = hashlib.sha256()
     for seed in range(150):
         g = graph(tight_pairs(20 + seed % 40, d, seed))
-        col = color_degenerate(g, d)
+        col = peel(g, d)
         assert is_proper(g, col) and len(col) == g.m, seed
         assert max(col.palette) <= 2 * d, seed
         digest.update(repr(col.by_id).encode())
@@ -444,7 +446,7 @@ def test_color_degenerate_random_forests(n, seed):
     g = Graph.from_stream(gen_forest(n, seed))
     if g.max_degree < 2:
         return
-    col = color_degenerate(g, 1)
+    col = peel(g, 1)
     assert is_proper(g, col)
     assert len(col.palette) == g.max_degree
 
@@ -455,7 +457,7 @@ def test_chromatic_index_random_degenerate(n, seed):
     g = Graph.from_stream(gen_d_degenerate(n, 2, seed))
     if g.m == 0:
         return
-    chi = chromatic_index(g)
+    chi = optimal_coloring(g)[0]
     assert chi in (g.max_degree, g.max_degree + 1)
     witness = exact_color(g, chi)
     assert witness is not None and is_proper(g, witness)
@@ -472,12 +474,12 @@ def test_overfull_certificate_agrees_with_exact_search():
                 g = Graph.from_stream(gen_d_degenerate(n, d, seed))
                 delta = g.max_degree
                 colorable = exact_color(g, delta) is not None
-                assert chromatic_index(g) == (delta if colorable else delta + 1)
+                assert optimal_coloring(g)[0] == (delta if colorable else delta + 1)
                 excess = g.m - delta * (g.n // 2)
                 if excess > 0:
                     overfull += 1
                     assert not colorable
-                    assert chromatic_index(g, budget=0) == delta + 1
+                    assert optimal_coloring(g, budget=0)[0] == delta + 1
                     wider = _plus_disjoint_edges(g, excess)
                     assert wider.max_degree == delta
                     assert wider.m <= delta * (wider.n // 2)

@@ -156,7 +156,7 @@ def test_records_and_colorings_are_pinned(make, d, mode, model, digest):
         ),
         # the one-shot strings survive the first round: two rounds are played
         (
-            lambda: variant_family(2) + variant_family(2, cycle=False),
+            lambda: variant_family(2) + [GreedyVariant(m.bits, cycle=False) for m in variant_family(2)],
             "e7577acfa47427a238306704d425d6db55344245dbac820af7f64ac5c93ee37f",
         ),
     ],
