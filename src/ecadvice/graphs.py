@@ -35,27 +35,50 @@ def edge_pair(u: int, v: int) -> Pair:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Edge:
-    """One revealed edge.  `u` is the endpoint listed first in the stream."""
+    """One revealed edge.  `u` is the endpoint listed first in the stream.
+
+    Every stream, game row and re-oriented subset builds one per edge, so
+    `__init__` is written by hand: the dataclass's own writes each field
+    through `object.__setattr__` to get past the frozen check, at about
+    twice the cost of the slot descriptors' `__set__` used here.  Equality,
+    hashing, repr, pickling and `dataclasses.replace` are the dataclass's.
+    """
 
     u: int
     v: int
     arrival: int
+
+    def __init__(self, u: int, v: int, arrival: int) -> None:
+        _set_u(self, u)
+        _set_v(self, v)
+        _set_arrival(self, arrival)
 
     @property
     def pair(self) -> Pair:
         return edge_pair(self.u, self.v)
 
 
+# bound after the class, since slots=True builds the class anew
+_set_u = Edge.u.__set__
+_set_v = Edge.v.__set__
+_set_arrival = Edge.arrival.__set__
+
+
 @dataclass(frozen=True)
 class EdgeStream:
-    """Edges in arrival order."""
+    """Edges in arrival order; any iterable of edges is kept as a tuple."""
 
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        for i, e in enumerate(self.edges):
+        # a generator would be drained by the check, a list could change after it
+        edges = tuple(self.edges)
+        object.__setattr__(self, "edges", edges)
+        # this loop reads a slot at about half the cost of attrgetter, and
+        # holds no list of m ints as comparing against list(range(m)) would
+        for i, e in enumerate(edges):
             if e.arrival != i:
                 raise PreconditionViolated(f"arrival index {e.arrival} at position {i}")
 

@@ -1,3 +1,9 @@
+import copy
+import dataclasses
+import gc
+import pickle
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +20,13 @@ from ecadvice import (
     build_partition,
     degeneracy,
     edge_pair,
+    gen_forest,
     is_bipartite,
     is_forest,
     is_proper,
     konig_color,
     parse_stream,
+    run_greedy,
     serialize_stream,
     stream_from_pairs,
 )
@@ -76,6 +84,97 @@ def test_stream_arrival_error_is_precondition():
     with pytest.raises(PreconditionViolated) as info:
         EdgeStream((Edge(0, 1, 0), Edge(1, 2, 2)))
     assert info.type is PreconditionViolated
+
+
+def test_edge_is_frozen():
+    e = Edge(1, 2, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.u = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del e.arrival
+    assert e == Edge(1, 2, 3)
+
+
+def test_edge_keeps_dataclass_value_semantics():
+    e = Edge(1, 2, 3)
+    assert e == Edge(u=1, v=2, arrival=3)
+    assert hash(e) == hash(Edge(1, 2, 3))
+    assert e != Edge(2, 1, 3) and e != Edge(1, 2, 4)
+    assert e != (1, 2, 3)
+    assert len({e, Edge(1, 2, 3), Edge(1, 3, 3)}) == 2
+    assert repr(e) == "Edge(u=1, v=2, arrival=3)"
+    assert [f.name for f in dataclasses.fields(Edge)] == ["u", "v", "arrival"]
+    assert not hasattr(e, "__dict__")
+
+
+def test_edge_round_trips():
+    e = Edge(7, 4, 9)
+    for copied in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        assert copied == e and type(copied) is Edge
+    assert dataclasses.replace(e, v=5) == Edge(7, 5, 9)
+    assert dataclasses.replace(e) == e
+
+
+def reference_arrival_check(edges) -> None:
+    """The per-edge arrival loop EdgeStream ran before its one-pass check."""
+    for i, e in enumerate(edges):
+        if e.arrival != i:
+            raise PreconditionViolated(f"arrival index {e.arrival} at position {i}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(-2, 12), st.floats(allow_nan=True, allow_infinity=False, width=16)),
+        max_size=12,
+    ),
+    st.booleans(),
+)
+def test_stream_arrival_check_matches_the_per_edge_loop(arrivals, in_order):
+    if in_order:  # most lists above fail at once, so half are near misses
+        arrivals = list(range(len(arrivals))) + arrivals[len(arrivals) // 2 :]
+    edges = tuple(Edge(0, 1, a) for a in arrivals)
+    try:
+        reference_arrival_check(edges)
+    except PreconditionViolated as expected:
+        with pytest.raises(PreconditionViolated) as info:
+            EdgeStream(edges)
+        assert str(info.value) == str(expected)
+    else:
+        assert EdgeStream(edges).edges == edges
+
+
+def test_stream_keeps_a_tuple_of_a_generator():
+    s = EdgeStream(Edge(i, i + 1, i) for i in range(3))
+    assert s.edges == (Edge(0, 1, 0), Edge(1, 2, 1), Edge(2, 3, 2))
+    assert s.m == 3
+    assert run_greedy(s).colors_used == 2
+    with pytest.raises(PreconditionViolated, match="arrival index 2 at position 1"):
+        EdgeStream(Edge(i, i + 1, 2 * i) for i in range(3))
+
+
+def test_stream_is_not_changed_through_its_input_list():
+    edges = [Edge(0, 1, 0), Edge(1, 2, 1)]
+    s = EdgeStream(edges)
+    edges.append(Edge(5, 5, 7))
+    assert s.edges == (Edge(0, 1, 0), Edge(1, 2, 1))
+    assert s.m == 2
+
+
+def test_stream_memory_per_edge():
+    # the Edges, their tuple and their int fields, measured while the stream
+    # is alive; 193 bytes per edge while Edge kept an instance __dict__
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        s = gen_forest(20001, 1)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert s.m == 17964
+    assert kept / s.m <= 175
 
 
 def test_parse_basic():
