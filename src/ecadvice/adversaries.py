@@ -18,7 +18,14 @@ from .coloring import exact_color, konig_color, vizing_plus_one
 from .errors import NoMonochromeFamily, PreconditionViolated
 from .generators import build_coupled_pair, coupler_edges
 from .graphs import Edge, EdgeStream, Graph, Pair, stream_from_pairs
-from .runtime import GreedyVariant, OnlineAlgorithm, Referee, RunReport, simulate
+from .runtime import (
+    GreedyVariant,
+    OnlineAlgorithm,
+    Referee,
+    RunReport,
+    _collector_paused,
+    simulate,
+)
 
 # the most steps the elimination game's members take on its star rows: one
 # step per member and star edge (delta 10 with one member reveals 3,938,229
@@ -86,6 +93,7 @@ def check_elimination_size(delta: int, members: int, rounds: int) -> None:
         )
 
 
+@_collector_paused
 def elimination_game(
     delta: int, family: Sequence[OnlineAlgorithm], rounds: int
 ) -> EliminationTranscript:
@@ -220,6 +228,7 @@ class PermutationGameResult:
     forced: bool  # used at least delta + 1 colors
 
 
+@_collector_paused
 def permutation_game(
     delta: int,
     make_alg: Callable[[], OnlineAlgorithm],

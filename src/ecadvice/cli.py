@@ -48,7 +48,14 @@ from .generators import (
     gen_star,
 )
 from .graphs import Graph, degeneracy, is_forest, parse_stream, serialize_stream
-from .runtime import Greedy, GreedyVariant, run_advice, run_greedy, verify_run
+from .runtime import (
+    Greedy,
+    GreedyVariant,
+    _collector_paused,
+    run_advice,
+    run_greedy,
+    verify_run,
+)
 
 _USAGE_ERRORS = (ParseError, PreconditionViolated, NotBipartite, OSError, ValueError)
 _PROPERTY_ERRORS = (
@@ -319,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_collector_paused
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; return its exit code."""
     args = build_parser().parse_args(argv)
     # looked up per call, not bound into the cached parser, so a cmd_*
     # rebound in this module takes effect

@@ -125,7 +125,9 @@ def parse_stream(text: str) -> EdgeStream:
         except ValueError:  # more digits than int() converts: the loop names the line
             pass
         else:
-            return _stream_from_columns(labels[0::2], labels[1::2])
+            us, vs = labels[0::2], labels[1::2]
+            del labels  # not held while the edges are built
+            return _stream_from_columns(us, vs)
     pairs = []
     for lineno, raw in enumerate(_ASCII_BREAK.split(text), start=1):
         line = raw.split("#", 1)[0]

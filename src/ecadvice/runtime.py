@@ -7,6 +7,8 @@ advice consumption is metered by the source.  The advice sources live in
 """
 from __future__ import annotations
 
+import functools
+import gc
 from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
@@ -32,6 +34,30 @@ from .errors import (
 )
 from .graphs import Edge, EdgeStream, Graph, Pair, is_proper
 from .oracle import OracleResult, build_advice
+
+
+def _collector_paused(fn):
+    """Run fn with the cyclic collector paused, and resume it on the way out,
+    on a raise too.
+
+    The pipeline makes no reference cycles, so reference counting frees all
+    its garbage, and the collector's passes only rescan live per-edge
+    containers.  A caller that paused the collector, and a paused call
+    nested in another, keep it paused.  A cycle made while paused is
+    collected once the collector resumes.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class OnlineAlgorithm:
@@ -299,6 +325,7 @@ class Referee:
         assignment[pair] = color
 
 
+@_collector_paused
 def simulate(stream: EdgeStream, alg: OnlineAlgorithm, advice=None) -> RunReport:
     """Reveal edges in arrival order, enforcing properness at every step.
 
@@ -336,6 +363,7 @@ class AdviceRun:
     source: RequestSource | TapeSource
 
 
+@_collector_paused
 def verify_run(run: AdviceRun, *, budget: Optional[int] = None) -> list[str]:
     """Check the paper's guarantees on one oracle-to-decoder run: one message
     per violated property, [] when all hold.  A message is led by its
@@ -374,6 +402,7 @@ def verify_run(run: AdviceRun, *, budget: Optional[int] = None) -> list[str]:
     return [f"{name}: {detail}" for name, ok, detail in checks if not ok]
 
 
+@_collector_paused
 def run_advice(
     stream: EdgeStream,
     d: Optional[int] = None,

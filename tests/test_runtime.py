@@ -1,8 +1,10 @@
 import copy
 import gc
+import inspect
 import io
 import json
 import os
+import sys
 import tempfile
 from contextlib import redirect_stdout
 from itertools import count
@@ -976,3 +978,144 @@ def test_adversary_games_leave_no_cyclic_garbage():
         lambda: rigidity_check(24, budget=0),
     ]
     assert [unreachable_after(call) for call in calls] == [0, 0, 0, 0]
+
+
+def collections_in(fn, call) -> int:
+    """How many collections the cyclic collector starts during call() while
+    fn's own body is on the stack."""
+    body = inspect.unwrap(fn).__code__
+    started = 0
+
+    def on_gc(phase, info):
+        nonlocal started
+        if phase == "start":
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not body:
+                frame = frame.f_back
+            started += frame is not None
+
+    gc.collect()  # every generation starts the call empty
+    gc.callbacks.append(on_gc)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(on_gc)
+    return started
+
+
+# per case: the entry point, and a call into it that makes enough tracked
+# containers to start a collection were the collector running
+FOREST = gen_forest(10000, 1)
+FOREST_RUN = run_advice(FOREST, mode="strict", model="tape")
+PAUSED_CALLS = {
+    "run_advice": (run_advice, lambda: run_advice(FOREST, mode="strict", model="tape")),
+    "verify_run": (verify_run, lambda: verify_run(FOREST_RUN)),
+    "simulate": (simulate, lambda: run_greedy(FOREST)),
+    "elimination_game": (elimination_game, lambda: elimination_game(
+        3, variant_family(2), rounds_to_extinction(4, pigeonhole_thresholds(3)[1]))),
+    "permutation_game": (permutation_game, lambda: permutation_game(20, Greedy)),
+}
+
+
+@pytest.mark.parametrize("name", PAUSED_CALLS)
+def test_entry_points_run_with_the_collector_paused(name):
+    fn, call = PAUSED_CALLS[name]
+    assert gc.isenabled()
+    assert collections_in(fn, call) == 0
+    assert gc.isenabled()
+
+
+def test_cli_run_starts_no_collection(tmp_path, capsys):
+    path = tmp_path / "forest.stream"
+    path.write_text(serialize_stream(FOREST))
+    argv = ["run", str(path), "--mode", "strict", "--model", "tape", "--budget", "0"]
+    assert collections_in(main, lambda: main(argv)) == 0
+    assert gc.isenabled()
+    assert json.loads(capsys.readouterr().out)["optimal"] is True
+
+
+def test_collector_resumes_after_a_raise(tmp_path, capsys):
+    with pytest.raises(PreconditionViolated):
+        run_advice(gen_d_degenerate(30, 3, 1), 1)
+    assert gc.isenabled()
+    assert main(["run", str(tmp_path / "missing.stream")]) == 2
+    assert "FileNotFoundError" in capsys.readouterr().err
+    assert gc.isenabled()
+    with pytest.raises(SystemExit):  # argparse refuses the command line
+        main(["run"])
+    assert gc.isenabled()
+
+
+def test_collector_stays_paused_when_the_caller_paused_it(tmp_path, capsys):
+    path = tmp_path / "s.stream"
+    path.write_text(serialize_stream(gen_forest(50, 1)))
+    calls = [call for _, call in PAUSED_CALLS.values()] + [lambda: main(["run", str(path)])]
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_nested_entry_points_leave_the_collector_to_the_outermost():
+    states = []
+
+    def make_alg():
+        states.append(gc.isenabled())
+        return Greedy()
+
+    def final_run(s):
+        report = run_advice(s).report
+        states.append(gc.isenabled())
+        return report
+
+    # the probe runs simulate inside the game, the final run run_advice
+    permutation_game(6, make_alg, final_run=final_run)
+    assert states == [False, False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("fn,span,params,doc", [
+    (simulate, "runtime.simulate", ["stream", "alg", "advice"], "Reveal edges"),
+    (verify_run, "runtime.verify_run", ["run", "budget"], "Check the paper's guarantees"),
+    (run_advice, "runtime.run_advice", ["stream", "d", "mode", "model", "budget"], "Oracle, then"),
+    (elimination_game, "adversaries.elimination_game", ["delta", "family", "rounds"], "Play"),
+    (permutation_game, "adversaries.permutation_game", ["delta", "make_alg", "final_run"], "Observe"),
+    (main, "cli.main", ["argv"], "Run one command"),
+])
+def test_paused_entry_points_keep_their_identity(fn, span, params, doc):
+    # perfbench names its spans "<module's last part>.<qualname>"
+    layer, name = span.split(".")
+    assert (fn.__module__, fn.__qualname__, fn.__name__) == (f"ecadvice.{layer}", name, name)
+    assert fn.__doc__.startswith(doc)
+    assert list(inspect.signature(fn).parameters) == params
+
+
+def test_cli_run_leaves_no_cyclic_garbage(tmp_path, capsys, monkeypatch):
+    # pausing the collector over main is safe only if no command path, an
+    # error exit's included, makes reference cycles
+    path = tmp_path / "bip.stream"
+    path.write_text(serialize_stream(gen_bipartite(12, 12, 0.5, 1)))
+    colors = str(tmp_path / "out.colors")
+    petersen = tmp_path / "petersen.stream"
+    petersen.write_text(serialize_stream(stream(petersen_pairs())))
+    bad = tmp_path / "bad.stream"
+    bad.write_text("0 1\n1 x\n")
+    cases = [
+        (0, ["run", str(path), "--mode", "strict", "--model", "tape", "--coloring-out", colors]),
+        (0, ["run", str(path), "--alg", "greedy", "--coloring-out", colors]),
+        (2, ["run", str(tmp_path / "missing.stream")]),
+        (2, ["run", str(bad)]),
+        (3, ["run", str(petersen), "--budget", "5"]),
+    ]
+    for code, argv in cases:
+        assert unreachable_after(lambda: main(argv)) == 0, argv
+        assert main(argv) == code, argv
+    # a decoder that gives every edge color 1 fails the referee: exit 1
+    monkeypatch.setattr(runtime.AdviceAlgorithm, "step", lambda self, edge, advice: 1)
+    argv = ["run", str(path), "--coloring-out", colors]
+    assert unreachable_after(lambda: main(argv)) == 0
+    assert main(argv) == 1
+    capsys.readouterr()
