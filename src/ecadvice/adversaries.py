@@ -29,7 +29,8 @@ from .runtime import (
 
 # the most steps the elimination game's members take on its star rows: one
 # step per member and star edge (delta 10 with one member reveals 3,938,229
-# star edges); more would take minutes and gigabytes
+# star edges); more would take minutes and gigabytes.  It bounds the edges
+# of a permutation instance too (delta 158 has 3,944,470).
 MAX_STAR_STEPS = 4_000_000
 
 
@@ -196,16 +197,29 @@ def _stars(delta: int) -> tuple[list[Pair], list[Pair]]:
     return [(x, 1 + i) for i in range(delta)], [(y, delta + 2 + j) for j in range(delta)]
 
 
+def _check_permutation_size(delta: int) -> None:
+    """Refuse a delta below 2, or one whose instance has more than
+    MAX_STAR_STEPS edges (delta >= 159): delta**3 + delta edges, each a
+    step of every run on it."""
+    if delta < 2:
+        raise PreconditionViolated("need delta >= 2")
+    m = delta**3 + delta
+    if m > MAX_STAR_STEPS:
+        raise PreconditionViolated(
+            f"a permutation instance at delta {delta} has {m} edges, over {MAX_STAR_STEPS}"
+        )
+
+
 def build_permutation_instance(delta: int, pi: Optional[Sequence[int]] = None) -> PermutationInstance:
     """Two delta-stars whose rays are joined through couplers along pi.
 
     Ray i of the first star is coupled to ray pi[i] of the second.  The
     result is bipartite, delta-regular, with delta**3 + delta edges, hence
     delta-edge-colorable; but a coloring that gives coupled rays different
-    colors cannot stay within delta colors.
+    colors cannot stay within delta colors.  A delta that
+    _check_permutation_size refuses raises before any pair is built.
     """
-    if delta < 2:
-        raise PreconditionViolated("need delta >= 2")
+    _check_permutation_size(delta)
     if pi is None:
         pi = tuple(range(delta))
     pi = tuple(pi)
@@ -241,10 +255,10 @@ def permutation_game(
     fresh instance replays the same prefix on the completed stream.  When
     `final_run` is given it produces the report instead (used to show that
     a consumer whose records are recomputed for the completed instance is
-    immune).
+    immune).  A delta that _check_permutation_size refuses raises before
+    the probe.
     """
-    if delta < 2:
-        raise PreconditionViolated("need delta >= 2")
+    _check_permutation_size(delta)
     x_star, y_star = _stars(delta)
     probe_report = simulate(stream_from_pairs(x_star + y_star), make_alg())
     x_colors = [probe_report.coloring[p] for p in x_star]

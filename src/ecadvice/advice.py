@@ -12,10 +12,12 @@ and reuses the result for every edge that carries it.
 
 A source frames the records for the consumer: `open(mode)` gives d, from the
 first record's length (`RequestSource`) or the header (`TapeSource`), and
-`next_record()` one record per edge, metered in `bits_read`.
+`next_record()` one record per edge.  `bits_read` is derived from the
+source's cursor when it is read, not counted per edge.
 """
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import AdviceExhausted, MalformedAdvice, MalformedTape, PreconditionViolated
@@ -241,14 +243,19 @@ def header_bits(d: int) -> int:
 
 
 class RequestSource:
-    """Hands out one whole record per edge; bits are counted as delivered."""
+    """Hands out one whole record per edge; bits count as read once handed
+    out."""
 
     model = "request"
 
     def __init__(self, records: Iterable[str]):
         self._records = list(records)
         self._next = 0
-        self.bits_read = 0
+
+    @property
+    def bits_read(self) -> int:
+        """The summed length of the records handed out."""
+        return sum(map(len, islice(self._records, self._next)))
 
     def open(self, mode: str) -> int:
         """d, from the length of the next record, which stays unread."""
@@ -261,7 +268,6 @@ class RequestSource:
             raise AdviceExhausted(f"no record for edge {self._next}")
         bits = self._records[self._next]
         self._next += 1
-        self.bits_read += len(bits)
         return bits
 
     def finish(self) -> None:
@@ -280,13 +286,15 @@ class TapeSource:
         self._bits = tape
         self._pos = 0
         self._length = 0
-        self.bits_read = 0
+
+    @property
+    def bits_read(self) -> int:
+        """The cursor: every bit before it was read."""
+        return self._pos
 
     def open(self, mode: str) -> int:
         """d, from the header, read and metered; it fixes the record length."""
-        d, pos = read_header(self._bits, self._pos)
-        self.bits_read += pos - self._pos
-        self._pos = pos
+        d, self._pos = read_header(self._bits, self._pos)
         self._length = bits_per_edge(d, mode)
         return d
 
@@ -296,15 +304,15 @@ class TapeSource:
         if end > len(self._bits):
             raise AdviceExhausted(f"requested {k} bits at {pos} of {len(self._bits)}")
         self._pos = end
-        self.bits_read += k
         return self._bits[pos:end]
 
     def finish(self) -> None:
         """Raise when bits are left over after the last edge: a tape one bit
         too long otherwise decodes, shifted, into some other coloring.  An
         empty stream reads nothing, and its tape may hold one header."""
-        if not self._pos and self._bits:
-            self._pos = read_header(self._bits)[1]  # not metered
-        left = len(self._bits) - self._pos
+        pos = self._pos
+        if not pos and self._bits:
+            pos = read_header(self._bits)[1]  # not metered: the cursor stays
+        left = len(self._bits) - pos
         if left:
             raise MalformedTape(f"{left} bits left unread after the last edge")

@@ -118,20 +118,16 @@ class Greedy(GreedyVariant):
 
 
 class DecodedStep(NamedTuple):
-    """What the decoder extracted for one edge, kept for cross-checks.  A
-    named tuple: one is built per edge, and a tuple builds at a third of a
-    frozen dataclass's cost.  The decoder builds it with tuple.__new__,
-    which skips the named tuple's Python-level __new__ and takes about half
-    as long."""
+    """What the decoder extracted for one edge, kept for cross-checks.  One
+    is built per edge on the first read of `AdviceAlgorithm.decoded`, not
+    by the step: a step logs a plain tuple, which builds at a quarter of a
+    named tuple's cost."""
 
     arrival: int
     mode: int
     subset: Optional[int]
     rank: Optional[int]
     color: int
-
-
-_new = tuple.__new__
 
 
 class AdviceAlgorithm(OnlineAlgorithm):
@@ -151,6 +147,11 @@ class AdviceAlgorithm(OnlineAlgorithm):
     edge there costs the same whatever the hub's degree.  A literal record
     is decoded once, on its first edge; later edges that carry it cost one
     dict lookup.
+
+    Each step logs a plain tuple (arrival, subset or None, the record's
+    cached fields entry); `decoded` turns the entries not yet read into
+    `DecodedStep`s in place on its first read, so a run that never reads
+    it builds none.
     """
 
     def __init__(self, mode: str = "robust"):
@@ -173,7 +174,26 @@ class AdviceAlgorithm(OnlineAlgorithm):
         # are fixed once the first record is read, and a record that fails
         # to parse is never stored
         self._fields: dict[str, RecordFields | tuple[int, int]] = {}
-        self.decoded: list[DecodedStep] = []
+        # one entry per step: (arrival, subset or None for a literal record,
+        # its _fields entry), a DecodedStep once `decoded` has read it; the
+        # first _read entries have been read
+        self._log: list = []
+        self._read = 0
+
+    @property
+    def decoded(self) -> list[DecodedStep]:
+        """What the decoder extracted for each edge so far, in step order.
+        The same list on every read: later steps extend it, and an edit to
+        an entry stays."""
+        log = self._log
+        for i in range(self._read, len(log)):
+            arrival, subset, fields = log[i]
+            if subset is None:  # a literal record: (final color, color)
+                log[i] = DecodedStep(arrival, 0, None, None, fields[1])
+            else:
+                log[i] = DecodedStep(arrival, 1, subset, fields.rank, fields.color)
+        self._read = len(log)
+        return log
 
     def _parse(self, bits: str) -> RecordFields | tuple[int, int]:
         fields = unpack_record(bits, self.d, self.mode)
@@ -199,9 +219,8 @@ class AdviceAlgorithm(OnlineAlgorithm):
         if fields is None:
             fields = self._parse(bits)
         if type(fields) is tuple:  # a literal record: (final color, color)
-            final, color = fields
-            self.decoded.append(_new(DecodedStep, (edge.arrival, 0, None, None, color)))
-            return final
+            self._log.append((edge.arrival, None, fields))
+            return fields[0]
         _, front_flag, color, rank = fields
         u, v = edge.u, edge.v
         if self.mode == "strict":
@@ -234,7 +253,7 @@ class AdviceAlgorithm(OnlineAlgorithm):
                     else:
                         _add_run(runs, subset)
         provisional = (subset - 1) * cap + color
-        self.decoded.append(_new(DecodedStep, (edge.arrival, 1, subset, rank, color)))
+        self._log.append((edge.arrival, subset, fields))
         rename = self._rename
         final = rename.get(provisional)
         if final is None:

@@ -151,6 +151,25 @@ def test_permutation_instance_rejects_non_permutation():
         build_permutation_instance(1)  # no permutation game below delta = 2
 
 
+def _no_stars(delta):
+    raise AssertionError(f"the stars of a delta-{delta} instance were built")
+
+
+def test_permutation_instance_past_the_edge_cap_is_refused(monkeypatch):
+    # delta 159 has 4,019,838 edges, over MAX_STAR_STEPS; delta 158 has
+    # 3,944,470 and passes the check (it is not built here)
+    monkeypatch.setattr(adversaries, "_stars", _no_stars)
+    assert 158**3 + 158 <= adversaries.MAX_STAR_STEPS < 159**3 + 159
+    for call in (
+        lambda: build_permutation_instance(159),
+        lambda: build_permutation_instance(1000, range(1000)),
+        lambda: permutation_game(159, Greedy),
+    ):
+        with pytest.raises(PreconditionViolated, match="edges, over 4000000"):
+            call()
+    adversaries._check_permutation_size(158)
+
+
 def test_permutation_game_forces_greedy():
     res = permutation_game(2, Greedy)
     assert res.forced and res.report.colors_used >= 3

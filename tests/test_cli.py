@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecadvice import Graph, parse_stream, run_advice
-from ecadvice import cli
+from ecadvice import adversaries, cli
 from ecadvice.cli import main
 
 from .conftest import cycle_pairs, stream
@@ -289,6 +289,21 @@ def test_adversary_elimination_oversized_game_is_usage_error(capsys, monkeypatch
     assert code == 2
     assert stdout == ""
     assert "PreconditionViolated" in stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [["gen", "permutation"], ["adversary", "permutation"], ["adversary", "permutation", "--oracle"]]
+)
+def test_permutation_past_the_edge_cap_is_usage_error(capsys, monkeypatch, argv):
+    # delta 200 has 8,000,200 edges: refused before any pair is built
+    def stars(delta):
+        raise AssertionError(f"the stars of a delta-{delta} instance were built")
+
+    monkeypatch.setattr(adversaries, "_stars", stars)
+    code, stdout, stderr = run_cli(capsys, *argv, "--delta", "200")
+    assert code == 2
+    assert stdout == ""
+    assert "PreconditionViolated" in stderr and "8000200 edges" in stderr
 
 
 @pytest.mark.parametrize("bits", ["10", "40"])

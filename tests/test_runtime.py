@@ -6,6 +6,7 @@ import json
 import os
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stdout
 from itertools import count
 
@@ -354,6 +355,62 @@ def test_tape_source_next_record_reads_one_record_length(mode):
     assert src.next_record() == "0" * per
     assert src.bits_read == header_bits(d) + 2 * per
     src.finish()
+
+
+def _hand_out(src, calls):
+    """Call next_record `calls` times, past the end too (it raises
+    AdviceExhausted there); after each call yield the records handed out."""
+    out = []
+    for _ in range(calls):
+        try:
+            out.append(src.next_record())
+        except AdviceExhausted:
+            pass
+        yield out
+
+
+@given(st.lists(st.text("01", min_size=1, max_size=12), max_size=8), st.integers(0, 12))
+def test_request_source_meters_the_records_it_hands_out(records, calls):
+    src = RequestSource(records)
+    for out in _hand_out(src, calls):
+        assert src.bits_read == sum(map(len, out))
+    assert src.bits_read == sum(map(len, records[:calls]))
+
+
+@given(
+    st.integers(1, 40),
+    st.sampled_from(["strict", "robust"]),
+    st.text("01", max_size=60),
+    st.integers(0, 12),
+)
+def test_tape_source_meters_its_header_and_the_records_it_hands_out(d, mode, body, calls):
+    src = TapeSource(encode_tape([], d) + body)
+    assert src.bits_read == 0
+    assert src.open(mode) == d
+    for out in _hand_out(src, calls):
+        assert src.bits_read == header_bits(d) + sum(map(len, out))
+    read = src.bits_read
+    try:
+        src.finish()
+    except MalformedTape:
+        pass
+    assert src.bits_read == read
+
+
+@given(st.integers(1, 2**20))
+def test_sources_finishing_an_empty_stream_read_nothing(d):
+    for src in (RequestSource([]), TapeSource(""), TapeSource(encode_tape([], d))):
+        src.finish()
+        assert src.bits_read == 0
+
+
+def test_sources_keep_no_counter_of_bits():
+    # bits_read is derived from the cursor, not counted per record
+    for cls in (RequestSource, TapeSource):
+        assert isinstance(vars(cls)["bits_read"], property)
+        assert vars(cls)["bits_read"].fset is None
+    assert sorted(vars(RequestSource(["010"]))) == ["_next", "_records"]
+    assert sorted(vars(TapeSource("0"))) == ["_bits", "_length", "_pos"]
 
 
 def test_sources_are_defined_in_advice():
@@ -790,6 +847,113 @@ def test_plan_and_decoded_steps_are_immutable(bundled_run):
     for obj, name in ((adv, "subset"), (adv, "rank"), (step, "subset"), (step, "color")):
         with pytest.raises(AttributeError):
             setattr(obj, name, 0)
+
+
+class _Counted(DecodedStep):
+    """DecodedStep, counting its constructions."""
+
+    __slots__ = ()
+    made = 0
+
+    def __new__(cls, *fields):
+        _Counted.made += 1
+        return super().__new__(cls, *fields)
+
+
+def test_a_run_builds_no_decoded_step_until_decoded_is_read(monkeypatch):
+    monkeypatch.setattr(runtime, "DecodedStep", _Counted)
+    monkeypatch.setattr(_Counted, "made", 0)
+    run = run_advice(gen_d_degenerate(300, 2, 4), 2)
+    assert _Counted.made == 0
+    decoded = run.algorithm.decoded
+    assert {step.mode for step in decoded} == {0, 1}
+    assert _Counted.made == run.report.m == len(decoded)
+    assert all(type(step) is _Counted for step in decoded)
+    assert run.algorithm.decoded is decoded
+    assert _Counted.made == run.report.m
+
+
+def test_decoded_read_mid_run_is_extended_in_place():
+    oracle = build_advice(gen_d_degenerate(120, 2, 4), 2)
+    edges, k = oracle.stream.edges, oracle.stream.m // 2
+    alg, src = AdviceAlgorithm(), RequestSource(oracle.records)
+    for edge in edges[:k]:
+        alg.step(edge, src)
+    decoded = alg.decoded
+    head = list(decoded)
+    decoded[0] = decoded[0]._replace(color=0)  # an edit stays
+    for edge in edges[k:]:
+        alg.step(edge, src)
+    assert alg.decoded is decoded and len(decoded) == oracle.stream.m
+    assert decoded[1:k] == head[1:] and decoded[0].color == 0
+    assert all(type(step) is DecodedStep for step in decoded)
+    assert [step.arrival for step in decoded] == list(range(oracle.stream.m))
+
+
+def test_a_copied_run_decodes_the_same_before_and_after_a_read():
+    run = run_advice(gen_d_degenerate(60, 2, 4), 2)
+    before = copy.deepcopy(run)
+    decoded = run.algorithm.decoded
+    after = copy.deepcopy(run)
+    assert before.algorithm.decoded == decoded == after.algorithm.decoded
+    assert after.algorithm.decoded is not decoded
+    assert verify_run(before) == verify_run(after) == []
+
+
+def test_the_log_keeps_at_most_72_bytes_per_edge_before_any_read():
+    # per edge a 3-tuple (64 bytes with its collector header) and its list
+    # slot; a DecodedStep per edge would take 88
+    oracle = build_advice(gen_d_degenerate(20000, 2, 1), 2, mode="strict")
+    code = AdviceAlgorithm.step.__code__
+    lines, first = inspect.getsourcelines(AdviceAlgorithm.step)
+    appends = [first + i for i, line in enumerate(lines) if "self._log.append(" in line]
+    assert len(appends) == 2
+    alg = AdviceAlgorithm("strict")
+    tracemalloc.start()
+    try:
+        simulate(oracle.stream, alg, RequestSource(oracle.records))
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    kept = snapshot.filter_traces([tracemalloc.Filter(True, code.co_filename, n) for n in appends])
+    size = sum(stat.size for stat in kept.statistics("filename"))
+    m = oracle.stream.m
+    assert m > 30000 and alg._read == 0
+    # a list holds up to an eighth more slots than items; the spare slots
+    # are the list's growth, not the cost of an edge
+    spare = sys.getsizeof(alg._log) - sys.getsizeof([]) - 8 * m
+    assert 0 <= spare <= m
+    assert 56 * m <= size - spare <= 72 * m, (size - spare) / m
+
+
+class _ShiftOne(AdviceAlgorithm):
+    """A mutant decoder: it colors as AdviceAlgorithm does, but logs its
+    first subset edge one subset up."""
+
+    shifted = False
+
+    def step(self, edge, advice):
+        color = super().step(edge, advice)
+        arrival, subset, fields = self._log[-1]
+        if subset is not None and not self.shifted:
+            self._log[-1] = (arrival, subset + 1, fields)
+            self.shifted = True
+        return color
+
+
+@pytest.mark.parametrize("read_first", [False, True])
+def test_a_decoder_that_shifts_one_subset_fails_verify_run(monkeypatch, read_first):
+    s = gen_d_degenerate(14, 1, 3)
+    honest = run_advice(s, 1, mode="robust", model="tape")
+    monkeypatch.setattr(runtime, "AdviceAlgorithm", _ShiftOne)
+    run = run_advice(s, 1, mode="robust", model="tape")
+    assert type(run.algorithm) is _ShiftOne and run.algorithm.shifted
+    assert run.report.coloring.assignment == honest.report.coloring.assignment
+    if read_first:
+        assert run.algorithm.decoded != honest.algorithm.decoded
+    problems = verify_run(run)
+    assert [p.split(":", 1)[0] for p in problems] == ["decoder"], problems
+    assert verify_run(honest) == []
 
 
 def _corrupt(bits, d, mode, kind, data):
