@@ -24,7 +24,6 @@ from .errors import (
     NotBipartite,
     ParseError,
     PreconditionViolated,
-    RecoloringAttempt,
     ResourceLimit,
     SelfLoop,
 )

@@ -260,9 +260,8 @@ def permutation_game(
     """
     _check_permutation_size(delta)
     x_star, y_star = _stars(delta)
-    probe_report = simulate(stream_from_pairs(x_star + y_star), make_alg())
-    x_colors = [probe_report.coloring[p] for p in x_star]
-    y_colors = [probe_report.coloring[p] for p in y_star]
+    probe = simulate(stream_from_pairs(x_star + y_star), make_alg()).coloring.by_id
+    x_colors, y_colors = probe[:delta], probe[delta:]
     if x_colors == y_colors:
         pi = tuple([1, 0] + list(range(2, delta)))
     else:

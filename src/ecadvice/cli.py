@@ -37,7 +37,6 @@ from .errors import (
     NotBipartite,
     ParseError,
     PreconditionViolated,
-    RecoloringAttempt,
     ResourceLimit,
 )
 from .generators import (
@@ -60,7 +59,6 @@ from .runtime import (
 _USAGE_ERRORS = (ParseError, PreconditionViolated, NotBipartite, OSError, ValueError)
 _PROPERTY_ERRORS = (
     ImproperColoring,
-    RecoloringAttempt,
     MalformedAdvice,
     MalformedTape,
     AdviceExhausted,
@@ -137,8 +135,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         report = run.report
         ok = bool(report.optimal)
     if args.coloring_out:  # written first: a path that fails leaves stdout empty
-        # the run colors the edges in arrival order (see runtime.Referee)
-        colors = report.coloring.assignment.values()
+        # the run's colors are by arrival (see runtime.Referee)
+        colors = report.coloring.by_id
         lines = [f"{e.u} {e.v} {c}" for e, c in zip(stream.edges, colors, strict=True)]
         with open(args.coloring_out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))

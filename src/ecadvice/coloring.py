@@ -26,15 +26,16 @@ walk along a path: a flip that lands where it must not is flipped back.
 Every engine works on edge ids and vertex indices (see graphs).  The peel
 takes a bare edge list on indices, so the oracle colors all its bundles in
 one call, on their disjoint union.  An engine's Coloring keeps the colors
-by id in `Coloring.by_id`, which is all the oracle reads, and builds the
-pair-keyed assignment only on first access.
+by id in `Coloring.by_id`, which is all the oracle reads, with the ids in
+the order they got colored, and builds the pair-keyed assignment only on
+first access.
 """
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
 from .errors import PreconditionViolated, ResourceLimit
-from .graphs import Coloring, Graph, two_color
+from .graphs import Coloring, Edge, Graph, two_color
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -47,6 +48,12 @@ def node_budget(budget: Optional[int]) -> int:
     if budget < 0:
         raise PreconditionViolated(f"node budget {budget} is negative")
     return budget
+
+
+def _by_ids(edges: Sequence[Edge], color: dict[int, int]) -> Coloring:
+    """The coloring that gives edges[i] color[i], `color` holding every
+    index in the order the edges got colored."""
+    return Coloring(edges, [color[i] for i in range(len(edges))], list(color))
 
 
 def exact_color(g: Graph, k: int, *, budget: Optional[int] = None) -> Optional[Coloring]:
@@ -71,7 +78,7 @@ def exact_color(g: Graph, k: int, *, budget: Optional[int] = None) -> Optional[C
     limit = node_budget(budget)
 
     if g.m == 0:
-        return Coloring.of_ids(g.edges, {})
+        return Coloring(g.edges, [])
     if k < g.max_degree or g.m > k * (g.n // 2):
         return None
 
@@ -159,7 +166,7 @@ def exact_color(g: Graph, k: int, *, budget: Optional[int] = None) -> Optional[C
                 return None
             frame = stack[-1]
 
-    return Coloring.of_ids(g.edges, {order[r]: c for r, _, _, c in stack})
+    return _by_ids(g.edges, {order[r]: c for r, _, _, c in stack})
 
 
 class _Ledger:
@@ -294,7 +301,7 @@ def konig_color(g: Graph) -> Coloring:
                 raise AssertionError("alternating path reached the far endpoint")
             c = b
         ledger.set(i, c)
-    return Coloring.of_ids(g.edges, ledger.color)
+    return _by_ids(g.edges, ledger.color)
 
 
 def vizing_plus_one(g: Graph) -> Coloring:
@@ -307,7 +314,7 @@ def vizing_plus_one(g: Graph) -> Coloring:
     color = _peel_color(g.uv, g.vertices, g.max_degree, g.max_degree + 1)
     if color is None:
         raise AssertionError("the max_degree+1 peel got stuck")
-    return Coloring.of_ids(g.edges, color)
+    return _by_ids(g.edges, color)
 
 
 def _peel_color(

@@ -6,11 +6,12 @@ class ParseError(ValueError):
 
 
 class SelfLoop(ParseError):
-    """An edge joins a vertex to itself."""
+    """An edge joins a vertex to itself; raised when a stream or graph is built."""
 
 
 class DuplicateEdge(ParseError):
-    """The same unordered vertex pair appears twice in one stream."""
+    """The same unordered vertex pair appears twice in one stream; raised
+    when a stream or graph is built."""
 
 
 class PreconditionViolated(ValueError):
@@ -39,10 +40,6 @@ class AdviceExhausted(RuntimeError):
 
 class ImproperColoring(RuntimeError):
     """An online algorithm returned a color already present at an endpoint."""
-
-
-class RecoloringAttempt(RuntimeError):
-    """An online algorithm tried to change a committed color."""
 
 
 class NoMonochromeFamily(RuntimeError):

@@ -2,7 +2,10 @@
 
 Vertices are opaque integer labels; they exist only once an edge reveals
 them.  An edge stream fixes the arrival order, which is the only notion of
-time the online algorithms ever see.
+time the online algorithms ever see, and is a simple graph by construction:
+EdgeStream refuses a loop or a repeated pair when it is built, so a run
+colors each edge once.  Graph checks its edges too, since it also takes raw
+edge sequences such as bundle members.
 
 Inside a Graph an edge is named by its position in `edges`, its edge id,
 and a vertex by its position in `vertices`, its index: the labels sorted,
@@ -13,9 +16,10 @@ degree, the length of `adj[v]`.  The degeneracy peel, the engines, the
 partition and the oracle run on these lists; labels appear only at the API
 boundary (the orders `degeneracy` returns and `build_partition` takes,
 error messages), and normalized endpoint pairs (`Edge.pair`, the keys of a
-Coloring) only when asked for.
-A Coloring, the result type of the engines in coloring, lives here beside
-the Edge and Pair types it is built from.
+Coloring's assignment) only when asked for.
+A Coloring, the result type of the engines in coloring and of a run, lives
+here beside the Edge and Pair types it is built from: one color per edge
+id, which for a run is one per arrival.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ import heapq
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DuplicateEdge, NotBipartite, ParseError, PreconditionViolated, SelfLoop
 
@@ -68,7 +72,14 @@ _set_arrival = Edge.arrival.__set__
 
 @dataclass(frozen=True)
 class EdgeStream:
-    """Edges in arrival order; any iterable of edges is kept as a tuple."""
+    """Edges in arrival order, a simple graph by construction; any iterable
+    of edges is kept as a tuple.
+
+    Building one checks that edge i has arrival i (PreconditionViolated
+    otherwise), then raises SelfLoop or DuplicateEdge (both ParseErrors) for
+    the first edge that is a loop or repeats an earlier pair, reversed or
+    not.  So an online algorithm never meets an edge twice.
+    """
 
     edges: tuple[Edge, ...]
 
@@ -81,6 +92,7 @@ class EdgeStream:
         for i, e in enumerate(edges):
             if e.arrival != i:
                 raise PreconditionViolated(f"arrival index {e.arrival} at position {i}")
+        _require_simple(edges, [e.u for e in edges], [e.v for e in edges])
 
     @property
     def m(self) -> int:
@@ -89,16 +101,7 @@ class EdgeStream:
 
 def stream_from_pairs(pairs: Iterable[tuple[int, int]]) -> EdgeStream:
     """Build a stream from ordered (u, v) pairs, assigning arrival indices."""
-    pairs = list(pairs)
-    return _stream_from_columns([u for u, _ in pairs], [v for _, v in pairs])
-
-
-def _stream_from_columns(us: Sequence[int], vs: Sequence[int]) -> EdgeStream:
-    """The stream whose edge i is (us[i], vs[i]), checked for loops and
-    repeats the way Graph checks its edges."""
-    edges = tuple(map(Edge, us, vs, range(len(us))))
-    _require_simple(edges, us, vs)
-    return EdgeStream(edges)
+    return EdgeStream(Edge(u, v, i) for i, (u, v) in enumerate(pairs))
 
 
 # the line breaks of str.splitlines that are ASCII
@@ -127,7 +130,7 @@ def parse_stream(text: str) -> EdgeStream:
         else:
             us, vs = labels[0::2], labels[1::2]
             del labels  # not held while the edges are built
-            return _stream_from_columns(us, vs)
+            return EdgeStream(tuple(map(Edge, us, vs, range(len(us)))))
     pairs = []
     for lineno, raw in enumerate(_ASCII_BREAK.split(text), start=1):
         line = raw.split("#", 1)[0]
@@ -202,49 +205,40 @@ class Graph:
 
 
 class Coloring:
-    """Proper edge coloring keyed by normalized endpoint pair.
+    """Proper edge coloring: `edges` and `by_id`, where edges[i] has color
+    by_id[i].
 
-    An engine's coloring also keeps `by_id`, the colors in edge-id order of
-    the graph it colored; it is built by `of_ids` and makes `assignment`
-    only on first access, in the order the edges got colored.  A coloring
-    built from pairs has None there.
+    `order`, the edge ids in the order the edges got colored, fixes the
+    order of `assignment`, the pair-keyed view, which is built on first
+    access; an engine passes it, and it is id order when omitted.
     """
 
-    __slots__ = ("_assignment", "by_id", "_edges", "_order")
+    __slots__ = ("edges", "by_id", "_order", "_assignment")
 
-    def __init__(self, assignment: Mapping[Pair, int]):
-        if assignment is None:
-            raise TypeError("Coloring needs an assignment; an engine builds one with of_ids")
-        self._assignment = assignment
-        self.by_id = None
-
-    @classmethod
-    def of_ids(cls, edges: Sequence[Edge], color: Mapping[int, int]) -> "Coloring":
-        """The coloring that gives edges[i] color[i], `color` holding every
-        index in the order the edges got colored."""
-        col = cls.__new__(cls)
-        col._assignment = None
-        col.by_id = [color[i] for i in range(len(edges))]
-        col._edges = edges
-        col._order = list(color)
-        return col
+    def __init__(
+        self, edges: Sequence[Edge], by_id: list[int], order: Optional[Iterable[int]] = None
+    ):
+        self.edges = edges
+        self.by_id = by_id
+        self._order = range(len(by_id)) if order is None else order
+        self._assignment: Optional[dict[Pair, int]] = None
 
     @property
     def assignment(self) -> Mapping[Pair, int]:
         if self._assignment is None:
-            edges, by_id = self._edges, self.by_id
+            edges, by_id = self.edges, self.by_id
             self._assignment = {edges[i].pair: by_id[i] for i in self._order}
         return self._assignment
 
     @property
     def palette(self) -> frozenset[int]:
-        return frozenset(self.assignment.values() if self.by_id is None else self.by_id)
+        return frozenset(self.by_id)
 
     def __getitem__(self, pair: Pair) -> int:
         return self.assignment[pair]
 
     def __len__(self) -> int:
-        return len(self.assignment if self.by_id is None else self.by_id)
+        return len(self.by_id)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Coloring):

@@ -25,14 +25,8 @@ from .advice import (
     unpack_record,
 )
 from .coloring import Coloring, exact_color, node_budget
-from .errors import (
-    AdviceExhausted,
-    ImproperColoring,
-    PreconditionViolated,
-    RecoloringAttempt,
-    SelfLoop,
-)
-from .graphs import Edge, EdgeStream, Graph, Pair, is_proper
+from .errors import AdviceExhausted, ImproperColoring, PreconditionViolated
+from .graphs import Edge, EdgeStream, Graph, is_proper
 from .oracle import OracleResult, build_advice
 
 
@@ -296,19 +290,20 @@ class RunReport:
 
 
 class Referee:
-    """The run ledger: each edge's color and, per color, the vertices where
+    """The run ledger: each step's color and, per color, the vertices where
     it is present, checked on every step an online algorithm takes.
 
     Keyed by color, not by vertex: a step probes one set, the one of its
     color, and a vertex gets no container of its own, so the ledger holds
-    one set per color and 2m entries in all.  `assignment` gains one pair
-    per step, in step order.  simulate steps in arrival order, and a
-    strict-mode replay stream keeps every arrival and pair of the stream it
-    orients, so a run's colors, read in order, are the colors of the input
-    stream's edges in arrival order."""
+    one set per color and 2m entries in all.  `colors` gains one color per
+    step, in step order, and holds no pairs: an EdgeStream is a simple
+    graph (see graphs), so no edge is met twice and none is a loop.
+    simulate steps in arrival order, and a strict-mode replay stream keeps
+    every arrival and pair of the stream it orients, so `colors[i]` is the
+    color of the input stream's edge i."""
 
     def __init__(self) -> None:
-        self.assignment: dict[Pair, int] = {}
+        self.colors: list[int] = []
         self.holders: dict[int, set[int]] = {}
 
     @property
@@ -320,35 +315,29 @@ class Referee:
         return frozenset(c for c, at in self.holders.items() if v in at)
 
     def record(self, edge: Edge, color) -> None:
-        """Accept a positive int color that is new at both endpoints for an
-        edge not colored before that joins two distinct vertices; raise
-        otherwise."""
+        """Accept a positive int color that is new at both endpoints; raise
+        ImproperColoring otherwise."""
         u, v = edge.u, edge.v
-        pair = (u, v) if u < v else (v, u)
         # bool is an int subclass, but True is not a color
         if type(color) is not int or color < 1:
-            raise ImproperColoring(f"edge {pair}: color {color!r} is not a positive int")
-        assignment = self.assignment
-        if pair in assignment:
-            raise RecoloringAttempt(f"edge {pair} colored twice")
-        if u == v:
-            raise SelfLoop(f"edge {edge.arrival} joins {u} to itself")
+            raise ImproperColoring(f"edge {edge.pair}: color {color!r} is not a positive int")
         at = self.holders.get(color)
         if at is None:
             self.holders[color] = {u, v}
         elif u in at or v in at:
-            raise ImproperColoring(f"edge {pair}: color {color} already present")
+            raise ImproperColoring(f"edge {edge.pair}: color {color} already present")
         else:
             at.add(u)
             at.add(v)
-        assignment[pair] = color
+        self.colors.append(color)
 
 
 @_collector_paused
 def simulate(stream: EdgeStream, alg: OnlineAlgorithm, advice=None) -> RunReport:
     """Reveal edges in arrival order, enforcing properness at every step.
 
-    Advice must be used up by the last edge, an empty stream's too.
+    Advice must be used up by the last edge, an empty stream's too.  The
+    report's coloring holds the referee's colors, by arrival, as they are.
     """
     referee = Referee()
     step, record = alg.step, referee.record
@@ -364,7 +353,7 @@ def simulate(stream: EdgeStream, alg: OnlineAlgorithm, advice=None) -> RunReport
         colors_used=referee.colors_used,
         advice_bits_read=getattr(advice, "bits_read", 0),
         per_edge_bits=getattr(alg, "record_length", None) or 0,
-        coloring=Coloring(referee.assignment),
+        coloring=Coloring(stream.edges, referee.colors),
     )
 
 

@@ -2,6 +2,7 @@ import pytest
 
 from ecadvice import (
     Coloring,
+    Edge,
     Graph,
     Greedy,
     GreedyVariant,
@@ -252,7 +253,7 @@ def test_rigidity_decides_the_separating_colorings(n, monkeypatch):
 
 
 def _wide(g, *args, **kwargs):
-    return Coloring({(0, i): i for i in range(1, 6)})
+    return Coloring([Edge(0, i, i - 1) for i in range(1, 6)], [1, 2, 3, 4, 5])
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from ecadvice import (
     optimal_coloring,
     vizing_plus_one,
 )
-from ecadvice.coloring import Coloring, _peel_color
+from ecadvice.coloring import Coloring, _by_ids, _peel_color
 from ecadvice.graphs import two_color
 
 from .conftest import (
@@ -264,7 +264,7 @@ def test_complete_max_degree_peel_is_a_max_degree_coloring(g):
         assert color is None  # on a regular graph the peel cannot start
     if color is None:
         return
-    col = Coloring.of_ids(g.edges, color)
+    col = _by_ids(g.edges, color)
     assert is_proper(g, col) and len(col) == g.m
     assert col.palette <= frozenset(range(1, g.max_degree + 1))
 
@@ -274,7 +274,7 @@ def test_max_degree_peel_colors_dense_random_graphs(seed):
     g = graph(gnp_pairs(60, 0.4, seed))
     color = _peel_color(g.uv, g.vertices, g.max_degree, g.max_degree)
     assert color is not None
-    col = Coloring.of_ids(g.edges, color)
+    col = _by_ids(g.edges, color)
     assert is_proper(g, col) and len(col) == g.m
     assert col.palette == frozenset(range(1, g.max_degree + 1))
 
@@ -310,7 +310,7 @@ def peel(g: Graph, d: int) -> Optional[Coloring]:
     """The peel at threshold d and floor 2d, as the oracle colors its
     bundles; None when it gets stuck."""
     color = _peel_color(g.uv, g.vertices, d, 2 * d)
-    return None if color is None else Coloring.of_ids(g.edges, color)
+    return None if color is None else _by_ids(g.edges, color)
 
 
 def test_color_degenerate_star():
@@ -612,16 +612,21 @@ def assert_ledger_consistent(ledger):
 
 def test_engine_coloring_builds_its_pairs_on_first_access():
     g = graph([(7, 3), (3, 9), (9, 7)])
-    col = Coloring.of_ids(g.edges, {2: 3, 0: 1, 1: 2})
+    col = Coloring(g.edges, [1, 2, 3], [2, 0, 1])
     assert col.by_id == [1, 2, 3]
     assert len(col) == 3 and col.palette == {1, 2, 3}
     assert col._assignment is None  # palette and len read by_id
     assert list(col.assignment.items()) == [((7, 9), 3), ((3, 7), 1), ((3, 9), 2)]
-    assert col == Coloring({(3, 7): 1, (3, 9): 2, (7, 9): 3})
+    # an engine's dict from id, in coloring order, gives the same
+    engine = _by_ids(g.edges, {2: 3, 0: 1, 1: 2})
+    assert (engine.by_id, list(engine.assignment.items())) == (col.by_id, list(col.assignment.items()))
+    by_arrival = Coloring(g.edges, [1, 2, 3])  # id order when no order is given
+    assert list(by_arrival.assignment) == [(3, 7), (3, 9), (7, 9)]
+    assert col == by_arrival
     assert col != col.assignment  # a Coloring equals only a Coloring
-    assert repr(Coloring({(1, 2): 1})) == "Coloring(assignment={(1, 2): 1})"
-    with pytest.raises(TypeError):
-        Coloring(None)
+    assert repr(Coloring((Edge(2, 1, 0),), [1])) == "Coloring(assignment={(1, 2): 1})"
+    with pytest.raises(TypeError):  # no pair-keyed constructor
+        Coloring({(1, 2): 1})
 
 
 def test_exhausted_palette_names_the_label():

@@ -133,7 +133,8 @@ def reference_arrival_check(edges) -> None:
 def test_stream_arrival_check_matches_the_per_edge_loop(arrivals, in_order):
     if in_order:  # most lists above fail at once, so half are near misses
         arrivals = list(range(len(arrivals))) + arrivals[len(arrivals) // 2 :]
-    edges = tuple(Edge(0, 1, a) for a in arrivals)
+    # distinct pairs, so only the arrivals can be refused
+    edges = tuple(Edge(k, k + 1, a) for k, a in enumerate(arrivals))
     try:
         reference_arrival_check(edges)
     except PreconditionViolated as expected:

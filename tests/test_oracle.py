@@ -410,13 +410,13 @@ def test_one_record_object_per_record_string(case, mode):
 )
 @pytest.mark.parametrize("stage", ["build_advice", "optimal_coloring", "run_advice"])
 def test_oracle_refuses_multigraphs_and_loops(edges, error, stage):
-    # once gave both parallel edges color 1 with chi 3, and a loop chi 3;
-    # run_advice refused the repeat only in the consumer, after the oracle ran
-    s = EdgeStream(edges)
+    # once gave both parallel edges color 1 with chi 3, and a loop chi 3.
+    # Building the stream refuses both, before any stage; a Graph built
+    # from raw edges refuses them on its own
     call = {
-        "build_advice": lambda: build_advice(s),
-        "optimal_coloring": lambda: optimal_coloring(Graph.from_stream(s)),
-        "run_advice": lambda: run_advice(s),
+        "build_advice": lambda: build_advice(EdgeStream(edges)),
+        "optimal_coloring": lambda: optimal_coloring(Graph(edges)),
+        "run_advice": lambda: run_advice(EdgeStream(edges)),
     }[stage]
     with pytest.raises(error):
         call()

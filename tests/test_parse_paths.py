@@ -1,9 +1,11 @@
-"""parse_stream and stream_from_pairs against their line-per-line reference.
+"""parse_stream, stream_from_pairs and EdgeStream against their
+line-per-line reference.
 
 `reference_parse_stream` and `reference_stream_from_pairs` are the
 per-line, per-pair readers that parse_stream and stream_from_pairs were
 before plain text was read in bulk.  Every input must give the same edges,
-or the same exception type and message, on both.
+or the same exception type and message, on both; an EdgeStream built from
+edges refuses loops and repeats as the pair reader does.
 """
 import re
 
@@ -16,6 +18,7 @@ from ecadvice import (
     Edge,
     EdgeStream,
     ParseError,
+    PreconditionViolated,
     SelfLoop,
     edge_pair,
     parse_stream,
@@ -146,3 +149,21 @@ def test_stream_from_pairs_raises_the_first_error(make):
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12))
 def test_stream_from_pairs_matches_pair_loop(pairs):
     assert outcome(stream_from_pairs, pairs) == outcome(reference_stream_from_pairs, pairs)
+
+
+@settings(max_examples=400)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=8), st.data())
+def test_stream_refuses_loops_and_repeats_as_the_pair_loop_does(pairs, data):
+    # four labels make loops and repeated pairs, reversed or not, common; an
+    # edge whose arrival is not its position is refused first, whatever
+    # comes before or after it
+    arrivals = list(range(len(pairs)))
+    if pairs and data.draw(st.booleans(), label="misplaced"):
+        i = data.draw(st.integers(0, len(pairs) - 1), label="at")
+        arrivals[i] = data.draw(st.integers(-1, len(pairs)).filter(i.__ne__), label="arrival")
+    edges = [Edge(u, v, a) for (u, v), a in zip(pairs, arrivals)]
+    expected = outcome(reference_stream_from_pairs, pairs)
+    misplaced = [(a, i) for i, a in enumerate(arrivals) if a != i]
+    if misplaced:
+        expected = (PreconditionViolated, "arrival index %d at position %d" % misplaced[0])
+    assert outcome(EdgeStream, edges) == expected

@@ -18,6 +18,7 @@ from ecadvice import (
     AdviceAlgorithm,
     AdviceExhausted,
     Coloring,
+    DuplicateEdge,
     Edge,
     EdgeStream,
     Graph,
@@ -27,7 +28,6 @@ from ecadvice import (
     MalformedAdvice,
     MalformedTape,
     PreconditionViolated,
-    RecoloringAttempt,
     RequestSource,
     SelfLoop,
     TapeSource,
@@ -221,39 +221,33 @@ def test_simulate_shape_matches_graph(pairs):
 
 
 def test_simulate_rejects_recoloring():
-    # EdgeStream does not deduplicate; the simulator must catch the repeat
-    s = EdgeStream((Edge(0, 1, 0), Edge(1, 0, 1)))
-    with pytest.raises(RecoloringAttempt):
-        simulate(s, Greedy())
+    # an edge cannot be colored twice: a stream that repeats a pair, reversed
+    # or not, is refused when it is built, before any run
+    with pytest.raises(DuplicateEdge, match=r"^edge 1 repeats pair \(0, 1\)$"):
+        EdgeStream((Edge(0, 1, 0), Edge(1, 0, 1)))
 
 
 def test_simulate_rejects_self_loop():
-    # EdgeStream does not reject loops either; the simulator must
-    s = EdgeStream((Edge(0, 0, 0), Edge(0, 1, 1)))
-    with pytest.raises(SelfLoop):
-        simulate(s, Greedy())
+    # nor can a loop be colored: the stream holding one is refused too
+    with pytest.raises(SelfLoop, match="^edge 0 joins 0 to itself$"):
+        EdgeStream((Edge(0, 0, 0), Edge(0, 1, 1)))
 
 
 class _VertexSetReferee:
     """Reference run ledger keyed by vertex: the set of colors at each."""
 
     def __init__(self):
-        self.assignment = {}
+        self.colors = []
         self.used = {}
 
     def record(self, edge, color):
-        pair = edge.pair
         if type(color) is not int or color < 1:
             raise ImproperColoring(color)
-        if pair in self.assignment:
-            raise RecoloringAttempt(pair)
-        if edge.u == edge.v:
-            raise SelfLoop(pair)
         at_u = self.used.setdefault(edge.u, set())
         at_v = self.used.setdefault(edge.v, set())
         if color in at_u or color in at_v:
             raise ImproperColoring(color)
-        self.assignment[pair] = color
+        self.colors.append(color)
         at_u.add(color)
         at_v.add(color)
 
@@ -268,7 +262,7 @@ _STEPS = st.lists(
 def _outcome(referee, edge, color):
     try:
         referee.record(edge, color)
-    except (ImproperColoring, RecoloringAttempt, SelfLoop) as exc:
+    except ImproperColoring as exc:
         return type(exc)
     return None
 
@@ -278,16 +272,22 @@ def _outcome(referee, edge, color):
 @settings(max_examples=300)
 def test_referee_matches_a_vertex_set_ledger(steps):
     # loops, repeated pairs and colors that are not positive ints are drawn
-    # often; every step must be accepted or refused alike, with one type
+    # often; a stream holds no loop or repeat, but the ledger must stay
+    # consistent on them too: every step accepted or refused alike, with
+    # one type
     referee, reference = Referee(), _VertexSetReferee()
+    ends = []  # the pair of each accepted step
     for i, (u, v, color) in enumerate(steps):
         edge = Edge(u, v, i)
-        assert _outcome(referee, edge, color) is _outcome(reference, edge, color)
-        assert referee.assignment == reference.assignment
+        outcome = _outcome(referee, edge, color)
+        assert outcome is _outcome(reference, edge, color)
+        assert referee.colors == reference.colors
+        if outcome is None:
+            ends.append((u, v))
     for w in range(6):
-        on_edges = {c for pair, c in referee.assignment.items() if w in pair}
+        on_edges = {c for (u, v), c in zip(ends, referee.colors) if w in (u, v)}
         assert referee.colors_at(w) == on_edges == reference.used.get(w, set())
-    assert referee.colors_used == len(set(referee.assignment.values()))
+    assert referee.colors_used == len(set(referee.colors))
 
 
 def test_referee_holds_one_set_per_color(monkeypatch):
@@ -303,7 +303,9 @@ def test_referee_holds_one_set_per_color(monkeypatch):
     monkeypatch.setattr(runtime, "Referee", Kept)
     r = simulate(gen_forest(5000, 3), Greedy())
     (referee,) = made
-    assert sorted(vars(referee)) == ["assignment", "holders"]
+    assert sorted(vars(referee)) == ["colors", "holders"]
+    assert r.coloring.by_id is referee.colors  # kept, not copied
+    assert r.coloring._assignment is None  # no pair dict unless asked for
     assert len(referee.holders) == referee.colors_used == r.colors_used
     assert sum(map(len, referee.holders.values())) == 2 * r.m
 
@@ -766,17 +768,17 @@ def test_class2_claim_verifies_on_petersen():
 
 
 def _share_color(run):
-    edges = run.oracle.stream.edges
+    col = run.report.coloring
+    edges = col.edges
     a, b = next((e, f) for e in edges for f in edges if e != f and {e.u, e.v} & {f.u, f.v})
-    colors = dict(run.report.coloring.assignment)
-    colors[b.pair] = colors[a.pair]
-    run.report.coloring = Coloring(colors)
+    colors = list(col.by_id)
+    colors[b.arrival] = colors[a.arrival]
+    run.report.coloring = Coloring(edges, colors)
 
 
 def _uncolor_one(run):
-    colors = dict(run.report.coloring.assignment)
-    colors.popitem()
-    run.report.coloring = Coloring(colors)
+    col = run.report.coloring
+    run.report.coloring = Coloring(col.edges[:-1], col.by_id[:-1])
 
 
 def _set_chi(run, chi):
@@ -984,7 +986,6 @@ _CONSUMER_ERRORS = (
     MalformedTape,
     AdviceExhausted,
     ImproperColoring,
-    RecoloringAttempt,
 )
 
 
