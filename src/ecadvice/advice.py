@@ -2,8 +2,12 @@
 
 A record carries, per edge: a mode flag, optionally a front flag (robust
 layout only), a color field of ceil(log2(2d)) bits storing color-1, and a
-rank field of ceil(log2(d+1)) bits.  Fields are big-endian, filler bits
-zero.  A record is a string of '0'/'1', so dumps stay greppable.
+rank field of ceil(log2(d+1)) bits.  Filler bits are zero.  Read in that
+order, the fields are the digits of one integer, mode flag first, and the
+record is that integer written big-endian in exactly bits_per_edge bits:
+packing is a few shifts and one format() call, parsing one int() call and
+a mask per field, with no slicing.  A record is a string of '0'/'1', so
+dumps stay greppable.
 
 A record is an immutable value, and a record length admits at most
 2**bits_per_edge distinct records however many edges there are, so the
@@ -60,7 +64,7 @@ def bits_per_edge(d: int, mode: str = "strict") -> int:
     """
     if d < 1:
         raise PreconditionViolated("d must be >= 1")
-    base = 1 + ceil_log2(2 * d) + ceil_log2(d + 1)
+    base = 1 + (2 * d - 1).bit_length() + d.bit_length()  # ceil_log2(2d), ceil_log2(d+1)
     if mode == "strict":
         return base
     if mode == "robust":
@@ -129,11 +133,10 @@ class AdviceRecord(str):
         return str(self)
 
 
-def _flag(name: str, value: int) -> str:
-    # bool is an int subclass, but str(True) would write "True" into the record
+def _check_flag(name: str, value: int) -> None:
+    # bool is an int subclass, but True is not a bit
     if type(value) is not int or value not in (0, 1):
         raise PreconditionViolated(f"{name} must be 0 or 1, got {value!r}")
-    return "1" if value else "0"
 
 
 def pack_record(
@@ -148,43 +151,51 @@ def pack_record(
 
     Raises PreconditionViolated for anything unpack_record would reject:
     a flag other than the int 0 or 1, a color outside 1..2d, or a subset
-    record's rank above d.
+    record's rank above d; and for a rank that does not fit its field.
+
+    >>> pack_record(3, "strict", 1, 2, 3), pack_record(3, "robust", 0, 6, 0, 1)
+    ('100111', '0110100')
     """
-    bits = _flag("mode_flag", mode_flag)
-    front = _flag("front_flag", front_flag)
+    _check_flag("mode_flag", mode_flag)
+    _check_flag("front_flag", front_flag)
     if mode == "robust":
-        bits += front
-    elif mode != "strict":
+        value, length = mode_flag << 1 | front_flag, 2
+    elif mode == "strict":
+        value, length = mode_flag, 1
+    else:
         raise PreconditionViolated(f"unknown mode {mode!r}")
     if not 1 <= color <= 2 * d:
         raise PreconditionViolated(f"color {color} is outside 1..{2 * d}")
     if mode_flag == 1 and rank > d:
         raise PreconditionViolated(f"rank {rank} exceeds d = {d}")
-    bits += encode_int(color - 1, ceil_log2(2 * d))
-    bits += encode_int(rank, ceil_log2(d + 1))
-    return AdviceRecord(bits)
+    cw, rw = (2 * d - 1).bit_length(), d.bit_length()
+    if not 0 <= rank < 1 << rw:
+        raise PreconditionViolated(f"{rank} does not fit in {rw} bits")
+    value = (value << cw | color - 1) << rw | rank
+    return AdviceRecord(format(value, f"0{length + cw + rw}b"))
 
 
 def unpack_record(bits: str, d: int, mode: str) -> RecordFields:
-    """Parse one record; range checks raise MalformedAdvice."""
-    if len(bits) != bits_per_edge(d, mode):
-        raise MalformedAdvice(
-            f"record length {len(bits)} != {bits_per_edge(d, mode)} for d={d}"
-        )
-    if any(b not in "01" for b in bits):
+    """Parse one record; range checks raise MalformedAdvice.
+
+    Only ASCII '0' and '1' are bits: int(bits, 2) alone would also take an
+    underscore, spaces around the digits, a sign, a "0b" prefix and
+    non-ASCII digits, so they are refused before it reads the record.
+    """
+    length = bits_per_edge(d, mode)
+    if len(bits) != length:
+        raise MalformedAdvice(f"record length {len(bits)} != {length} for d={d}")
+    if bits.strip("01"):  # what is left holds the first and last non-bit
         raise MalformedAdvice("record contains non-bit characters")
-    pos = 0
-    mode_flag = int(bits[pos])
-    pos += 1
-    front_flag: Optional[int] = None
+    value = int(bits, 2)
+    cw, rw = (2 * d - 1).bit_length(), d.bit_length()
+    rank = value & ((1 << rw) - 1)
+    color = (value >> rw & ((1 << cw) - 1)) + 1
+    flags = value >> (cw + rw)
     if mode == "robust":
-        front_flag = int(bits[pos])
-        pos += 1
-    cw = ceil_log2(2 * d)
-    rw = ceil_log2(d + 1)
-    color = decode_int(bits[pos : pos + cw]) + 1
-    pos += cw
-    rank = decode_int(bits[pos : pos + rw])
+        mode_flag, front_flag = flags >> 1, flags & 1
+    else:
+        mode_flag, front_flag = flags, None
     if color > 2 * d:
         raise MalformedAdvice(f"color {color} exceeds 2d = {2 * d}")
     if mode_flag == 1 and rank > d:

@@ -169,12 +169,15 @@ def serialize_stream(stream: EdgeStream, comments: Sequence[str] = ()) -> str:
 class Graph:
     """Static view of a stream: edge ids, vertex indices, adjacency, degrees.
 
-    Raises SelfLoop or DuplicateEdge (both ParseErrors) on a loop or a
-    repeated pair, so no engine ever sees a multigraph.
+    Built from raw edges, it raises SelfLoop or DuplicateEdge (both
+    ParseErrors) on a loop or a repeated pair, so no engine ever sees a
+    multigraph.  Built from a stream, which is simple by construction, it
+    does not check again.
     """
 
-    def __init__(self, edges: Sequence[Edge]):
-        self.edges: tuple[Edge, ...] = tuple(edges)
+    def __init__(self, edges: Sequence[Edge] | EdgeStream):
+        checked = isinstance(edges, EdgeStream)  # simple by construction
+        self.edges: tuple[Edge, ...] = edges.edges if checked else tuple(edges)
         us = [e.u for e in self.edges]
         vs = [e.v for e in self.edges]
         self.vertices: tuple[int, ...] = tuple(sorted({*us, *vs}))
@@ -182,7 +185,8 @@ class Graph:
         at = dict(zip(self.vertices, range(n))).__getitem__
         iu, iv = list(map(at, us)), list(map(at, vs))
         self.uv: list[tuple[int, int]] = list(zip(iu, iv))
-        _require_simple(self.edges, iu, iv)
+        if not checked:
+            _require_simple(self.edges, iu, iv)
         adj: list[list[int]] = [[] for _ in range(n)]
         for a, b in self.uv:
             adj[a].append(b)
@@ -193,7 +197,8 @@ class Graph:
 
     @classmethod
     def from_stream(cls, stream: EdgeStream) -> "Graph":
-        return cls(stream.edges)
+        """The stream's graph, built without a second simple-graph check."""
+        return cls(stream)
 
     @property
     def n(self) -> int:

@@ -140,7 +140,10 @@ class AdviceAlgorithm(OnlineAlgorithm):
     subset but the few pinned open by late edges sits in one run, and an
     edge there costs the same whatever the hub's degree.  A literal record
     is decoded once, on its first edge; later edges that carry it cost one
-    dict lookup.
+    dict lookup.  The run's constants are fixed when the source is opened:
+    d, the record length and the subset capacity 2d.  No step compares the
+    mode: a record parsed in the strict layout has no front flag (None),
+    and that alone puts the front at the edge's first endpoint.
 
     Each step logs a plain tuple (arrival, subset or None, the record's
     cached fields entry); `decoded` turns the entries not yet read into
@@ -154,6 +157,7 @@ class AdviceAlgorithm(OnlineAlgorithm):
         self.mode = mode
         self.d: Optional[int] = None
         self.record_length: Optional[int] = None
+        self._cap = 0  # 2d, a subset's edge capacity at a vertex, once d is read
         self._counts: dict[int, dict[int, int]] = {}
         # vertex -> its full subsets as ascending runs [first, last], none
         # adjacent to the next; counts only rise, so a full subset stays in
@@ -208,6 +212,7 @@ class AdviceAlgorithm(OnlineAlgorithm):
         if self.d is None:
             self.d = advice.open(self.mode)
             self.record_length = bits_per_edge(self.d, self.mode)
+            self._cap = 2 * self.d
         bits = advice.next_record()
         fields = self._fields.get(bits)
         if fields is None:
@@ -217,7 +222,7 @@ class AdviceAlgorithm(OnlineAlgorithm):
             return fields[0]
         _, front_flag, color, rank = fields
         u, v = edge.u, edge.v
-        if self.mode == "strict":
+        if front_flag is None:  # the strict layout: the stream lists front first
             front = u
         elif front_flag == 0:
             front = u if u < v else v
@@ -231,7 +236,7 @@ class AdviceAlgorithm(OnlineAlgorithm):
             if first > subset:
                 break
             subset += last - first + 1
-        counts, cap = self._counts, 2 * self.d
+        counts, cap = self._counts, self._cap
         for w in (u, v):
             per = counts.get(w)
             if per is None:

@@ -3,9 +3,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ecadvice import (
+    AdviceAlgorithm,
     MalformedAdvice,
     MalformedTape,
     PreconditionViolated,
+    RequestSource,
+    TapeSource,
     bits_per_edge,
     ceil_log2,
     degeneracy_from_length,
@@ -15,9 +18,11 @@ from ecadvice import (
     pack_record,
     pad_degeneracy,
     read_header,
+    simulate,
+    stream_from_pairs,
     unpack_record,
 )
-from ecadvice.advice import decode_int, encode_int
+from ecadvice.advice import AdviceRecord, RecordFields, decode_int, encode_int
 
 
 def test_ceil_log2_table():
@@ -206,6 +211,135 @@ def test_unpack_rejects_out_of_range_fields():
 def test_unpack_rejects_non_bits():
     with pytest.raises(MalformedAdvice):
         unpack_record("0x1", 1, "strict")
+
+
+def _reference_flag(name, value):
+    if type(value) is not int or value not in (0, 1):
+        raise PreconditionViolated(f"{name} must be 0 or 1, got {value!r}")
+    return "1" if value else "0"
+
+
+def _reference_pack(d, mode, mode_flag, color, rank, front_flag=0):
+    # the string codec pack_record used before records were packed as integers
+    bits = _reference_flag("mode_flag", mode_flag)
+    front = _reference_flag("front_flag", front_flag)
+    if mode == "robust":
+        bits += front
+    elif mode != "strict":
+        raise PreconditionViolated(f"unknown mode {mode!r}")
+    if not 1 <= color <= 2 * d:
+        raise PreconditionViolated(f"color {color} is outside 1..{2 * d}")
+    if mode_flag == 1 and rank > d:
+        raise PreconditionViolated(f"rank {rank} exceeds d = {d}")
+    bits += encode_int(color - 1, ceil_log2(2 * d))
+    bits += encode_int(rank, ceil_log2(d + 1))
+    return bits
+
+
+def _reference_unpack(bits, d, mode):
+    # the slicing parser unpack_record used before records were parsed as integers
+    if len(bits) != bits_per_edge(d, mode):
+        raise MalformedAdvice(f"record length {len(bits)} != {bits_per_edge(d, mode)} for d={d}")
+    if any(b not in "01" for b in bits):
+        raise MalformedAdvice("record contains non-bit characters")
+    pos = 0
+    mode_flag = int(bits[pos])
+    pos += 1
+    front_flag = None
+    if mode == "robust":
+        front_flag = int(bits[pos])
+        pos += 1
+    cw = ceil_log2(2 * d)
+    rw = ceil_log2(d + 1)
+    color = decode_int(bits[pos : pos + cw]) + 1
+    pos += cw
+    rank = decode_int(bits[pos : pos + rw])
+    if color > 2 * d:
+        raise MalformedAdvice(f"color {color} exceeds 2d = {2 * d}")
+    if mode_flag == 1 and rank > d:
+        raise MalformedAdvice(f"rank {rank} exceeds d = {d}")
+    return RecordFields(mode_flag, front_flag, color, rank)
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (PreconditionViolated, MalformedAdvice) as exc:
+        return type(exc), str(exc)
+
+
+REFERENCE_DS = [*range(1, 10), 15, 16, 31, 32]
+
+
+@pytest.mark.parametrize("d", REFERENCE_DS)
+@pytest.mark.parametrize("mode", ["strict", "robust"])
+def test_pack_matches_the_string_codec(d, mode):
+    rank_field = 1 << ceil_log2(d + 1)
+    for mode_flag in (0, 1):
+        for front_flag in (0, 1):
+            # every color, every rank that fits its field, and one past each end
+            for color in range(0, 2 * d + 2):
+                for rank in range(-1, rank_field + 1):
+                    args = (d, mode, mode_flag, color, rank, front_flag)
+                    expected = _outcome(_reference_pack, *args)
+                    got = _outcome(pack_record, *args)
+                    assert got == expected, args
+                    if isinstance(got, str):
+                        assert type(got) is AdviceRecord
+                        assert _outcome(unpack_record, got, d, mode) == _reference_unpack(
+                            expected, d, mode), args
+    for args in [(d, mode, bad, 1, 0, 0) for bad in (2, -1, True, "1")] + [
+            (d, mode, 0, 1, 0, bad) for bad in (2, -1, True, "1")] + [(d, "lax", 0, 1, 0, 0)]:
+        assert _outcome(pack_record, *args) == _outcome(_reference_pack, *args), args
+
+
+@pytest.mark.parametrize("d", REFERENCE_DS)
+@pytest.mark.parametrize("mode", ["strict", "robust"])
+def test_unpack_matches_the_string_codec(d, mode):
+    # every record of the right length: the valid ones decode to the same
+    # fields, and the rest raise the same MalformedAdvice
+    length = bits_per_edge(d, mode)
+    for value in range(1 << length):
+        bits = format(value, f"0{length}b")
+        expected = _outcome(_reference_unpack, bits, d, mode)
+        assert _outcome(unpack_record, bits, d, mode) == expected, bits
+    for args in [("0" * (length - 1), d, mode), ("0" * (length + 1), d, mode), ("0" * length, d, "lax")]:
+        assert _outcome(unpack_record, *args) == _outcome(_reference_unpack, *args), args
+
+
+def _int_accepted_variants(record):
+    """Records of the same length that int(s, 2) reads (all but the inner
+    space) but the layout forbids."""
+    return [
+        record[:1] + "_" + record[2:],
+        " " + record[1:],
+        record[:-1] + " ",
+        record[:1] + " " + record[2:],
+        "+" + record[1:],
+        "-" + record[1:],
+        "0b" + record[2:],
+        record[:-1] + "\u0661",  # ARABIC-INDIC DIGIT ONE
+        record[:-1] + "\uff11",  # FULLWIDTH DIGIT ONE
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+@pytest.mark.parametrize("mode", ["strict", "robust"])
+def test_records_that_int_accepts_are_malformed(d, mode):
+    # a literal record of color 1 is all zeros, so each variant, read by
+    # int() alone, would decode to a proper coloring of one edge
+    record = pack_record(d, mode, 0, 1, 0)
+    assert record == "0" * bits_per_edge(d, mode)
+    for bad in _int_accepted_variants(record):
+        assert len(bad) == len(record)
+        if bad[1] != " ":
+            int(bad, 2)  # the premise: int() alone takes it
+        with pytest.raises(MalformedAdvice, match="non-bit"):
+            unpack_record(bad, d, mode)
+        for source in (RequestSource([bad]), TapeSource(encode_header(d) + bad)):
+            with pytest.raises(MalformedAdvice, match="non-bit"):
+                simulate(stream_from_pairs([(0, 1)]), AdviceAlgorithm(mode), source)
 
 
 def test_header_frozen_examples():

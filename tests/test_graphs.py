@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import pickle
+import re
 import tracemalloc
 
 import pytest
@@ -30,6 +31,7 @@ from ecadvice import (
     serialize_stream,
     stream_from_pairs,
 )
+from ecadvice import graphs
 from ecadvice.graphs import two_color
 
 from .conftest import (
@@ -69,10 +71,47 @@ def test_stream_rejects_duplicate():
     ],
 )
 def test_graph_rejects_multigraphs_and_loops(edges, error):
-    # EdgeStream checks only arrival indices, so Graph is where they stop
+    # EdgeStream stops them, so Graph.from_stream is never reached
     with pytest.raises(error) as info:
         Graph.from_stream(EdgeStream(edges))
     assert isinstance(info.value, ParseError)
+
+
+@pytest.mark.parametrize(
+    "edges,error,message",
+    [
+        ((Edge(0, 1, 0), Edge(1, 0, 1), Edge(1, 2, 2)), DuplicateEdge, "edge 1 repeats pair (0, 1)"),
+        ((Edge(0, 1, 0), Edge(0, 1, 1)), DuplicateEdge, "edge 1 repeats pair (0, 1)"),
+        ((Edge(0, 0, 0), Edge(0, 1, 1)), SelfLoop, "edge 0 joins 0 to itself"),
+        ((Edge(0, 1, 0), Edge(2, 2, 1)), SelfLoop, "edge 1 joins 2 to itself"),
+    ],
+)
+def test_graph_of_raw_edges_rejects_multigraphs_and_loops(edges, error, message):
+    # raw sequences, such as the joined gadget of rigidity_check, are checked by Graph itself
+    with pytest.raises(error, match=rf"^{re.escape(message)}$"):
+        Graph(edges)
+    with pytest.raises(error, match=rf"^{re.escape(message)}$"):
+        Graph(list(edges))
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[], [(0, 1)], star_pairs(6), cycle_pairs(7), complete_pairs(6), petersen_pairs(),
+     [(9, 2), (5, 9), (2, 7), (7, 5), (11, 3)]],
+)
+def test_graph_from_stream_skips_the_simple_check(pairs, monkeypatch):
+    # a stream is simple by construction, so from_stream does not check again
+    stream = stream_from_pairs(pairs)
+    calls = []
+    check = graphs._require_simple
+    monkeypatch.setattr(graphs, "_require_simple", lambda *a: calls.append(a) or check(*a))
+    g = Graph.from_stream(stream)
+    assert calls == []
+    raw = Graph(stream.edges)
+    assert len(calls) == 1
+    assert g.edges is stream.edges
+    assert (g.edges, g.vertices, g.uv, g.adj, g.deg, g.max_degree) == (
+        raw.edges, raw.vertices, raw.uv, raw.adj, raw.deg, raw.max_degree)
 
 
 def test_stream_arrival_indices_must_match_position():
