@@ -130,18 +130,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.alg == "greedy":
         report = run_greedy(stream)
         ok = True
+        edges = stream.edges
+        degree = Counter(chain(map(attrgetter("u"), edges), map(attrgetter("v"), edges)))
+        n, delta = len(degree), max(degree.values(), default=0)
     else:
         run = run_advice(stream, args.d, mode=args.mode, model=args.model, budget=args.budget)
         report = run.report
         ok = bool(report.optimal)
+        n, delta = run.oracle.n, run.oracle.delta  # the oracle's graph has them
     if args.coloring_out:  # written first: a path that fails leaves stdout empty
         # the run's colors are by arrival (see runtime.Referee)
         colors = report.coloring.by_id
         lines = [f"{e.u} {e.v} {c}" for e, c in zip(stream.edges, colors, strict=True)]
         with open(args.coloring_out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
-    edges = stream.edges
-    degree = Counter(chain(map(attrgetter("u"), edges), map(attrgetter("v"), edges)))
     _emit({
         "config": config,
         "colors_used": report.colors_used,
@@ -149,8 +151,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "optimal": report.optimal,
         "advice_bits_read": report.advice_bits_read,
         "m": report.m,
-        "n": len(degree),
-        "delta": max(degree.values(), default=0),
+        "n": n,
+        "delta": delta,
         "d": report.d,
         "mode": report.mode,
         "per_edge_bits": report.per_edge_bits,

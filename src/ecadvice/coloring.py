@@ -22,6 +22,9 @@ a bitmask of the colors present, so the smallest free color is the lowest
 zero bit, plus a dict from color c to the edge that holds c while bit c is
 set) and its one fan rotation and its one alternating-path flip, the only
 walk along a path: a flip that lands where it must not is flipped back.
+konig_color writes each new edge's fields itself (its color, both slots and
+both masks), and the ledger's set writes them for the rotations and the
+peel's re-add.
 
 Every engine works on edge ids and vertex indices (see graphs).  The peel
 takes a bare edge list on indices, so the oracle colors all its bundles in
@@ -181,13 +184,15 @@ class _Ledger:
     number of edges, vertices and recolorings, whatever k is.  The masks
     are not: a vertex holding color c keeps a (c+1)-bit int, so the leaves
     of a star with max_degree D hold about D*D/2 bits in all.  labels[v]
-    names v in messages.
+    is v's label.
 
-    flip is the only walk along an alternating path.  A caller that must
-    know the far end first flips, reads the end it returns, and flips the
-    path back when it is the wrong one: the reverse flip restores every
-    used bit, every slot whose bit is set and the key order of color; only
-    stale slots can differ, and none is read."""
+    konig_color writes a new edge's color, slots and masks itself, in its
+    per-edge loop; set is the writer for the rotations and the peel's
+    re-add.  flip is the only walk along an alternating path.  A caller
+    that must know the far end first flips, reads the end it returns, and
+    flips the path back when it is the wrong one: the reverse flip restores
+    every used bit, every slot whose bit is set and the key order of color;
+    only stale slots can differ, and none is read."""
 
     def __init__(self, ends: Sequence[tuple[int, int]], labels: Sequence[int], k: int):
         self.k = k
@@ -196,14 +201,6 @@ class _Ledger:
         self.color: dict[int, int] = {}
         self.used = [1] * len(labels)
         self.at: list[dict[int, int]] = [{} for _ in labels]
-
-    def free(self, v: int) -> int:
-        """Smallest color in 1..k absent at v."""
-        used = self.used[v]
-        c = (~used & (used + 1)).bit_length() - 1
-        if c > self.k:
-            raise AssertionError(f"palette 1..{self.k} exhausted at vertex {self.labels[v]}")
-        return c
 
     def set(self, i: int, c: int) -> None:
         u, v = self.ends[i]
@@ -284,24 +281,36 @@ def konig_color(g: Graph) -> Coloring:
     two-colored alternating path to make one free.  Raises NotBipartite.
     """
     two_color(g)  # raises on odd cycles
-    ledger = _Ledger(g.uv, g.vertices, g.max_degree)
-    used = ledger.used
+    k, labels = g.max_degree, g.vertices
+    ledger = _Ledger(g.uv, labels, k)
+    at, color, used = ledger.at, ledger.color, ledger.used
 
+    # each mask is read once, v's lowest free color is found only when u's
+    # is taken at v, and the new edge's fields are written here, not by set
     for i, (u, v) in enumerate(g.uv):
-        a = ledger.free(u)
-        b = ledger.free(v)
-        if not used[v] >> a & 1:
-            c = a
-        elif not used[u] >> b & 1:
+        mu = used[u]
+        mv = used[v]
+        c = (~mu & (mu + 1)).bit_length() - 1
+        if c > k:
+            raise AssertionError(f"palette 1..{k} exhausted at vertex {labels[u]}")
+        if mv >> c & 1:
+            b = (~mv & (mv + 1)).bit_length() - 1
+            if b > k:
+                raise AssertionError(f"palette 1..{k} exhausted at vertex {labels[v]}")
+            if mu >> b & 1:
+                # c used at v, b used at u: flip the b/c path from u; in a
+                # bipartite graph it cannot reach v, so b becomes free at
+                # both.  The flip changes the masks of u and the far end only.
+                if ledger.flip(u, b, c) == v:
+                    raise AssertionError("alternating path reached the far endpoint")
+                mu = used[u]
             c = b
-        else:
-            # a used at v, b used at u: flip the b/a path from u; in a
-            # bipartite graph it cannot reach v, so b becomes free at both.
-            if ledger.flip(u, b, a) == v:
-                raise AssertionError("alternating path reached the far endpoint")
-            c = b
-        ledger.set(i, c)
-    return _by_ids(g.edges, ledger.color)
+        color[i] = c
+        at[u][c] = i
+        at[v][c] = i
+        used[u] = mu | 1 << c
+        used[v] = mv | 1 << c
+    return _by_ids(g.edges, color)
 
 
 def vizing_plus_one(g: Graph) -> Coloring:

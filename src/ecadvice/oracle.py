@@ -230,6 +230,7 @@ class OracleResult:
 
     d: int                      # padded bound actually encoded
     mode: str
+    n: int                      # vertices of the stream's graph
     delta: int
     chromatic_index: int
     records: list[AdviceRecord]
@@ -287,8 +288,10 @@ def build_advice(
     `d` defaults to the graph's degeneracy and is padded to the largest
     bound with the same record length, so the consumer can infer it from
     the length alone.  In strict mode the returned stream lists each
-    subset edge's front endpoint first; in robust mode a record bit names
-    it instead and the stream is returned untouched.
+    subset edge's front endpoint first, and is the input stream itself when
+    no subset edge turns (every all-literal run is such a run); in robust
+    mode a record bit names the front endpoint instead and the stream is
+    returned untouched.
     """
     if mode not in ("strict", "robust"):
         raise PreconditionViolated(f"unknown mode {mode!r}")
@@ -327,7 +330,8 @@ def build_advice(
     per_edge = [literal.get(c) for c in colors]  # subset edges are filled in below
     records = [literal_records.get(c) for c in colors]
     robust = mode == "robust"
-    oriented = list(edges)  # strict mode lists each subset edge's front first
+    # strict mode lists each subset edge's front first; None while no edge turns
+    oriented: Optional[list[Edge]] = None
     packed: dict[tuple[int, int, int], AdviceRecord] = {}
     for i in rest:
         adv = per_edge[i] = plan[i]
@@ -339,6 +343,8 @@ def build_advice(
             record = packed[key] = pack_record(dd, mode, 1, *key)
         records[i] = record
         if not robust and f != u:
+            if oriented is None:
+                oriented = list(edges)
             oriented[i] = Edge(v, u, i)
-    out_stream = stream if robust else EdgeStream(tuple(oriented))
-    return OracleResult(dd, mode, delta, chi, records, per_edge, out_stream, opt, partition)
+    out_stream = stream if oriented is None else EdgeStream(tuple(oriented))
+    return OracleResult(dd, mode, g.n, delta, chi, records, per_edge, out_stream, opt, partition)

@@ -1,13 +1,24 @@
 import json
 import os
 import tempfile
+from collections import Counter
 from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecadvice import Graph, parse_stream, run_advice
+from ecadvice import (
+    EdgeStream,
+    Graph,
+    build_advice,
+    gen_bipartite,
+    gen_forest,
+    gen_star,
+    parse_stream,
+    run_advice,
+    serialize_stream,
+)
 from ecadvice import adversaries, cli
 from ecadvice.cli import main
 
@@ -21,8 +32,6 @@ def run_cli(capsys, *argv):
 
 
 def write_stream(tmp_path, pairs, name="g.txt"):
-    from ecadvice import serialize_stream
-
     path = tmp_path / name
     path.write_text(serialize_stream(stream(pairs)))
     return str(path)
@@ -126,6 +135,29 @@ def test_run_unwritable_coloring_out_prints_no_report(tmp_path, capsys, alg):
     assert code == 2
     assert stdout == ""
     assert "error" in stderr
+
+
+@pytest.mark.parametrize("s", [
+    gen_bipartite(9, 11, 0.5, 3),
+    gen_forest(40, 2),
+    gen_star(7),
+    EdgeStream(()),
+], ids=["bipartite", "forest", "star", "empty"])
+def test_run_reports_n_and_delta_of_the_stream(tmp_path, capsys, s):
+    # the advice runs take n and delta from the oracle's graph, greedy
+    # counts the edge ends; both must equal a count over the stream
+    path = tmp_path / "s.stream"
+    path.write_text(serialize_stream(s))
+    degree = Counter(w for e in s.edges for w in (e.u, e.v))
+    expected = (len(degree), max(degree.values(), default=0))
+    argvs = [["--mode", mode, "--model", model]
+             for mode in ("robust", "strict") for model in ("request", "tape")]
+    for argv in argvs + [["--alg", "greedy"]]:
+        code, out, _ = run_cli(capsys, "run", str(path), *argv)
+        assert code == 0
+        report = json.loads(out)
+        assert (report["n"], report["delta"]) == expected, argv
+    assert build_advice(s).n == Graph.from_stream(s).n == expected[0]
 
 
 def test_run_rejects_missing_file(capsys):

@@ -630,13 +630,21 @@ def test_engine_coloring_builds_its_pairs_on_first_access():
 
 
 def test_exhausted_palette_names_the_label():
-    g = graph([(10**12 + 5, 3), (10**12 + 5, 10**12 + 9)])
-    ledger = ecadvice.coloring._Ledger(g.uv, g.vertices, 2)
-    center = g.vertices.index(10**12 + 5)
-    ledger.set(0, 1)
-    ledger.set(1, 2)
-    with pytest.raises(AssertionError, match=rf"1\.\.2 exhausted at vertex {10**12 + 5}$"):
-        ledger.free(center)
+    # the path's first edge has one endpoint whose mask starts full (bits
+    # 1..k), first or second: konig_color names that endpoint by its label
+    g = graph([(10**12 + 5, 3), (3, 10**12 + 9)])
+    for full in g.uv[0]:
+
+        class Full(ecadvice.coloring._Ledger):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.used[full] = (2 << self.k) - 1
+
+        label = g.vertices[full]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ecadvice.coloring, "_Ledger", Full)
+            with pytest.raises(AssertionError, match=rf"^palette 1\.\.2 exhausted at vertex {label}$"):
+                konig_color(g)
 
 
 def test_flip_refuses_a_walk_that_revisits_a_vertex():

@@ -14,6 +14,7 @@ from ecadvice import (
     build_advice,
     build_partition,
     degeneracy,
+    gen_bipartite,
     gen_d_degenerate,
     gen_forest,
     gen_star,
@@ -336,6 +337,32 @@ def test_robust_mode_keeps_stream():
     s = gen_star(4)
     res = build_advice(s, 1, mode="robust")
     assert res.stream is s
+
+
+def test_strict_mode_returns_the_input_when_no_edge_turns():
+    # every record literal: no subset edge, so nothing turns
+    s = gen_bipartite(20, 20, 0.5, 1)
+    res = build_advice(s, 8, mode="strict")
+    assert res.partition == {} and all(adv.mode == 0 for adv in res.per_edge)
+    assert res.stream is s
+    # subset edges, each already listed front first
+    oriented = build_advice(gen_d_degenerate(40, 2, 3), 2, mode="strict").stream
+    res = build_advice(oriented, 2, mode="strict")
+    assert res.partition and res.stream is oriented
+
+
+@pytest.mark.parametrize("s,d", [(gen_star(9), 1), (gen_d_degenerate(40, 2, 3), 2)])
+def test_strict_mode_turns_only_the_back_first_edges(s, d):
+    res = build_advice(s, d, mode="strict")
+    turned = [i for i, (e, adv) in enumerate(zip(s.edges, res.per_edge))
+              if adv.mode == 1 and adv.front != e.u]
+    assert turned
+    for i, (e, out) in enumerate(zip(s.edges, res.stream.edges)):
+        if i in turned:
+            assert out == Edge(e.v, e.u, i)
+        else:
+            assert out is e
+    assert build_advice(s, d, mode="robust").stream is s
 
 
 @pytest.mark.parametrize("mode", ["strict", "robust"])
