@@ -22,9 +22,12 @@ a bitmask of the colors present, so the smallest free color is the lowest
 zero bit, plus a dict from color c to the edge that holds c while bit c is
 set) and its one fan rotation and its one alternating-path flip, the only
 walk along a path: a flip that lands where it must not is flipped back.
-konig_color writes each new edge's fields itself (its color, both slots and
-both masks), and the ledger's set writes them for the rotations and the
-peel's re-add.
+konig_color and the peel's re-add write a free edge's fields themselves
+(its color, both slots and both masks), and the ledger's set writes them
+for the rotations.  The peel phase keeps, per vertex, an incidence list of
+(neighbor, edge id) in edge order and, per edge id, a removed mark; a visit
+skips marked entries and drops them first once they are more than half of
+the list.
 
 Every engine works on edge ids and vertex indices (see graphs).  The peel
 takes a bare edge list on indices, so the oracle colors all its bundles in
@@ -183,24 +186,23 @@ class _Ledger:
     colors once present at v and the number of slots is linear in the
     number of edges, vertices and recolorings, whatever k is.  The masks
     are not: a vertex holding color c keeps a (c+1)-bit int, so the leaves
-    of a star with max_degree D hold about D*D/2 bits in all.  labels[v]
-    is v's label.
+    of a star with max_degree D hold about D*D/2 bits in all.  The ledger
+    knows neither labels nor the palette: its engines name vertices and
+    bound colors themselves.
 
-    konig_color writes a new edge's color, slots and masks itself, in its
-    per-edge loop; set is the writer for the rotations and the peel's
-    re-add.  flip is the only walk along an alternating path.  A caller
+    konig_color and the peel's re-add write a free edge's color, slots and
+    masks themselves, in their per-edge loops; set is the writer for the
+    rotations.  flip is the only walk along an alternating path.  A caller
     that must know the far end first flips, reads the end it returns, and
     flips the path back when it is the wrong one: the reverse flip restores
     every used bit, every slot whose bit is set and the key order of color;
     only stale slots can differ, and none is read."""
 
-    def __init__(self, ends: Sequence[tuple[int, int]], labels: Sequence[int], k: int):
-        self.k = k
+    def __init__(self, ends: Sequence[tuple[int, int]], n: int):
         self.ends = ends
-        self.labels = labels
         self.color: dict[int, int] = {}
-        self.used = [1] * len(labels)
-        self.at: list[dict[int, int]] = [{} for _ in labels]
+        self.used = [1] * n
+        self.at: list[dict[int, int]] = [{} for _ in range(n)]
 
     def set(self, i: int, c: int) -> None:
         u, v = self.ends[i]
@@ -282,7 +284,7 @@ def konig_color(g: Graph) -> Coloring:
     """
     two_color(g)  # raises on odd cycles
     k, labels = g.max_degree, g.vertices
-    ledger = _Ledger(g.uv, labels, k)
+    ledger = _Ledger(g.uv, g.n)
     at, color, used = ledger.at, ledger.color, ledger.used
 
     # each mask is read once, v's lowest free color is found only when u's
@@ -338,12 +340,21 @@ def _peel_color(
     k - deg(y) neighbors of degree k.  Degrees and degree-k counts only
     fall, so an edge once eligible stays eligible, and an edge that is not
     yet eligible is looked at again only when deg(y) falls or x's count
-    reaches the value the edge waits for: the peel costs O(m*d).  With
+    reaches the value the edge waits for.  Each vertex keeps an incidence
+    list of (neighbor, edge id) in edge order and each edge id a removed
+    mark.  A visit of y scans y's list and skips marked entries; it first
+    drops them when they are more than half of the list, which costs at
+    most twice the entries dropped, each dropped once, so a visit costs
+    O(deg(y)) <= O(d) amortized, as with one dict per vertex.  Updating the
+    counts when x of degree k loses an edge scans x's whole list, which
+    holds no marked entry: deg(x) = k means x has lost no edge.  So the
+    peel costs O(m*d).  With
     floor >= 2d it never gets stuck on a graph of degeneracy <= d, so a
     stuck peel there proves the degeneracy exceeds d.
 
-    Re-add the edges in reverse peel order.  Each takes a color free at
-    both ends or is placed by a multi-fan at x rooted at y: when a fan
+    Re-add the edges in reverse peel order.  Each takes the lowest color
+    free at both ends, writing its ledger fields here rather than through
+    set, or is placed by a multi-fan at x rooted at y: when a fan
     vertex shares a free color alpha with x the fan path to it rotates;
     when two fan vertices miss one color beta, the alpha/beta chain is
     flipped from the later one; if that flip's path ends at x, it is
@@ -366,61 +377,80 @@ def _peel_color(
     so a disjoint union colors each component as it is colored alone, given
     the same k and its vertices and edges in the same relative order.
     """
-    nbrs: list[dict[int, int]] = [{} for _ in labels]  # neighbor -> edge id
+    inc: list[list[tuple[int, int]]] = [[] for _ in labels]  # (neighbor, edge id)
     for i, (a, b) in enumerate(ends):
-        nbrs[a][b] = i
-        nbrs[b][a] = i
-    deg = [len(at_v) for at_v in nbrs]
+        inc[a].append((b, i))
+        inc[b].append((a, i))
+    deg = [len(at_v) for at_v in inc]
     k = max(max(deg, default=0), floor)
     major = [0] * len(deg)  # neighbors of degree k
-    for v, at_v in enumerate(nbrs):
+    for v, at_v in enumerate(inc):
         if deg[v] == k:
-            for w in at_v:
+            for w, _ in at_v:
                 major[w] += 1
 
     # todo holds small vertices whose edges may have become eligible; an
     # edge that is not yet eligible waits at x under the count x must fall to.
     todo = [y for y, dy in enumerate(deg) if dy <= d]
     waiting: dict[int, dict[int, list[int]]] = {}
+    removed = bytearray(len(ends))  # removed[i]: edge i is peeled
     peeled: list[tuple[int, int, int]] = []  # (x, y, edge id)
     while todo:
         y = todo.pop()
-        at_y = nbrs[y]
-        if not at_y:
-            continue
         start = deg[y]
-        for x in list(at_y):
-            need = k - deg[y]
+        if not start:
+            continue
+        at_y = inc[y]
+        if len(at_y) > 2 * start:  # more than half removed: drop those
+            at_y = inc[y] = [e for e in at_y if not removed[e[1]]]
+        dy = start  # deg[y] during the visit: no other vertex reads it here
+        need = k - dy
+        for x, i in at_y:  # only edges at y are removed in this loop
+            if removed[i]:
+                continue
             if major[x] > need:
                 waiting.setdefault(x, {}).setdefault(need, []).append(y)
                 continue
-            at_x = nbrs[x]
             if deg[x] == k:
-                for w in at_x:  # y included: x leaves its neighborhood too
+                # x has lost no edge, so its list holds no removed entry;
+                # y is in it: x leaves its neighborhood too
+                for w, _ in inc[x]:
                     major[w] -= 1
                     if w in waiting:
                         todo.extend(waiting[w].pop(major[w], ()))
-            peeled.append((x, y, at_x.pop(y)))
-            del at_y[x]
-            deg[y] -= 1
+            removed[i] = 1
+            peeled.append((x, y, i))
+            dy -= 1
+            need += 1
             deg[x] -= 1
             if deg[x] <= d:
                 todo.append(x)
-        if at_y and deg[y] < start:
-            todo.append(y)  # edges parked above waited for the old deg[y]
+        if dy < start:
+            deg[y] = dy
+            if dy:
+                todo.append(y)  # edges parked above waited for the old deg[y]
     if len(peeled) < len(ends):
         return None
-    del nbrs, waiting  # drained, but a dict keeps its table: free it for the ledger
+    # drained, but a dict keeps its table: free the peel's state for the ledger
+    del inc, waiting, removed
 
-    ledger = _Ledger(ends, labels, k)
-    at, used = ledger.at, ledger.used
+    ledger = _Ledger(ends, len(labels))
+    at, color, used = ledger.at, ledger.color, ledger.used
     full = (2 << k) - 2  # colors 1..k
     for x, y, i in reversed(peeled):
-        free_x = ~used[x] & full
-        both = free_x & ~used[y]
-        if both:
-            ledger.set(i, (both & -both).bit_length() - 1)
+        ux = used[x]
+        uy = used[y]
+        taken = ux | uy
+        c = (~taken & (taken + 1)).bit_length() - 1
+        if c <= k:
+            # free at both ends: the edge's fields are written here, not by set
+            color[i] = c
+            at[x][c] = i
+            at[y][c] = i
+            used[x] = ux | 1 << c
+            used[y] = uy | 1 << c
             continue
+        free_x = ~ux & full
         # Grow the multi-fan breadth first: each color missing at a fan
         # vertex names the edge at x that brings in the next vertex.
         parent = {y: y}

@@ -27,7 +27,7 @@ from ecadvice import (
     optimal_coloring,
     vizing_plus_one,
 )
-from ecadvice.coloring import Coloring, _by_ids, _peel_color
+from ecadvice.coloring import Coloring, _by_ids, _Ledger, _peel_color
 from ecadvice.graphs import two_color
 
 from .conftest import (
@@ -590,21 +590,21 @@ def ledger_graphs(draw):
     )
 
 
-def assert_ledger_consistent(ledger):
+def assert_ledger_consistent(ledger, k):
     """For every vertex, the used bits are exactly the colors of its colored
     edges (plus bit 0), and each set bit's slot names the edge holding that
     color there; a slot whose bit is clear may be stale, but only for a
-    color in 1..k."""
+    color in 1..k, the palette of the engine that built the ledger."""
     held = [{} for _ in ledger.used]  # per vertex index: color -> edge id
     for i, c in ledger.color.items():
         for v in ledger.ends[i]:
             assert c not in held[v]
             held[v][c] = i
-    assert len(ledger.at) == len(ledger.used) == len(ledger.labels)
+    assert len(ledger.at) == len(ledger.used)
     for v, slots in enumerate(ledger.at):
         assert ledger.used[v] == sum(1 << c for c in held[v]) | 1
-        assert set(slots) <= set(range(1, ledger.k + 1))
-        for c in range(1, ledger.k + 1):
+        assert set(slots) <= set(range(1, k + 1))
+        for c in range(1, k + 1):
             if ledger.used[v] >> c & 1:
                 i = slots[c]
                 assert ledger.color.get(i) == c and v in ledger.ends[i]
@@ -638,7 +638,7 @@ def test_exhausted_palette_names_the_label():
         class Full(ecadvice.coloring._Ledger):
             def __init__(self, *args):
                 super().__init__(*args)
-                self.used[full] = (2 << self.k) - 1
+                self.used[full] = (2 << g.max_degree) - 1
 
         label = g.vertices[full]
         with pytest.MonkeyPatch.context() as mp:
@@ -650,7 +650,7 @@ def test_exhausted_palette_names_the_label():
 def test_flip_refuses_a_walk_that_revisits_a_vertex():
     # path x-y-z colored 1, 2; a corrupt slot at z names the uncolored edge
     # z-x for color 1, so the 1/2 walk from x comes back to x
-    ledger = ecadvice.coloring._Ledger([(0, 1), (1, 2), (2, 0)], [10, 11, 12], 3)
+    ledger = ecadvice.coloring._Ledger([(0, 1), (1, 2), (2, 0)], 3)
     ledger.set(0, 1)
     ledger.set(1, 2)
     ledger.at[2][1] = 2
@@ -684,6 +684,178 @@ def test_bitmask_ledger_matches_slot_ledger(g):
         expected = None
     assert (None if konig is None else list(konig.assignment.items())) == expected
     assert len(ledgers) == (1 if konig is None else 2)
-    for ledger in ledgers:
-        assert_ledger_consistent(ledger)
+    palettes = ([] if konig is None else [g.max_degree]) + [g.max_degree + 1]
+    for ledger, k in zip(ledgers, palettes):
+        assert_ledger_consistent(ledger, k)
     assert [vizing.by_id[i] for i in ledgers[-1].color] == list(vizing.assignment.values())
+
+
+# A reference copy of the adjacency-lemma peel as it stood before its peel
+# phase kept incidence lists: a dict per vertex from neighbor to edge id,
+# and every free edge of the re-add written by _Ledger.set.  Its ledger is
+# the class bound at import, so a test that patches coloring._Ledger sees
+# only the ledgers of _peel_color.
+
+
+def _dict_peel(ends, labels, d, floor):
+    nbrs = [{} for _ in labels]
+    for i, (a, b) in enumerate(ends):
+        nbrs[a][b] = i
+        nbrs[b][a] = i
+    deg = [len(at_v) for at_v in nbrs]
+    k = max(max(deg, default=0), floor)
+    major = [0] * len(deg)
+    for v, at_v in enumerate(nbrs):
+        if deg[v] == k:
+            for w in at_v:
+                major[w] += 1
+    todo = [y for y, dy in enumerate(deg) if dy <= d]
+    waiting = {}
+    peeled = []
+    while todo:
+        y = todo.pop()
+        at_y = nbrs[y]
+        if not at_y:
+            continue
+        start = deg[y]
+        for x in list(at_y):
+            need = k - deg[y]
+            if major[x] > need:
+                waiting.setdefault(x, {}).setdefault(need, []).append(y)
+                continue
+            at_x = nbrs[x]
+            if deg[x] == k:
+                for w in at_x:
+                    major[w] -= 1
+                    if w in waiting:
+                        todo.extend(waiting[w].pop(major[w], ()))
+            peeled.append((x, y, at_x.pop(y)))
+            del at_y[x]
+            deg[y] -= 1
+            deg[x] -= 1
+            if deg[x] <= d:
+                todo.append(x)
+        if at_y and deg[y] < start:
+            todo.append(y)
+    if len(peeled) < len(ends):
+        return None
+
+    ledger = _Ledger(ends, len(labels))
+    at, used = ledger.at, ledger.used
+    full = (2 << k) - 2
+    for x, y, i in reversed(peeled):
+        free_x = ~used[x] & full
+        both = free_x & ~used[y]
+        if both:
+            ledger.set(i, (both & -both).bit_length() - 1)
+            continue
+        parent = {y: y}
+        via = {y: i}
+        fan = [y]
+        missed = 0
+        at_x = at[x]
+        for z in fan:
+            mz = ~used[z] & full
+            if mz & free_x:
+                alpha = (mz & free_x & -(mz & free_x)).bit_length() - 1
+                break
+            clash = mz & missed
+            if clash:
+                beta = (clash & -clash).bit_length() - 1
+                alpha = (free_x & -free_x).bit_length() - 1
+                if ledger.flip(z, alpha, beta) == x:
+                    ledger.flip(z, beta, alpha)
+                    z = next(w for w in fan if not used[w] >> beta & 1)
+                    ledger.flip(z, alpha, beta)
+                break
+            missed |= mz
+            while mz:
+                low = mz & -mz
+                mz ^= low
+                j = at_x[low.bit_length() - 1]
+                a, b = ends[j]
+                w = a if b == x else b
+                if w not in parent:
+                    parent[w] = z
+                    via[w] = j
+                    fan.append(w)
+        else:
+            raise AssertionError(f"maximal multi-fan at {labels[x]} breaks the adjacency lemma")
+        path = [z]
+        while z != y:
+            z = parent[z]
+            path.append(z)
+        path.reverse()
+        ledger.rotate(path, [via[w] for w in path], alpha)
+    return ledger.color
+
+
+def checked_peel(g, d, floor):
+    """_peel_color(g.uv, g.vertices, d, floor) as (id, color) items in
+    coloring order, or None when the peel gets stuck, after asserting that
+    the reference peel returns the same and that the ledger is consistent;
+    with the number of the ledger's flips and rotations."""
+    ledgers = []
+
+    class Recorded(ecadvice.coloring._Ledger):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.flips = self.rotations = 0
+            ledgers.append(self)
+
+        def flip(self, *args):
+            self.flips += 1
+            return super().flip(*args)
+
+        def rotate(self, *args):
+            self.rotations += 1
+            super().rotate(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ecadvice.coloring, "_Ledger", Recorded)
+        color = _peel_color(g.uv, g.vertices, d, floor)
+    expected = _dict_peel(g.uv, g.vertices, d, floor)
+    items = None if color is None else list(color.items())
+    assert items == (None if expected is None else list(expected.items()))
+    assert len(ledgers) == (0 if color is None else 1)
+    for ledger in ledgers:
+        assert ledger.color is color
+        assert_ledger_consistent(ledger, max(g.max_degree, floor))
+    counts = [(ledger.flips, ledger.rotations) for ledger in ledgers]
+    return items, counts[0] if counts else (0, 0)
+
+
+@given(ledger_graphs())
+@settings(max_examples=200, deadline=None)
+def test_incidence_list_peel_matches_dict_peel(g):
+    dgn, _ = degeneracy(g)
+    delta = g.max_degree
+    for d, floor in [(delta, delta + 1), (delta, delta), (dgn, 2 * dgn), (dgn, delta)]:
+        checked_peel(g, d, floor)
+
+
+@pytest.mark.parametrize(
+    "case,d,floor,moves",
+    [
+        # two parked edges released and a vertex pushed again; one fan
+        ("degenerate-10-4-2", 8, 8, (0, 1)),
+        ("degenerate-20-2-12", 2, 4, (1, 1)),  # one Kempe flip
+        # a flip whose path ends at x, flipped back and flipped again
+        ("degenerate-10-4-42", 4, 8, (3, 2)),
+        ("petersen", 3, 3, None),  # stuck
+        ("k5", 4, 4, None),  # stuck
+    ],
+)
+def test_incidence_list_peel_rare_branches(case, d, floor, moves):
+    if case == "petersen":
+        g = graph(petersen_pairs())
+    elif case == "k5":
+        g = graph(complete_pairs(5))
+    else:
+        n, dd, seed = map(int, case.split("-")[1:])
+        g = Graph.from_stream(gen_d_degenerate(n, dd, seed))
+    items, counts = checked_peel(g, d, floor)
+    if moves is None:
+        assert items is None
+    else:
+        assert len(items) == g.m and counts == moves

@@ -118,9 +118,9 @@ def test_partition_state_is_sized_by_each_bundle(monkeypatch):
     sizes = []
 
     class Sized(ecadvice.coloring._Ledger):
-        def __init__(self, ends, labels, k):
-            super().__init__(ends, labels, k)
-            sizes.append((len(ends), len(labels), len(self.used), len(self.at)))
+        def __init__(self, ends, n):
+            super().__init__(ends, n)
+            sizes.append((len(ends), n, len(self.used), len(self.at)))
 
     monkeypatch.setattr(ecadvice.coloring, "_Ledger", Sized)
     peak = traced_peak(lambda: build_partition(g, 1, order, range(g.m)))
