@@ -403,11 +403,10 @@ def _peel_color(
         at_y = inc[y]
         if len(at_y) > 2 * start:  # more than half removed: drop those
             at_y = inc[y] = [e for e in at_y if not removed[e[1]]]
-        dy = start  # deg[y] during the visit: no other vertex reads it here
-        need = k - dy
         for x, i in at_y:  # only edges at y are removed in this loop
             if removed[i]:
                 continue
+            need = k - deg[y]
             if major[x] > need:
                 waiting.setdefault(x, {}).setdefault(need, []).append(y)
                 continue
@@ -420,15 +419,12 @@ def _peel_color(
                         todo.extend(waiting[w].pop(major[w], ()))
             removed[i] = 1
             peeled.append((x, y, i))
-            dy -= 1
-            need += 1
+            deg[y] -= 1
             deg[x] -= 1
             if deg[x] <= d:
                 todo.append(x)
-        if dy < start:
-            deg[y] = dy
-            if dy:
-                todo.append(y)  # edges parked above waited for the old deg[y]
+        if deg[y] and deg[y] < start:
+            todo.append(y)  # edges parked above waited for the old deg[y]
     if len(peeled) < len(ends):
         return None
     # drained, but a dict keeps its table: free the peel's state for the ledger
