@@ -31,17 +31,17 @@ the list.
 
 Every engine works on edge ids and vertex indices (see graphs).  The peel
 takes a bare edge list on indices, so the oracle colors all its bundles in
-one call, on their disjoint union.  An engine's Coloring keeps the colors
-by id in `Coloring.by_id`, which is all the oracle reads, with the ids in
-the order they got colored, and builds the pair-keyed assignment only on
-first access.
+one call, on their disjoint union.  A coloring is a list of colors by edge
+id: the ledger's list, which an engine's Coloring wraps uncopied as
+`Coloring.by_id`, all the oracle reads; the pair-keyed assignment is built
+only on first access.
 """
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
 from .errors import PreconditionViolated, ResourceLimit
-from .graphs import Coloring, Edge, Graph, two_color
+from .graphs import Coloring, Graph, two_color
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -54,12 +54,6 @@ def node_budget(budget: Optional[int]) -> int:
     if budget < 0:
         raise PreconditionViolated(f"node budget {budget} is negative")
     return budget
-
-
-def _by_ids(edges: Sequence[Edge], color: dict[int, int]) -> Coloring:
-    """The coloring that gives edges[i] color[i], `color` holding every
-    index in the order the edges got colored."""
-    return Coloring(edges, [color[i] for i in range(len(edges))], list(color))
 
 
 def exact_color(g: Graph, k: int, *, budget: Optional[int] = None) -> Optional[Coloring]:
@@ -172,15 +166,18 @@ def exact_color(g: Graph, k: int, *, budget: Optional[int] = None) -> Optional[C
                 return None
             frame = stack[-1]
 
-    return _by_ids(g.edges, {order[r]: c for r, _, _, c in stack})
+    by_id = [0] * g.m
+    for r, i in enumerate(order):
+        by_id[i] = color[r]
+    return Coloring(g.edges, by_id)
 
 
 class _Ledger:
     """Recoloring state shared by the König and peel constructions, on edge
     ids and vertex indices: ends[i] the endpoints of edge i, color[i] its
-    color (in the order edges got colored), used[v] the colors present at v
-    as a bitmask (bit c set when c is present), and at[v][c] the id of the
-    edge holding color c at v, valid while bit c of used[v] is set.  Bit 0
+    color (0 until it is colored), used[v] the colors present at v as a
+    bitmask (bit c set when c is present), and at[v][c] the id of the edge
+    holding color c at v, valid while bit c of used[v] is set.  Bit 0
     is always set, so the smallest free color at v is the lowest zero bit.
     A stale at[v] entry is overwritten, never deleted, so at[v] holds only
     colors once present at v and the number of slots is linear in the
@@ -195,12 +192,12 @@ class _Ledger:
     rotations.  flip is the only walk along an alternating path.  A caller
     that must know the far end first flips, reads the end it returns, and
     flips the path back when it is the wrong one: the reverse flip restores
-    every used bit, every slot whose bit is set and the key order of color;
-    only stale slots can differ, and none is read."""
+    every used bit, every color and every slot whose bit is set; only stale
+    slots can differ, and none is read."""
 
     def __init__(self, ends: Sequence[tuple[int, int]], n: int):
         self.ends = ends
-        self.color: dict[int, int] = {}
+        self.color = [0] * len(ends)
         self.used = [1] * n
         self.at: list[dict[int, int]] = [{} for _ in range(n)]
 
@@ -214,7 +211,7 @@ class _Ledger:
 
     def unset(self, i: int) -> int:
         u, v = self.ends[i]
-        c = self.color.pop(i)
+        c = self.color[i]
         self.used[u] ^= 1 << c
         self.used[v] ^= 1 << c
         return c
@@ -229,8 +226,7 @@ class _Ledger:
         # walk and swap in one pass: the used bits change only after the
         # loop, and the far end's slot for the new color names the next
         # edge, so it is read before this edge takes it; each end's old
-        # slot goes stale as its used bit clears; color keeps its keys,
-        # and its order
+        # slot goes stale as its used bit clears
         i, cur, new, old = at[start][first], start, second, first
         seen = {start}
         while True:
@@ -312,7 +308,7 @@ def konig_color(g: Graph) -> Coloring:
         at[v][c] = i
         used[u] = mu | 1 << c
         used[v] = mv | 1 << c
-    return _by_ids(g.edges, color)
+    return Coloring(g.edges, color)
 
 
 def vizing_plus_one(g: Graph) -> Coloring:
@@ -325,16 +321,16 @@ def vizing_plus_one(g: Graph) -> Coloring:
     color = _peel_color(g.uv, g.vertices, g.max_degree, g.max_degree + 1)
     if color is None:
         raise AssertionError("the max_degree+1 peel got stuck")
-    return _by_ids(g.edges, color)
+    return Coloring(g.edges, color)
 
 
 def _peel_color(
     ends: Sequence[tuple[int, int]], labels: Sequence[int], d: int, floor: int
-) -> Optional[dict[int, int]]:
+) -> Optional[list[int]]:
     """Proper coloring with colors 1..k, k = max(max_degree, floor), of the
     graph with edges ends[i] on the vertex indices 0..len(labels)-1, or
-    None when the peel gets stuck.  Returns the ledger's id -> color dict,
-    in the order the edges got colored; labels[v] names v in messages.
+    None when the peel gets stuck.  Returns the ledger's colors by edge id;
+    labels[v] names v in messages.
 
     Peel: repeatedly remove an edge xy where deg(y) <= d and x has at most
     k - deg(y) neighbors of degree k.  Degrees and degree-k counts only

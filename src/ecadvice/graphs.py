@@ -211,28 +211,21 @@ class Graph:
 
 class Coloring:
     """Proper edge coloring: `edges` and `by_id`, where edges[i] has color
-    by_id[i].
-
-    `order`, the edge ids in the order the edges got colored, fixes the
-    order of `assignment`, the pair-keyed view, which is built on first
-    access; an engine passes it, and it is id order when omitted.
+    by_id[i].  `assignment`, the pair-keyed view in id order, is built on
+    first access.
     """
 
-    __slots__ = ("edges", "by_id", "_order", "_assignment")
+    __slots__ = ("edges", "by_id", "_assignment")
 
-    def __init__(
-        self, edges: Sequence[Edge], by_id: list[int], order: Optional[Iterable[int]] = None
-    ):
+    def __init__(self, edges: Sequence[Edge], by_id: list[int]):
         self.edges = edges
         self.by_id = by_id
-        self._order = range(len(by_id)) if order is None else order
         self._assignment: Optional[dict[Pair, int]] = None
 
     @property
     def assignment(self) -> Mapping[Pair, int]:
         if self._assignment is None:
-            edges, by_id = self.edges, self.by_id
-            self._assignment = {edges[i].pair: by_id[i] for i in self._order}
+            self._assignment = {e.pair: c for e, c in zip(self.edges, self.by_id)}
         return self._assignment
 
     @property

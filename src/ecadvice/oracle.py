@@ -41,7 +41,6 @@ from typing import NamedTuple, Optional, Sequence
 from .advice import AdviceRecord, pack_record, pad_degeneracy
 from .coloring import (
     Coloring,
-    _by_ids,
     _peel_color,
     exact_color,
     konig_color,
@@ -266,7 +265,7 @@ def optimal_coloring(
     # degree delta sees every color, so the palette is 1..delta
     peeled = _peel_color(g.uv, g.vertices, dgn if delta >= 2 * dgn else delta, delta)
     if peeled is not None:
-        return delta, _by_ids(g.edges, peeled)
+        return delta, Coloring(g.edges, peeled)
     plus = vizing_plus_one(g)  # palette 1..delta or 1..delta+1 (see _peel_color)
     if len(plus.palette) == delta:
         return delta, plus

@@ -31,7 +31,7 @@ class CheckedLedger(ecadvice.coloring._Ledger):
 
     def rotate(self, *args) -> None:
         super().rotate(*args)
-        colored = {edge_pair(*self.ends[j]): c for j, c in self.color.items()}
+        colored = {edge_pair(*self.ends[j]): c for j, c in enumerate(self.color) if c}
         if not is_proper(self.graph, colored):
             raise AssertionError("fan step broke properness")
 

@@ -27,7 +27,7 @@ from ecadvice import (
     optimal_coloring,
     vizing_plus_one,
 )
-from ecadvice.coloring import Coloring, _by_ids, _Ledger, _peel_color
+from ecadvice.coloring import Coloring, _Ledger, _peel_color
 from ecadvice.graphs import two_color
 
 from .conftest import (
@@ -264,7 +264,7 @@ def test_complete_max_degree_peel_is_a_max_degree_coloring(g):
         assert color is None  # on a regular graph the peel cannot start
     if color is None:
         return
-    col = _by_ids(g.edges, color)
+    col = Coloring(g.edges, color)
     assert is_proper(g, col) and len(col) == g.m
     assert col.palette <= frozenset(range(1, g.max_degree + 1))
 
@@ -274,7 +274,7 @@ def test_max_degree_peel_colors_dense_random_graphs(seed):
     g = graph(gnp_pairs(60, 0.4, seed))
     color = _peel_color(g.uv, g.vertices, g.max_degree, g.max_degree)
     assert color is not None
-    col = _by_ids(g.edges, color)
+    col = Coloring(g.edges, color)
     assert is_proper(g, col) and len(col) == g.m
     assert col.palette == frozenset(range(1, g.max_degree + 1))
 
@@ -310,7 +310,7 @@ def peel(g: Graph, d: int) -> Optional[Coloring]:
     """The peel at threshold d and floor 2d, as the oracle colors its
     bundles; None when it gets stuck."""
     color = _peel_color(g.uv, g.vertices, d, 2 * d)
-    return None if color is None else _by_ids(g.edges, color)
+    return None if color is None else Coloring(g.edges, color)
 
 
 def test_color_degenerate_star():
@@ -591,14 +591,15 @@ def ledger_graphs(draw):
 
 
 def assert_ledger_consistent(ledger, k, n):
-    """The ledger has a slot table and a mask for each of the graph's n
-    vertices.  For every vertex, the used bits are exactly the colors of
-    its colored edges (plus bit 0), and each set bit's slot names the edge
-    holding that color there; a slot whose bit is clear may be stale, but
-    only for a color in 1..k, the palette of the engine that built the
-    ledger."""
+    """The finished ledger has a color for each edge id, none of them 0, and
+    a slot table and a mask for each of the graph's n vertices.  For every
+    vertex, the used bits are exactly the colors of its edges (plus bit 0),
+    and each set bit's slot names the edge holding that color there; a slot
+    whose bit is clear may be stale, but only for a color in 1..k, the
+    palette of the engine that built the ledger."""
+    assert len(ledger.color) == len(ledger.ends) and 0 not in ledger.color
     held = [{} for _ in ledger.used]  # per vertex index: color -> edge id
-    for i, c in ledger.color.items():
+    for i, c in enumerate(ledger.color):
         for v in ledger.ends[i]:
             assert c not in held[v]
             held[v][c] = i
@@ -609,26 +610,45 @@ def assert_ledger_consistent(ledger, k, n):
         for c in range(1, k + 1):
             if ledger.used[v] >> c & 1:
                 i = slots[c]
-                assert ledger.color.get(i) == c and v in ledger.ends[i]
+                assert ledger.color[i] == c and v in ledger.ends[i]
 
 
 def test_engine_coloring_builds_its_pairs_on_first_access():
     g = graph([(7, 3), (3, 9), (9, 7)])
-    col = Coloring(g.edges, [1, 2, 3], [2, 0, 1])
+    col = Coloring(g.edges, [1, 2, 3])
     assert col.by_id == [1, 2, 3]
     assert len(col) == 3 and col.palette == {1, 2, 3}
     assert col._assignment is None  # palette and len read by_id
-    assert list(col.assignment.items()) == [((7, 9), 3), ((3, 7), 1), ((3, 9), 2)]
-    # an engine's dict from id, in coloring order, gives the same
-    engine = _by_ids(g.edges, {2: 3, 0: 1, 1: 2})
-    assert (engine.by_id, list(engine.assignment.items())) == (col.by_id, list(col.assignment.items()))
-    by_arrival = Coloring(g.edges, [1, 2, 3])  # id order when no order is given
-    assert list(by_arrival.assignment) == [(3, 7), (3, 9), (7, 9)]
-    assert col == by_arrival
+    assert list(col.assignment.items()) == [((3, 7), 1), ((3, 9), 2), ((7, 9), 3)]
+    # equal pair-keyed views are equal colorings, whatever the edge order
+    assert col == Coloring(graph([(9, 7), (7, 3), (3, 9)]).edges, [3, 1, 2])
+    assert col != Coloring(g.edges, [1, 3, 2])
     assert col != col.assignment  # a Coloring equals only a Coloring
     assert repr(Coloring((Edge(2, 1, 0),), [1])) == "Coloring(assignment={(1, 2): 1})"
     with pytest.raises(TypeError):  # no pair-keyed constructor
         Coloring({(1, 2): 1})
+    with pytest.raises(TypeError):  # and no coloring order
+        Coloring(g.edges, [1, 2, 3], [2, 0, 1])
+
+    # Every engine colors by edge id, so its pairs come in id order.  The
+    # corpus takes optimal_coloring through König (paths, even cycles,
+    # stars, bicliques), the max_degree peel (K4 with a tail), the
+    # max_degree+1 coloring landing on max_degree colors (K4) and the class-2
+    # max_degree+1 coloring (odd cycles, the Petersen prefix).
+    for pairs in CORPUS:
+        g = graph(pairs)
+        delta = g.max_degree
+        colorings = [
+            vizing_plus_one(g),
+            exact_color(g, delta + 1),
+            peel(g, degeneracy(g)[0]),  # as the oracle colors a bundle
+            optimal_coloring(g)[1],
+        ]
+        if is_bipartite(g):
+            colorings.append(konig_color(g))
+        for col in colorings:
+            assert len(col.by_id) == g.m and 0 not in col.by_id, pairs
+            assert list(col.assignment) == [e.pair for e in g.edges], pairs
 
 
 def test_exhausted_palette_names_the_label():
@@ -679,17 +699,20 @@ def test_bitmask_ledger_matches_slot_ledger(g):
             konig = None
         vizing = vizing_plus_one(g)
 
-    # same colors, inserted in the same order
+    # the same color for each edge id
     try:
-        expected = list(_slot_konig(g).items())
+        slots = _slot_konig(g)
+        expected = [slots[e.pair] for e in g.edges]
     except NotBipartite:
         expected = None
-    assert (None if konig is None else list(konig.assignment.items())) == expected
+    assert (None if konig is None else konig.by_id) == expected
     assert len(ledgers) == (1 if konig is None else 2)
     palettes = ([] if konig is None else [g.max_degree]) + [g.max_degree + 1]
     for ledger, k in zip(ledgers, palettes):
         assert_ledger_consistent(ledger, k, len(g.vertices))
-    assert [vizing.by_id[i] for i in ledgers[-1].color] == list(vizing.assignment.values())
+    engines = ([] if konig is None else [konig]) + [vizing]
+    # each engine's Coloring wraps its ledger's list uncopied
+    assert all(ledger.color is col.by_id for ledger, col in zip(ledgers, engines))
 
 
 # A reference copy of the adjacency-lemma peel as it stood before its peel
@@ -793,10 +816,10 @@ def _dict_peel(ends, labels, d, floor):
 
 
 def checked_peel(g, d, floor):
-    """_peel_color(g.uv, g.vertices, d, floor) as (id, color) items in
-    coloring order, or None when the peel gets stuck, after asserting that
-    the reference peel returns the same and that the ledger is consistent;
-    with the number of the ledger's flips and rotations."""
+    """_peel_color(g.uv, g.vertices, d, floor), the colors by edge id, or
+    None when the peel gets stuck, after asserting that the reference peel
+    returns the same and that the ledger is consistent; with the number of
+    the ledger's flips and rotations."""
     ledgers = []
 
     class Recorded(ecadvice.coloring._Ledger):
@@ -816,15 +839,13 @@ def checked_peel(g, d, floor):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ecadvice.coloring, "_Ledger", Recorded)
         color = _peel_color(g.uv, g.vertices, d, floor)
-    expected = _dict_peel(g.uv, g.vertices, d, floor)
-    items = None if color is None else list(color.items())
-    assert items == (None if expected is None else list(expected.items()))
+    assert color == _dict_peel(g.uv, g.vertices, d, floor)
     assert len(ledgers) == (0 if color is None else 1)
     for ledger in ledgers:
         assert ledger.color is color
         assert_ledger_consistent(ledger, max(g.max_degree, floor), len(g.vertices))
     counts = [(ledger.flips, ledger.rotations) for ledger in ledgers]
-    return items, counts[0] if counts else (0, 0)
+    return color, counts[0] if counts else (0, 0)
 
 
 @given(ledger_graphs())
@@ -870,8 +891,8 @@ def test_incidence_list_peel_rare_branches(case, d, floor, moves):
     else:
         n, dd, seed = map(int, case.split("-")[1:])
         g = Graph.from_stream(gen_d_degenerate(n, dd, seed))
-    items, counts = checked_peel(g, d, floor)
+    color, counts = checked_peel(g, d, floor)
     if moves is None:
-        assert items is None
+        assert color is None
     else:
-        assert len(items) == g.m and counts == moves
+        assert len(color) == g.m and counts == moves
