@@ -417,7 +417,7 @@ def _peel_color(
             peeled.append((x, y, i))
             deg[y] -= 1
             deg[x] -= 1
-            if deg[x] <= d:
+            if 0 < deg[x] <= d:
                 todo.append(x)
         if deg[y] and deg[y] < start:
             todo.append(y)  # edges parked above waited for the old deg[y]

@@ -98,6 +98,18 @@ class EdgeStream:
     def m(self) -> int:
         return len(self.edges)
 
+    def _turned(self, ids: Iterable[int]) -> "EdgeStream":
+        """This stream with each edge of `ids` listed back end first.  A
+        turned edge keeps its pair and its arrival index, so the result is
+        simple with arrivals in order, and is built without a second check."""
+        edges = list(self.edges)
+        for i in ids:
+            e = edges[i]
+            edges[i] = Edge(e.v, e.u, i)
+        turned = object.__new__(EdgeStream)
+        object.__setattr__(turned, "edges", tuple(edges))
+        return turned
+
 
 def stream_from_pairs(pairs: Iterable[tuple[int, int]]) -> EdgeStream:
     """Build a stream from ordered (u, v) pairs, assigning arrival indices."""

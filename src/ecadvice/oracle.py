@@ -11,27 +11,37 @@ Two regimes, split on the (padded) degeneracy bound d:
   then names the color inside the subset plus the subset's rank among the
   indices still open at the edge's front endpoint, and the consumer can
   rebuild the subset index because both sides only count earlier arrivals.
+  When b = 0 every edge goes to the subsets, so no record reads an optimal
+  coloring and none is computed: the optimal coloring is read only when
+  b > 0.
 
 A graph of degeneracy <= d with max_degree >= 2d is class 1, and the peel
 of coloring._peel_color at threshold d builds both the max_degree coloring
-and every subset's 2d-coloring without search.  The exact search runs only
-to decide the class of a graph with max_degree < 2*degeneracy that neither
-the max_degree peel nor the max_degree+1 coloring settles and that is not
-overfull (exact_color refutes an overfull graph by counting its edges).
+and every subset's 2d-coloring without search; with b = 0 the subsets'
+2d-colorings alone color the graph with a*2d = max_degree colors.  The
+exact search runs only to decide the class of a graph with max_degree <
+2*degeneracy that neither the max_degree peel nor the max_degree+1
+coloring settles and that is not overfull (exact_color refutes an
+overfull graph by counting its edges).
 
 The oracle works on edge ids and vertex indices (see graphs): it reads
 the optimal coloring by id, splits literal from subset edges by id, and
 the partition orients each edge and places the residual subgraph's edges,
-keeping its per-vertex state in lists by vertex index, then colors all
-subsets with one peel of their disjoint union.  The partition is the one
-place that decides an edge's front endpoint: it maps the label order to
+then colors all subsets with one peel of their disjoint union.  Its
+per-vertex state is in lists by vertex index: each vertex's front edges,
+and the (subset, arrival) of its back edges, at most d; a vertex's count
+in a subset is its back edges there plus its own front edges placed
+there, so no table by (vertex, subset) is kept, and no vertex's state
+grows with the number of subsets at it.  The partition is the one place
+that decides an edge's front endpoint: it maps the label order to
 positions once and compares the positions of each edge's ends.  Labels
 appear only in the orders it takes and in each record's front endpoint.
 g's one degeneracy order serves the residual too, since restricting an
 order to a subgraph can only lower back-degrees.  The partition hands back
 its plan, one EdgeAdvice named tuple per residual edge (mode, color,
 subset, rank, front), plus the bundles' member edges; build_advice copies
-the plan into per_edge, where literal edges of one color share one tuple.
+the plan into per_edge, where literal edges of one color share one tuple,
+or takes the plan as per_edge when b = 0.
 """
 from __future__ import annotations
 
@@ -98,12 +108,17 @@ def build_partition(
 
     Each subset is a subgraph of g, so its degeneracy is at most d and
     _peel_color at threshold d and floor 2d gives it a 2d-coloring without
-    search.  One
-    peel colors the subsets side by side, each as it colors that subset
-    alone: subset j's vertices take the next indices, in g's index order,
-    and its edges follow in arrival order.  The per-vertex subset counts
-    that steer the placement also guard the bound: no subset may reach
-    degree above 2d at any vertex, so every subset's peel has k = 2d.
+    search.  One peel colors the subsets side by side, each as it colors
+    that subset alone: subset j's vertices take the next indices, in g's
+    index order, and its edges follow in arrival order.
+
+    A vertex's back edges, at most d, are all placed before it is
+    visited, so its count in a subset is its back edges there plus the
+    front edges it has placed there itself; no count is kept by (vertex,
+    subset).  Front edges enter only subsets holding at most 2d-1 edges at
+    the vertex, so only back edges could push a subset past 2d, and an O(d)
+    check of each visited vertex's back edges guards the bound: every
+    subset's peel has k = 2d.
 
     Returns the plan by g's edge ids, plan[i] = EdgeAdvice(1, color in the
     subset, subset, rank, front) for i in `ids` and None for other edges,
@@ -134,7 +149,7 @@ def build_partition(
     # front_edges[v]: the edges of ids whose front end is vertex index v, in
     # arrival order; front[i], other[i]: the indices of edge i's front and
     # back ends
-    front_edges: dict[int, list[int]] = {}
+    front_edges: list[list[int]] = [[] for _ in range(g.n)]
     front = [0] * m
     other = [0] * m
     degree = [0] * g.n
@@ -142,7 +157,7 @@ def build_partition(
         a, b = uv[i]
         if pos[a] > pos[b]:
             a, b = b, a
-        front_edges.setdefault(a, []).append(i)
+        front_edges[a].append(i)
         front[i] = a
         other[i] = b
         degree[a] += 1
@@ -154,60 +169,59 @@ def build_partition(
     cap = 2 * d - 1
     # Fewer than delta edges are placed at a vertex before its last one, so
     # fewer than delta/2d subsets are full there: subsets are 1..delta/2d.
-    # placed[v * stride + j]: edges at v already in subset j, one entry per
-    # (vertex, subset) pair in use.  back[v]: (arrival, j) of v's back
-    # edges, all placed before v itself is visited.
-    stride = delta // (2 * d) + 1
-    placed: dict[int, int] = {}
-    get = placed.get
+    # back[v]: (subset, arrival) of v's back edges, all placed before v
+    # itself is visited
     back: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     rank = [0] * m
-    members: dict[int, list[int]] = {j: [] for j in range(1, stride)}
+    members: dict[int, list[int]] = {j: [] for j in range(1, delta // (2 * d) + 1)}
 
-    for v in sorted(front_edges, key=pos.__getitem__):
-        base = v * stride
+    # the vertices with front edges, in order
+    for v in sorted(filter(front_edges.__getitem__, range(g.n)), key=pos.__getitem__):
         back_v = back[v]
+        back_v.sort()  # by subset, then arrival
+        held = [j for j, _ in back_v]  # the subsets of v's back edges
+        # sorted, so a subset holding more than 2d of them spans 2d+1 entries
+        for k in range(len(held) - 2 * d):
+            if held[k] == held[k + 2 * d]:
+                j = held[k]
+                raise AssertionError(f"subset {j} reached degree {held.count(j)} at vertex {labels[v]}")
         target = 1
-        count = get(base + 1, 0)  # edges at v in subset target
+        count = held.count(1)  # edges at v in subset target
         for i in front_edges[v]:
             # subsets only fill up, so the lowest open index never falls
             while count > cap:
                 target += 1
-                count = get(base + target, 0)
+                count = held.count(target)
             if back_v:
-                # v's front edges only enter subsets holding <= 2d-1 edges
-                # at v, so each subset below target holds exactly 2d there;
-                # it looks open among earlier arrivals exactly when one of
-                # v's back edges in it arrives after edge i
+                # each subset below target holds exactly 2d edges at v; it
+                # looks open among earlier arrivals exactly when one of v's
+                # back edges in it arrives after edge i: count those subsets
                 t = arrival[i]
-                open_below: set[int] = set()
-                for s, j in back_v:
-                    if s > t and j < target:
-                        open_below.add(j)
-                rank[i] = len(open_below)
+                r = last = 0
+                for j, s in back_v:
+                    if j >= target:
+                        break
+                    if s > t and j != last:
+                        r += 1
+                        last = j
+                rank[i] = r
             members[target].append(i)
             count += 1
-            placed[base + target] = count
-            w = other[i]
-            p = w * stride + target
-            placed[p] = get(p, 0) + 1
-            back[w].append((arrival[i], target))
+            back[other[i]].append((target, arrival[i]))
     # the used subsets, ascending, which is the order of their first use:
     # subset j takes an edge only where j - 1 is full
     members = {j: sub for j, sub in members.items() if sub}
 
-    if max(placed.values()) > 2 * d:
-        p = next(p for p, k in placed.items() if k > 2 * d)
-        v, j = divmod(p, stride)
-        raise AssertionError(f"subset {j} reached degree {placed[p]} at vertex {labels[v]}")
     partition: dict[int, list[Edge]] = {}
     ends: list[tuple[int, int]] = []
     names: list[int] = []
+    local = [0] * g.n  # a vertex index's index in the union, set per subset
     for j, sub in members.items():
         sub.sort(key=arrival.__getitem__)
         partition[j] = [edges[i] for i in sub]
         verts = sorted({v for i in sub for v in uv[i]})
-        local = dict(zip(verts, range(len(names), len(names) + len(verts))))
+        for k, v in enumerate(verts, len(names)):
+            local[v] = k
         names.extend(labels[v] for v in verts)
         ends.extend((local[a], local[b]) for a, b in map(uv.__getitem__, sub))
     color = _peel_color(ends, names, d, 2 * d)
@@ -225,17 +239,18 @@ def build_partition(
 
 @dataclass
 class OracleResult:
-    """Records plus the plan behind them, including the replay stream."""
+    """Records plus the plan behind them, including the replay stream.  No
+    optimal coloring is kept: records read one only for their literal
+    colors, and optimal_coloring gives one on request."""
 
     d: int                      # padded bound actually encoded
     mode: str
     n: int                      # vertices of the stream's graph
     delta: int
-    chromatic_index: int
+    chromatic_index: int        # delta, without a coloring pass, when 2d divides delta
     records: list[AdviceRecord]
     per_edge: list[EdgeAdvice]  # arrival-indexed
     stream: EdgeStream          # what the consumer should replay
-    optimal: Coloring
     partition: dict[int, list[Edge]]  # bundle -> members; {} when every record is literal
 
 
@@ -303,34 +318,45 @@ def build_advice(
     if dgn > requested:
         raise PreconditionViolated(f"stream has degeneracy {dgn}, above {requested}")
     delta = g.max_degree
-    chi, opt = optimal_coloring(g, budget=budget, dgn=dgn)
-
-    colors = opt.by_id
-    b = chi  # colors 1..b are shipped literally
-    rest: list[int] = []  # ids of the edges the subsets take, in id order
+    a, b = divmod(delta, 2 * dd)  # once a > 0, colors 1..b ship literally
+    colors: Optional[list[int]] = None  # an optimal coloring by id
+    rest: Sequence[int] = []  # ids of the edges the subsets take, ascending
+    if a and not b:
+        # every edge goes to the subsets, so no record reads an optimal
+        # coloring; a graph of degeneracy <= dd with delta >= 2dd is class
+        # 1, and the subsets' peel colors it with a*2dd colors
+        chi = delta
+        rest = range(g.m)
+    else:
+        chi, opt = optimal_coloring(g, budget=budget, dgn=dgn)
+        colors = opt.by_id
+        if not a:
+            b = chi  # every color ships literally
+        else:
+            if chi != delta:
+                raise AssertionError("a degenerate graph with max_degree >= 2d must be class 1")
+            rest = [i for i, c in enumerate(colors) if c > b]
+            # a vertex of degree delta sees every color, so it keeps a*2dd
+            # residual edges; in a proper coloring none keeps more
+            top = g.deg.index(delta)
+            if sum(top in g.uv[i] for i in rest) != a * 2 * dd:
+                raise AssertionError("residual subgraph lost the expected max degree")
     plan: list[Optional[EdgeAdvice]] = []  # by edge id, set on rest
     partition: dict[int, list[Edge]] = {}
-    if delta >= 2 * dd:
-        a, b = divmod(delta, 2 * dd)
-        if chi != delta:
-            raise AssertionError("a degenerate graph with max_degree >= 2d must be class 1")
-        rest = [i for i, c in enumerate(colors) if c > b]  # every id when b = 0
-        # a vertex of degree delta sees every color, so it keeps a*2dd
-        # residual edges; in a proper coloring none keeps more
-        top = g.deg.index(delta)
-        if sum(top in g.uv[i] for i in rest) != a * 2 * dd:
-            raise AssertionError("residual subgraph lost the expected max degree")
+    if rest:
         plan, partition = build_partition(g, dd, order, rest)
 
-    # few distinct records exist, so each is packed once and shared; a key
-    # holds only written fields, so a strict key's front flag is always 0
-    literal = {c: EdgeAdvice(0, c) for c in set(colors) if c <= b}
-    literal_records = {c: pack_record(dd, mode, 0, c, 0, 0) for c in literal}
-    per_edge = [literal.get(c) for c in colors]  # subset edges are filled in below
-    records = [literal_records.get(c) for c in colors]
+    if colors is None:
+        per_edge, records = plan, [None] * g.m
+    else:
+        # few distinct records exist, so each is packed once and shared; a
+        # key holds only written fields, so a strict key's front flag is 0
+        literal = {c: EdgeAdvice(0, c) for c in set(colors) if c <= b}
+        literal_records = {c: pack_record(dd, mode, 0, c, 0, 0) for c in literal}
+        per_edge = [literal.get(c) for c in colors]  # subset edges are filled in below
+        records = [literal_records.get(c) for c in colors]
     robust = mode == "robust"
-    # strict mode lists each subset edge's front first; None while no edge turns
-    oriented: Optional[list[Edge]] = None
+    turned: list[int] = []  # strict mode lists each subset edge's front first
     packed: dict[tuple[int, int, int], AdviceRecord] = {}
     for i in rest:
         adv = per_edge[i] = plan[i]
@@ -342,8 +368,6 @@ def build_advice(
             record = packed[key] = pack_record(dd, mode, 1, *key)
         records[i] = record
         if not robust and f != u:
-            if oriented is None:
-                oriented = list(edges)
-            oriented[i] = Edge(v, u, i)
-    out_stream = stream if oriented is None else EdgeStream(tuple(oriented))
-    return OracleResult(dd, mode, g.n, delta, chi, records, per_edge, out_stream, opt, partition)
+            turned.append(i)
+    out_stream = stream._turned(turned) if turned else stream
+    return OracleResult(dd, mode, g.n, delta, chi, records, per_edge, out_stream, partition)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from ecadvice import (
     pad_degeneracy,
     run_advice,
     unpack_record,
+    verify_run,
 )
 
 from .conftest import (
@@ -258,6 +261,33 @@ def test_partition_matches_rescan_at_rank_d(d):
     assert max(adv.rank for adv in plan) == d
 
 
+def _hub_pairs(n, seed):
+    """Vertex 1 joins vertex 0, and vertex i >= 2 joins 0 and one earlier
+    vertex >= 1, arrivals shuffled: degeneracy 2, and 0 is joined to every
+    other vertex."""
+    rng = random.Random(seed)
+    pairs = [(1, 0)] + [p for i in range(2, n) for p in ((i, 0), (i, rng.randrange(1, i)))]
+    rng.shuffle(pairs)
+    return pairs
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_partition_matches_rescan_on_hubs(seed):
+    # delta/2d = 75 subsets meet at the hub, far above d = 2.  In the order
+    # 1, 0, 2, 3, ... vertex i >= 2 has its edges to 0 and to its parent as
+    # back edges, placed in subsets up to 75, and its edges to later
+    # vertices as front edges, and the hub has one back edge, to vertex 1;
+    # the degeneracy order puts the hub first
+    g = graph(_hub_pairs(301, seed))
+    assert g.max_degree == 300
+    plans = [
+        _assert_partition_matches_rescan(g, 2, order)
+        for order in (degeneracy(g)[1], (1, 0, *range(2, g.n)))
+    ]
+    assert all(max(adv.subset for adv in plan) == 75 for plan in plans)
+    assert any(adv.rank for plan in plans for adv in plan)
+
+
 def test_optimal_coloring_contiguous_palette():
     for pairs in (cycle_pairs(5), complete_pairs(4), petersen_pairs()):
         g = graph(pairs)
@@ -302,6 +332,38 @@ def test_build_advice_subset_regime_with_remainder():
     assert modes.count(0) == 1 and modes.count(1) == 4
     lit = next(adv for adv in res.per_edge if adv.mode == 0)
     assert lit.color == 1  # precolored edges use the low colors
+
+
+@pytest.mark.parametrize("mode", ["strict", "robust"])
+@pytest.mark.parametrize(
+    "make", [lambda: gen_star(20), lambda: gen_forest(450, 2)], ids=["star-20", "forest-even-delta"]
+)
+def test_no_chi_pass_when_2d_divides_delta(monkeypatch, make, mode):
+    # every edge goes to the subsets, whose peel certifies chi = delta
+    def refused(*args, **kwargs):
+        raise AssertionError("optimal_coloring ran")
+
+    monkeypatch.setattr(ecadvice.oracle, "optimal_coloring", refused)
+    run = run_advice(make(), 1, mode=mode, model="tape")
+    assert run.oracle.delta % 2 == 0
+    assert run.oracle.chromatic_index == run.oracle.delta
+    assert all(adv.mode == 1 for adv in run.oracle.per_edge)
+    assert verify_run(run, budget=0) == []
+
+
+def test_chi_pass_runs_once_when_2d_leaves_a_remainder(monkeypatch):
+    calls = []
+    chi = ecadvice.oracle.optimal_coloring
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return chi(*args, **kwargs)
+
+    monkeypatch.setattr(ecadvice.oracle, "optimal_coloring", counted)
+    res = build_advice(gen_star(21), 1)
+    assert len(calls) == 1
+    assert res.chromatic_index == 21
+    assert sum(adv.mode == 0 for adv in res.per_edge) == 1  # b = 1 literal color
 
 
 def test_build_advice_pads_requested_bound():
@@ -399,7 +461,8 @@ def test_partition_invariants_on_generated_streams(n, d, seed):
         return
     a, b = divmod(res.delta, 2 * dd)
     literal = sum(adv.mode == 0 for adv in res.per_edge)
-    assert literal == sum(1 for e in s.edges if res.optimal[e.pair] <= b)
+    witness = optimal_coloring(Graph.from_stream(s))[1]
+    assert literal == sum(1 for c in witness.by_id if c <= b)
     covered = 0
     for j, members in res.partition.items():
         sub = Graph(members)
